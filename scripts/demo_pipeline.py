@@ -37,13 +37,9 @@ def main() -> int:
     pmap = workdir / "map.csv"
     svg = workdir / "map.svg"
 
-    steps = [
-        ["synth", "--hurst", str(args.hurst), "--n", str(args.n),
-         "--seed", str(args.seed), "--out", str(trace)],
-    ]
-    for step in steps:
-        if cli(step) != 0:
-            return 1
+    if cli(["synth", "--hurst", str(args.hurst), "--n", str(args.n),
+            "--seed", str(args.seed), "--out", str(trace)]) != 0:
+        return 1
 
     spec = InjectionSpec(delta=args.delta, start=args.start, duration=args.duration)
     series, _ = inject(read_series(trace), spec)

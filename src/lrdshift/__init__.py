@@ -40,7 +40,7 @@ from .fgn import (
     synthesize_fgn_batch,
     synthesize_fgn_cholesky,
 )
-from .pyramid import Pyramid, ScaleConfig, StreamState, build_nowa, build_swa, column_at
+from .pyramid import Pyramid, ScaleConfig, StreamState, build_nowa, build_swa
 from .seeding import subseed, substream
 from .thresholds import (
     ThresholdQuery,

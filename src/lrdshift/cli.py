@@ -16,22 +16,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .detect import DetectionConfig, detect, flags_to_intervals
+from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_map
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
 from .fgn import LrdModel, TimeSeries, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
 from .svgmap import render_pvalue_map_svg
-from .thresholds import (
-    ThresholdQuery,
-    ThresholdResult,
-    asymptotic_threshold,
-    improved_threshold,
-    single_scale_threshold,
-)
+from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
 
 __all__ = ["main"]
 
@@ -43,26 +38,40 @@ def read_series(path, column: int | None = None) -> np.ndarray:
 
     A non-numeric first row is treated as a header and skipped.  With
     ``column`` (1-based), each line is split on commas and that field is
-    used; other fields (e.g. timestamps) are ignored.
+    used; other fields (e.g. timestamps) are ignored.  A malformed or
+    non-finite value is an error naming its line.
     """
     if column is not None and column < 1:
         raise ValueError("--column is 1-based and must be >= 1")
     values: list[float] = []
+    skipped: list[int] = []  # lines holding no value, to name a bad value's line
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
+                skipped.append(lineno)
                 continue
             field = line.split(",")[column - 1] if column is not None else line
             try:
                 values.append(float(field))
             except (ValueError, IndexError):
                 if lineno == 1:
+                    skipped.append(lineno)
                     continue  # header row
                 raise ValueError(f"{path}: line {lineno}: cannot parse {line!r} as a number")
     if not values:
         raise ValueError(f"{path}: no numeric data found")
-    return np.array(values)
+    series = np.array(values)
+    finite = np.isfinite(series)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        lineno = bad + 1
+        for skipped_line in skipped:  # ascending
+            if skipped_line > lineno:
+                break
+            lineno += 1
+        raise ValueError(f"{path}: line {lineno}: non-finite value {float(series[bad])!r}")
+    return series
 
 
 def write_series(path, values: np.ndarray) -> None:
@@ -100,22 +109,17 @@ def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _threshold_from_args(args) -> ThresholdResult:
-    kind = _KIND_BY_FLAG[args.threshold]
-    if kind == "monte_carlo":
-        return improved_threshold(
-            ThresholdQuery(
-                alpha=args.alpha,
-                num_scales=args.scales,
-                hurst=args.hurst,
-                base=args.base,
-                kind=kind,
-                mc_reps=args.mc_reps,
-                seed=args.seed,
-            )
+    return compute_threshold(
+        ThresholdQuery(
+            alpha=args.alpha,
+            num_scales=args.scales,
+            hurst=args.hurst,
+            base=args.base,
+            kind=_KIND_BY_FLAG[args.threshold],
+            mc_reps=args.mc_reps,
+            seed=args.seed,
         )
-    if kind == "asymptotic":
-        return asymptotic_threshold(args.alpha, args.scales)
-    return single_scale_threshold(args.alpha)
+    )
 
 
 def cmd_synth(args) -> int:
@@ -178,7 +182,7 @@ def cmd_detect(args) -> int:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if args.out_map:
-        write_pvalue_csv(args.out_map, result.pvalues)
+        write_pvalue_csv(args.out_map, pvalue_map(result.pyramid))
     return 0
 
 
@@ -234,16 +238,16 @@ def cmd_eval(args) -> int:
 
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
+    if (args.mean is None) != (args.std is None):
+        raise ValueError("--mean and --std must be given together")
+    if args.std is not None and not args.std > 0:
+        raise ValueError("--std must be positive")
     if args.threshold_value is not None:
         critical = args.threshold_value
         if not critical > 0:
             raise ValueError("--threshold-value must be positive")
     else:
         critical = _threshold_from_args(args).value
-    if (args.mean is None) != (args.std is None):
-        raise ValueError("--mean and --std must be given together")
-    if args.std is not None and not args.std > 0:
-        raise ValueError("--std must be positive")
     state = StreamState(scale_config)
     index = 0
     for lineno, raw in enumerate(sys.stdin, start=1):
@@ -256,14 +260,13 @@ def cmd_stream(args) -> int:
         except ValueError:
             print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
             continue
+        if not math.isfinite(sample):
+            print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
+            continue
         if args.mean is not None:
             sample = (sample - args.mean) / args.std
-        column = state.push(sample)
+        statistic, argmax_scale = state.push(sample)
         index += 1
-        statistic, argmax_scale = 0.0, 0
-        for scale, value in column:
-            if abs(value) > statistic:
-                statistic, argmax_scale = abs(value), scale
         if statistic > critical:
             if args.format == "jsonl":
                 print(

@@ -3,9 +3,10 @@
 For every scale-1 position the test statistic is the max of absolute
 aggregated values over all scales that provide a value there; positions
 whose statistic strictly exceeds the family-wise threshold are flagged.
-The p-value map is a separate, deliberately marginal layer: each valid
-(scale, time) cell carries its own two-sided normal p-value for display,
-while flagging always uses the family-wise threshold.
+The p-value map is a separate, deliberately marginal layer built on request
+from the pyramid a detection result carries: each valid (scale, time) cell
+gets its own two-sided normal p-value for display, while flagging always
+uses the family-wise threshold.
 """
 
 from __future__ import annotations
@@ -53,18 +54,18 @@ class DetectionConfig:
 
 @dataclass
 class DetectionResult:
-    """Per-position statistics, the flag set, and the p-value map.
+    """Per-position statistics, the flag set, and the pyramid behind them.
 
     ``flags`` are absolute (origin-based) scale-1 indices, sorted;
     ``argmax_scale[j]`` is the scale achieving the max at ``flags[j]``.
-    ``pvalues`` is a ``(num_scales, n)`` matrix in scale-1 time coordinates
-    with NaN marking cells where a scale has no value.
+    ``pyramid`` is the (standardized) multiscale series the statistic was
+    taken over; pass it to :func:`pvalue_map` for the p-value map.
     """
 
     statistic: np.ndarray
     flags: np.ndarray
     argmax_scale: np.ndarray
-    pvalues: np.ndarray | None
+    pyramid: Pyramid
     threshold: ThresholdResult
     method: str
     origin_index: int = 1
@@ -138,7 +139,7 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
         return 2.0 * ndtr(-np.abs(expanded))
 
 
-def detect(series, config: DetectionConfig, compute_pvalues: bool = True) -> DetectionResult:
+def detect(series, config: DetectionConfig) -> DetectionResult:
     """Run the max-over-scales test at every position of ``series``.
 
     A position is flagged iff its statistic strictly exceeds the threshold;
@@ -158,7 +159,7 @@ def detect(series, config: DetectionConfig, compute_pvalues: bool = True) -> Det
         statistic=statistic,
         flags=flagged + ts.origin_index,
         argmax_scale=np.asarray(argmax_scale, dtype=int),
-        pvalues=pvalue_map(pyramid) if compute_pvalues else None,
+        pyramid=pyramid,
         threshold=config.threshold,
         method=config.method,
         origin_index=ts.origin_index,

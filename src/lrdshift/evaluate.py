@@ -292,7 +292,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 background, config.injection, substream(config.seed, 1, set_id, sim, 1)
             )
             truth = np.nonzero(truth_mask)[0] + 1 if config.injection.delta != 0.0 else []
-            multiscale_flags = detect(shifted, detection, compute_pvalues=False).flags
+            multiscale_flags = detect(shifted, detection).flags
             naive_flags = naive_baseline(shifted, config.alpha)
             for name, flags in (("multiscale", multiscale_flags), ("naive", naive_flags)):
                 per_sim[name].append(metrics(confusion(flags, truth, config.n)))

@@ -59,6 +59,8 @@ class TimeSeries:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1:
             raise ValueError("values must be one-dimensional")
+        if not np.isfinite(values).all():
+            raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:

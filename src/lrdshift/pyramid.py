@@ -21,7 +21,7 @@ positions that are multiples of the largest window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "StreamState",
     "build_nowa",
     "build_swa",
-    "column_at",
 ]
 
 
@@ -78,8 +77,8 @@ class Pyramid:
     ``levels[k-1]`` holds scale ``k``.  For ``nowa`` the array has
     ``n // L_k`` complete blocks; for ``swa`` it has ``n - L_k + 1`` entries,
     entry ``0`` being the window ending at scale-1 position ``L_k``.  In both
-    layouts the first entry's window ends at position ``L_k``
-    (``start_indices[k-1]``), and level 1 is the input itself.
+    layouts the first entry's window ends at position ``L_k``, and level 1 is
+    the input itself.
     """
 
     method: str
@@ -87,10 +86,6 @@ class Pyramid:
     levels: list[np.ndarray]
     n: int
     origin_index: int = 1
-    start_indices: list[int] = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.start_indices = [self.config.window(k) for k in range(1, self.config.num_scales + 1)]
 
 
 def _check_length(x: np.ndarray, config: ScaleConfig) -> None:
@@ -154,30 +149,6 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
     return Pyramid("swa", config, levels, n, ts.origin_index)
 
 
-def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
-    """All (scale, value) pairs whose window provides a value at position ``t``.
-
-    ``t`` is the 1-based scale-1 position.  For non-overlapping layout this
-    is the covering block at each scale, included only when the block is
-    complete; for sliding layout it is the window ending at ``t``, included
-    only once ``t >= L_k``.  Scales without a valid value are omitted.
-    """
-    if not 1 <= t <= pyramid.n:
-        raise ValueError(f"t must be in 1..{pyramid.n}, got {t}")
-    out: list[tuple[int, float]] = []
-    for k in range(1, pyramid.config.num_scales + 1):
-        level = pyramid.levels[k - 1]
-        window = pyramid.config.window(k)
-        if pyramid.method == "nowa":
-            block = (t + window - 1) // window
-            if block <= len(level):
-                out.append((k, float(level[block - 1])))
-        else:
-            if t >= window:
-                out.append((k, float(level[t - window])))
-    return out
-
-
 class StreamState:
     """One-sample-at-a-time sliding aggregation over all scales.
 
@@ -199,12 +170,12 @@ class StreamState:
         self._sums = np.zeros(config.num_scales)
         self._recompute_every = recompute_every
 
-    def push(self, sample: float) -> list[tuple[int, float]]:
-        """Ingest one sample; return the (scale, value) column ending here.
+    def push(self, sample: float) -> tuple[float, int]:
+        """Ingest one sample; return ``(statistic, argmax_scale)`` ending here.
 
-        The returned column matches what :func:`column_at` on a sliding
-        pyramid of the full history would give: scale ``k`` appears once at
-        least ``L_k`` samples have been seen.
+        The statistic is the max of absolute values over the warm scales of
+        a sliding pyramid of the full history, scale ``k`` being warm once at
+        least ``L_k`` samples have been seen; ties go to the smallest scale.
         """
         sample = float(sample)
         size = len(self._ring)
@@ -217,10 +188,11 @@ class StreamState:
         self.samples_seen += 1
         if self.samples_seen % self._recompute_every == 0:
             self._recompute_sums()
-        warm = self._windows <= self.samples_seen
-        values = self._sums[warm] / self._normalizers[warm]
-        scales = np.nonzero(warm)[0] + 1
-        return [(int(k), float(v)) for k, v in zip(scales, values)]
+        # Windows increase with the scale, so the warm scales are a prefix.
+        warm = int(np.searchsorted(self._windows, self.samples_seen, side="right"))
+        magnitudes = np.abs(self._sums[:warm] / self._normalizers[:warm])
+        best = int(magnitudes.argmax())
+        return float(magnitudes[best]), best + 1
 
     def _recompute_sums(self) -> None:
         # Chronological view of the ring: oldest retained sample first.

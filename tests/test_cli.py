@@ -1,5 +1,6 @@
 """CLI behavior: formats, exit codes, determinism, stream protocol."""
 
+import importlib
 import io
 import json
 
@@ -135,6 +136,30 @@ class TestDetectCommand:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    def test_non_finite_value_exits_2_and_names_the_line(self, tmp_path, capsys):
+        inp = tmp_path / "nan.csv"
+        inp.write_text("t,value\n1,0.5\n\n3,nan\n4,0.5\n")
+        code = run(["detect", "--in", str(inp), "--column", "2", "--hurst", "0.9",
+                    "--scales", "1", "--out-flags", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "line 4: non-finite value" in capsys.readouterr().err
+
+    def test_flags_only_run_never_builds_the_map(self, tmp_path, spiked_series, monkeypatch):
+        def refuse(pyramid):
+            raise AssertionError("p-value map built without --out-map")
+
+        inp, _ = spiked_series
+        # The package re-exports the function `detect`, which shadows the module name.
+        detect_module = importlib.import_module("lrdshift.detect")
+        monkeypatch.setattr(detect_module, "pvalue_map", refuse)
+        monkeypatch.setattr("lrdshift.cli.pvalue_map", refuse)
+        assert run(self.detect_args(inp, tmp_path / "f.json")) == 0
+        monkeypatch.undo()
+        monkeypatch.setattr(detect_module, "pvalue_map", refuse)
+        map_path = tmp_path / "map.csv"
+        assert run(self.detect_args(inp, tmp_path / "f.json", extra=["--out-map", str(map_path)])) == 0
+        assert read_pvalue_csv(map_path)[0].shape == (6, 1024)
+
     def test_header_row_is_skipped(self, tmp_path):
         inp = tmp_path / "headed.csv"
         inp.write_text("timestamp,value\n" + "".join(f"{i},{v}\n" for i, v in enumerate([0.5] * 40)))
@@ -239,6 +264,11 @@ class TestThresholdCommand:
             values[hurst] = json.loads(capsys.readouterr().out)["value"]
         assert values["0.95"] < values["0.6"]
 
+    @pytest.mark.parametrize("kind", ["improved", "asymptotic", "single"])
+    def test_zero_scales_exits_2(self, kind, capsys):
+        assert run(["threshold", "--scales", "0", "--kind", kind]) == 2
+        assert "num_scales" in capsys.readouterr().err
+
 
 class TestEvalCommand:
     def test_writes_csv_and_json(self, tmp_path):
@@ -290,6 +320,17 @@ class TestStreamCommand:
         assert code == 0
         assert "line 2" in err
         assert out.splitlines()[0].startswith("2,9.0")  # bad line not counted as a sample
+
+    def test_non_finite_lines_warn_and_are_skipped(self, monkeypatch, capsys):
+        code, out, err = self.stream(
+            monkeypatch, capsys, "0\n0\nnan\n0\ninf\n100\n",
+            ["--hurst", "0.9", "--scales", "1", "--threshold-value", "2"],
+        )
+        assert code == 0
+        assert out == "4,100.0,1\n"
+        warnings = err.splitlines()
+        assert len(warnings) == 2
+        assert "line 3: non-finite value" in warnings[0] and "line 5: non-finite value" in warnings[1]
 
     def test_matches_batch_detection(self, monkeypatch, capsys, spiked_series):
         """Streaming flags equal batch sliding-window flags from the same
@@ -345,6 +386,19 @@ class TestStreamCommand:
             ["--hurst", "0.9", "--scales", "2", "--threshold-value", "2.0", "--mean", "5.0"],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--mean", "5.0"], "--mean and --std must be given together"),
+        (["--mean", "5.0", "--std", "0"], "--std must be positive"),
+    ])
+    def test_usage_errors_precede_the_threshold(self, monkeypatch, capsys, extra, message):
+        def refuse(query):
+            raise AssertionError("threshold computed before the usage check")
+
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse)
+        code, _, err = self.stream(monkeypatch, capsys, "0.0\n", ["--hurst", "0.9", *extra])
+        assert code == 2
+        assert message in err
 
 
 class TestPipelineRoundTrip:

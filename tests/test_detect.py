@@ -14,7 +14,6 @@ from lrdshift import (
     asymptotic_threshold,
     build_nowa,
     build_swa,
-    column_at,
     detect,
     flags_to_intervals,
     improved_threshold,
@@ -25,6 +24,7 @@ from lrdshift import (
     ThresholdQuery,
 )
 from lrdshift.detect import Interval, expand_levels
+from oracles import column_at
 
 
 def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, **kwargs):
@@ -79,6 +79,15 @@ class TestDetect:
                              threshold_value=asymptotic_threshold(0.05, 15).value)
         result = detect(x, config)
         assert 201 in result.flags  # 1-based position
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    def test_non_finite_input_rejected(self, method, bad):
+        """A non-finite sample is an error, never a scale quietly dropped from the max."""
+        x = np.zeros(64)
+        x[20] = bad
+        with pytest.raises(ValueError, match="finite"):
+            detect(x, make_config(method=method))
 
     def test_flags_satisfy_strict_inequality(self):
         x = np.zeros(32)
@@ -155,7 +164,7 @@ class TestDetect:
         rates = []
         for i in range(seeds):
             x = synthesize_fgn(LrdModel(hurst), n, subseed(202, i))
-            flags = detect(x, config, compute_pvalues=False).flags
+            flags = detect(x, config).flags
             rates.append(np.sum(flags >= biggest) / (n - biggest + 1))
         assert abs(np.mean(rates) - alpha) < 0.02, f"rate {np.mean(rates):.4f}"
 
@@ -196,7 +205,7 @@ class TestFlagsToIntervals:
             statistic=np.zeros(1),
             flags=flags,
             argmax_scale=scales,
-            pvalues=None,
+            pyramid=None,
             threshold=ThresholdResult(value=2.0, kind="asymptotic"),
             method="swa",
         )

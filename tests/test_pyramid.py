@@ -7,17 +7,20 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lrdshift import (
+    DetectionConfig,
     LrdModel,
     ScaleConfig,
     StreamState,
+    ThresholdResult,
     build_nowa,
     build_swa,
-    column_at,
+    detect,
     fgn_acf,
     subseed,
     synthesize_fgn,
     synthesize_fgn_batch,
 )
+from oracles import column_at
 
 
 def brute_force_nowa_level(x, window, hurst):
@@ -139,7 +142,6 @@ class TestBuildSwa:
     def test_level_lengths_and_start(self):
         pyramid = build_swa(np.ones(20), ScaleConfig(base=2, num_scales=4, hurst=0.5))
         assert [len(level) for level in pyramid.levels] == [20, 19, 17, 13]
-        assert pyramid.start_indices == [1, 2, 4, 8]
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -234,30 +236,31 @@ class TestColumnAt:
 class TestStreaming:
     def test_first_sample(self):
         state = StreamState(ScaleConfig(base=2, num_scales=3, hurst=0.5))
-        assert state.push(2.5) == [(1, 2.5)]
+        assert state.push(2.5) == (2.5, 1)
 
     def test_constant_stream_closed_form(self):
         config = ScaleConfig(base=2, num_scales=4, hurst=0.5)
         state = StreamState(config)
-        column = []
-        for _ in range(config.max_window):
-            column = state.push(1.0)
-        assert dict(column) == pytest.approx({k: config.window(k) ** 0.5 for k in (1, 2, 3, 4)})
+        for t in range(1, config.max_window + 1):
+            largest_warm = max(k for k in (1, 2, 3, 4) if config.window(k) <= t)
+            statistic, scale = state.push(1.0)
+            assert scale == largest_warm
+            assert statistic == pytest.approx(config.window(largest_warm) ** 0.5)
 
     @pytest.mark.parametrize("recompute_every", [1 << 20, 17])
     def test_matches_batch_column_by_column(self, recompute_every):
-        """After N pushes the emitted stream equals the sliding pyramid of
-        the whole series, within 1e-9 accumulated drift."""
+        """After N pushes the emitted statistic equals the max over the
+        sliding pyramid's column of the whole series, within 1e-9
+        accumulated drift."""
         config = ScaleConfig(base=2, num_scales=5, hurst=0.8)
         x = synthesize_fgn(LrdModel(0.8), 600, seed=55).values
         pyramid = build_swa(x, config)
         state = StreamState(config, recompute_every=recompute_every)
         worst = 0.0
         for t in range(1, len(x) + 1):
-            streamed = dict(state.push(x[t - 1]))
-            batch = dict(column_at(pyramid, t))
-            assert streamed.keys() == batch.keys(), f"t={t}"
-            worst = max(worst, max(abs(streamed[k] - batch[k]) for k in batch))
+            streamed, _ = state.push(x[t - 1])
+            batch = max(abs(v) for _, v in column_at(pyramid, t))
+            worst = max(worst, abs(streamed - batch))
         assert worst <= 1e-9, f"worst stream/batch discrepancy {worst:.2e}"
 
     def test_base_three_stream(self):
@@ -266,9 +269,34 @@ class TestStreaming:
         pyramid = build_swa(x, config)
         state = StreamState(config)
         for t in range(1, 101):
-            streamed = dict(state.push(x[t - 1]))
-            batch = dict(column_at(pyramid, t))
+            streamed, _ = state.push(x[t - 1])
+            batch = max(abs(v) for _, v in column_at(pyramid, t))
             assert streamed == pytest.approx(batch, abs=1e-10)
+
+    def test_statistic_and_argmax_match_batch_swa(self):
+        """At every batch-flagged position past the largest window, push
+        returns the statistic of detect(method='swa') within 1e-9 and the
+        same argmax scale wherever the top two magnitudes differ by more
+        than 1e-9."""
+        config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
+        x = synthesize_fgn(LrdModel(0.8), 2048, seed=57).values.copy()
+        x[500:800] += 0.8  # sustained shift: coarse scales win
+        x[1300] += 6.0  # spike: scale 1 wins
+        threshold = ThresholdResult(value=1.8, kind="asymptotic")
+        result = detect(x, DetectionConfig(scale_config=config, threshold=threshold, method="swa"))
+        state = StreamState(config)
+        streamed = [state.push(v) for v in x]
+        compared = set()
+        for t, batch_scale in zip(result.flags, result.argmax_scale):
+            if t < config.max_window:
+                continue
+            statistic, scale = streamed[t - 1]
+            assert statistic == pytest.approx(result.statistic[t - 1], abs=1e-9), f"t={t}"
+            top = sorted((abs(v) for _, v in column_at(result.pyramid, t)), reverse=True)
+            if top[0] - top[1] > 1e-9:
+                assert scale == batch_scale, f"t={t}"
+                compared.add(scale)
+        assert len(compared) >= 3, f"argmax compared only at scales {sorted(compared)}"
 
     def test_rejects_bad_recompute_interval(self):
         with pytest.raises(ValueError):
