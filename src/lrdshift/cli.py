@@ -21,9 +21,9 @@ import sys
 
 import numpy as np
 
-from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_map
+from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_map, standardize
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
-from .fgn import LrdModel, TimeSeries, estimate_hurst, synthesize_fgn
+from .fgn import LrdModel, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
 from .svgmap import render_pvalue_map_svg
 from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
@@ -108,6 +108,16 @@ def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), labels
 
 
+def _check_moments(args) -> None:
+    """Reject ``--mean``/``--std`` that cannot standardize to finite values."""
+    if (args.mean is None) != (args.std is None):
+        raise ValueError("--mean and --std must be given together")
+    if args.mean is not None and not math.isfinite(args.mean):
+        raise ValueError("--mean must be finite")
+    if args.std is not None and not (math.isfinite(args.std) and args.std > 0):
+        raise ValueError("--std must be positive and finite")
+
+
 def _threshold_from_args(args) -> ThresholdResult:
     return compute_threshold(
         ThresholdQuery(
@@ -132,6 +142,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
+    _check_moments(args)
     values = read_series(args.input, args.column)
     if args.estimate_hurst:
         estimate = estimate_hurst(values)
@@ -152,16 +163,10 @@ def cmd_detect(args) -> int:
             f"{scale_config.max_window}; reduce --scales or --base"
         )
     threshold = _threshold_from_args(args)
-    standardization = "provided" if args.mean is not None or args.std is not None else args.standardize
-    config = DetectionConfig(
-        scale_config=scale_config,
-        threshold=threshold,
-        method=args.method,
-        standardization=standardization,
-        mean=args.mean,
-        std=args.std,
-    )
-    result = detect(TimeSeries(values), config)
+    if args.mean is not None or args.standardize == "sample":
+        # Rebinding frees the raw values before the pyramid is built.
+        values = standardize(values, args.mean, args.std)[0].values
+    result = detect(values, DetectionConfig(scale_config, threshold, args.method))
     intervals = flags_to_intervals(result, args.gap_tolerance)
     payload = {
         "alpha": args.alpha,
@@ -238,14 +243,11 @@ def cmd_eval(args) -> int:
 
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
-    if (args.mean is None) != (args.std is None):
-        raise ValueError("--mean and --std must be given together")
-    if args.std is not None and not args.std > 0:
-        raise ValueError("--std must be positive")
+    _check_moments(args)
     if args.threshold_value is not None:
         critical = args.threshold_value
-        if not critical > 0:
-            raise ValueError("--threshold-value must be positive")
+        if not (math.isfinite(critical) and critical > 0):
+            raise ValueError("--threshold-value must be positive and finite")
     else:
         critical = _threshold_from_args(args).value
     state = StreamState(scale_config)
@@ -281,9 +283,8 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def _add_threshold_flags(parser, include_single=False) -> None:
-    choices = ["improved", "asymptotic"] + (["single"] if include_single else [])
-    parser.add_argument("--threshold", choices=choices, default="improved",
+def _add_threshold_flags(parser) -> None:
+    parser.add_argument("--threshold", choices=["improved", "asymptotic"], default="improved",
                         help="threshold kind (default: improved)")
     parser.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
     parser.add_argument("--mc-reps", type=int, default=10**6, dest="mc_reps",

@@ -1,16 +1,19 @@
 """Pointwise max-over-scales outlier test and the p-value map.
 
-For every scale-1 position the test statistic is the max of absolute
-aggregated values over all scales that provide a value there; positions
-whose statistic strictly exceeds the family-wise threshold are flagged.
-The p-value map is a separate, deliberately marginal layer built on request
-from the pyramid a detection result carries: each valid (scale, time) cell
-gets its own two-sided normal p-value for display, while flagging always
-uses the family-wise threshold.
+The test runs on a series that is already standardized: for every scale-1
+position the statistic is the max of absolute aggregated values over all
+scales that provide a value there, and positions whose statistic strictly
+exceeds the family-wise threshold (calibrated for unit variance at every
+scale) are flagged.  :func:`standardize` is the separate data-preparation
+step for raw counters.  The p-value map is a separate, deliberately marginal
+layer built on request from the pyramid a detection result carries: each
+valid (scale, time) cell gets its own two-sided normal p-value for display,
+while flagging always uses the family-wise threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,36 +42,28 @@ class DetectionConfig:
     scale_config: ScaleConfig
     threshold: ThresholdResult
     method: str = "nowa"  # "nowa" | "swa"
-    standardization: str = "none"  # "none" | "sample" | "provided"
-    mean: float | None = None
-    std: float | None = None
 
     def __post_init__(self) -> None:
         if self.method not in ("nowa", "swa"):
             raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
-        if self.standardization not in ("none", "sample", "provided"):
-            raise ValueError(f"unknown standardization {self.standardization!r}")
-        if self.standardization == "provided" and (self.mean is None or self.std is None):
-            raise ValueError("provided standardization needs mean and std")
 
 
 @dataclass
 class DetectionResult:
     """Per-position statistics, the flag set, and the pyramid behind them.
 
-    ``flags`` are absolute (origin-based) scale-1 indices, sorted;
-    ``argmax_scale[j]`` is the scale achieving the max at ``flags[j]``.
-    ``pyramid`` is the (standardized) multiscale series the statistic was
-    taken over; pass it to :func:`pvalue_map` for the p-value map.
+    ``statistic[i-1]`` is the statistic at 1-based position ``i``;
+    ``flags`` are the sorted 1-based positions where it exceeds the
+    threshold, and ``argmax_scale[j]`` is the scale achieving the max at
+    ``flags[j]``.  ``pyramid`` is the multiscale series the statistic was
+    taken over (its layout tag is the method); pass it to
+    :func:`pvalue_map` for the p-value map.
     """
 
     statistic: np.ndarray
     flags: np.ndarray
     argmax_scale: np.ndarray
     pyramid: Pyramid
-    threshold: ThresholdResult
-    method: str
-    origin_index: int = 1
 
 
 @dataclass(frozen=True)
@@ -80,33 +75,31 @@ class Interval:
     peak_scale: int
 
 
-def standardize(series, mode: str = "sample", mean: float | None = None, std: float | None = None):
+def standardize(series, mean: float | None = None, std: float | None = None):
     """Affinely map the series to (nominally) zero mean and unit variance.
 
-    ``mode='sample'`` uses the series' own moments and rejects constant
-    input; ``mode='provided'`` applies caller statistics, e.g. moments
-    estimated from a training segment; ``mode='none'`` is the identity.
-    Returns ``(standardized_series, mean, std)``.
+    With neither moment given, the series' own mean and sample standard
+    deviation (ddof 1) are used and constant input is rejected.  With both,
+    they are applied as given, e.g. moments estimated from a training
+    segment; ``mean`` must be finite and ``std`` finite and positive.
+    Giving one alone is an error.  Returns ``(standardized_series, mean, std)``.
     """
     ts = as_series(series)
-    if mode == "none":
-        return ts, 0.0, 1.0
     if len(ts) == 0:
         raise ValueError("series must be non-empty")
-    if mode == "sample":
+    if mean is None and std is None:
         mean = float(ts.values.mean())
         std = float(ts.values.std(ddof=1)) if len(ts) > 1 else 0.0
         if std <= 0.0:
             raise ValueError("cannot standardize a constant series by its sample moments")
-    elif mode == "provided":
-        if mean is None or std is None:
-            raise ValueError("provided standardization needs mean and std")
-        if std <= 0.0:
-            raise ValueError("std must be positive")
-    else:
-        raise ValueError(f"unknown standardization mode {mode!r}")
+    elif mean is None or std is None:
+        raise ValueError("give both mean and std, or neither")
+    elif not math.isfinite(mean):
+        raise ValueError("mean must be finite")
+    elif not (math.isfinite(std) and std > 0.0):
+        raise ValueError("std must be positive and finite")
     values = (ts.values - mean) / std
-    return TimeSeries(values, ts.origin_index), float(mean), float(std)
+    return TimeSeries(values), float(mean), float(std)
 
 
 def expand_levels(pyramid: Pyramid) -> np.ndarray:
@@ -117,7 +110,7 @@ def expand_levels(pyramid: Pyramid) -> np.ndarray:
     ending there (sliding layout).  NaN marks positions without a value.
     """
     config = pyramid.config
-    out = np.full((config.num_scales, pyramid.n), np.nan)
+    out = np.full((config.num_scales, len(pyramid.levels[0])), np.nan)
     for k in range(1, config.num_scales + 1):
         level = pyramid.levels[k - 1]
         window = config.window(k)
@@ -142,14 +135,14 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
 def detect(series, config: DetectionConfig) -> DetectionResult:
     """Run the max-over-scales test at every position of ``series``.
 
-    A position is flagged iff its statistic strictly exceeds the threshold;
-    ties do not reject.  Near boundaries fewer scales are available and the
-    max runs over those present (using the full-family threshold there is
-    conservative).
+    ``series`` is tested as given; standardize raw counters first (see
+    :func:`standardize`).  A position is flagged iff its statistic strictly
+    exceeds the threshold; ties do not reject.  Near boundaries fewer scales
+    are available and the max runs over those present (using the
+    full-family threshold there is conservative).
     """
-    ts, _, _ = standardize(series, config.standardization, config.mean, config.std)
     build = build_nowa if config.method == "nowa" else build_swa
-    pyramid = build(ts, config.scale_config)
+    pyramid = build(series, config.scale_config)
     expanded = expand_levels(pyramid)
     magnitudes = np.abs(expanded)
     statistic = np.nanmax(magnitudes, axis=0)
@@ -157,12 +150,9 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     argmax_scale = np.nanargmax(magnitudes[:, flagged], axis=0) + 1 if len(flagged) else np.array([], dtype=int)
     return DetectionResult(
         statistic=statistic,
-        flags=flagged + ts.origin_index,
+        flags=flagged + 1,
         argmax_scale=np.asarray(argmax_scale, dtype=int),
         pyramid=pyramid,
-        threshold=config.threshold,
-        method=config.method,
-        origin_index=ts.origin_index,
     )
 
 

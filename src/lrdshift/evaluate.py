@@ -106,7 +106,7 @@ def inject(series, spec: InjectionSpec, rng: np.random.Generator | None = None):
     truth[start - 1 : end] = True
     values = ts.values.copy()
     values[start - 1 : end] += spec.delta
-    return TimeSeries(values, ts.origin_index), truth
+    return TimeSeries(values), truth
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,7 @@ def naive_baseline(series, alpha: float) -> np.ndarray:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     ts = as_series(series)
     critical = ndtri(1.0 - alpha / 2.0)
-    return np.nonzero(np.abs(ts.values) > critical)[0] + ts.origin_index
+    return np.nonzero(np.abs(ts.values) > critical)[0] + 1
 
 
 @dataclass(frozen=True)

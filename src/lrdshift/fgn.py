@@ -50,10 +50,13 @@ class LrdModel:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A finite real-valued series with a 1-based absolute origin index."""
+    """A finite real-valued one-dimensional series.
+
+    Positions are 1-based throughout the package: position ``i`` is
+    ``values[i-1]``.
+    """
 
     values: np.ndarray
-    origin_index: int = 1
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -68,7 +71,7 @@ class TimeSeries:
 
 
 def as_series(series) -> TimeSeries:
-    """Coerce an array-like or TimeSeries into a TimeSeries (origin 1)."""
+    """Coerce an array-like or TimeSeries into a TimeSeries."""
     if isinstance(series, TimeSeries):
         return series
     return TimeSeries(np.asarray(series, dtype=float))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import TimeSeries, as_series
+from .fgn import as_series
 
 __all__ = [
     "ScaleConfig",
@@ -74,18 +74,16 @@ class ScaleConfig:
 class Pyramid:
     """The multiscale series: one array per scale plus its layout tag.
 
-    ``levels[k-1]`` holds scale ``k``.  For ``nowa`` the array has
+    ``levels[k-1]`` holds scale ``k``; level 1 is the input itself, so the
+    series length ``n`` is ``len(levels[0])``.  For ``nowa`` the array has
     ``n // L_k`` complete blocks; for ``swa`` it has ``n - L_k + 1`` entries,
-    entry ``0`` being the window ending at scale-1 position ``L_k``.  In both
-    layouts the first entry's window ends at position ``L_k``, and level 1 is
-    the input itself.
+    entry ``0`` being the window ending at 1-based scale-1 position ``L_k``.
+    In both layouts the first entry's window ends at position ``L_k``.
     """
 
     method: str
     config: ScaleConfig
     levels: list[np.ndarray]
-    n: int
-    origin_index: int = 1
 
 
 def _check_length(x: np.ndarray, config: ScaleConfig) -> None:
@@ -107,8 +105,7 @@ def build_nowa(series, config: ScaleConfig) -> Pyramid:
     ``(j-1)*L_k + 1 .. j*L_k`` divided by ``L_k**hurst``; the trailing
     partial block is dropped rather than padded.
     """
-    ts = as_series(series)
-    x = ts.values
+    x = as_series(series).values
     _check_length(x, config)
     b = config.base
     sums = [x]
@@ -120,7 +117,7 @@ def build_nowa(series, config: ScaleConfig) -> Pyramid:
             cur += prev[r : nblocks * b : b]
         sums.append(cur)
     levels = [s if norm == 1.0 else s / norm for s, norm in zip(sums, _normalizers(config))]
-    return Pyramid("nowa", config, levels, len(x), ts.origin_index)
+    return Pyramid("nowa", config, levels)
 
 
 def build_swa(series, config: ScaleConfig) -> Pyramid:
@@ -129,8 +126,7 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
     Scale-``k`` entry at position ``i >= L_k`` equals the sum of the
     ``L_k`` samples ending at ``i`` divided by ``L_k**hurst``.
     """
-    ts = as_series(series)
-    x = ts.values
+    x = as_series(series).values
     _check_length(x, config)
     b = config.base
     n = len(x)
@@ -146,7 +142,7 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
             cur += prev[i0 : i0 + m]
         sums.append(cur)
     levels = [s if norm == 1.0 else s / norm for s, norm in zip(sums, _normalizers(config))]
-    return Pyramid("swa", config, levels, n, ts.origin_index)
+    return Pyramid("swa", config, levels)
 
 
 class StreamState:

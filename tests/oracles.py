@@ -11,8 +11,8 @@ def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
     complete; for sliding layout it is the window ending at ``t``, included
     only once ``t >= L_k``.  Scales without a valid value are omitted.
     """
-    if not 1 <= t <= pyramid.n:
-        raise ValueError(f"t must be in 1..{pyramid.n}, got {t}")
+    if not 1 <= t <= len(pyramid.levels[0]):
+        raise ValueError(f"t must be in 1..{len(pyramid.levels[0])}, got {t}")
     out: list[tuple[int, float]] = []
     for k in range(1, pyramid.config.num_scales + 1):
         level = pyramid.levels[k - 1]

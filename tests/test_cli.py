@@ -15,6 +15,20 @@ def run(argv):
     return main(argv)
 
 
+def refuse_threshold(query):
+    raise AssertionError("threshold computed before the usage check")
+
+
+# Moments that are missing, or would map every sample to 0 or NaN and so
+# switch detection off, with the message each must produce.
+MOMENT_ERRORS = [
+    (["--mean", "5.0"], "--mean and --std must be given together"),
+    (["--mean", "5.0", "--std", "0"], "--std must be positive"),
+    (["--mean", "0", "--std", "inf"], "--std must be positive and finite"),
+    (["--mean", "nan", "--std", "1"], "--mean must be finite"),
+]
+
+
 @pytest.fixture
 def spiked_series(tmp_path):
     """A unit background with a +9 spike at position 300 (1-based)."""
@@ -97,6 +111,40 @@ class TestDetectCommand:
         )
         expected = detect(x, config).flags
         assert payload["flagged_indices"] == [int(i) for i in expected]
+
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("extra,moments", [
+        (["--standardize", "sample"], None),
+        (["--mean", "0.5", "--std", "0.5"], (0.5, 0.5)),
+        (["--standardize", "sample", "--mean", "0.5", "--std", "0.5"], (0.5, 0.5)),
+    ])
+    def test_standardizing_flags_match_library(self, tmp_path, spiked_series, method, extra, moments):
+        """--standardize sample tests (x - mean) / std(ddof=1); --mean M --std S
+        tests (x - M) / S and wins over --standardize sample."""
+        inp, x = spiked_series
+        flags_path = tmp_path / "flags.json"
+        assert run(self.detect_args(inp, flags_path, extra=["--method", method, *extra])) == 0
+        from lrdshift import asymptotic_threshold
+
+        config = DetectionConfig(
+            scale_config=ScaleConfig(base=2, num_scales=6, hurst=0.9),
+            threshold=asymptotic_threshold(0.05, 6),
+            method=method,
+        )
+        mean, std = (x.mean(), x.std(ddof=1)) if moments is None else moments
+        expected = detect((x - mean) / std, config).flags
+        assert not np.array_equal(expected, detect(x, config).flags)
+        assert json.loads(flags_path.read_text())["flagged_indices"] == [int(i) for i in expected]
+
+    @pytest.mark.parametrize("extra,message", MOMENT_ERRORS)
+    def test_moment_errors_precede_the_threshold(self, tmp_path, spiked_series, monkeypatch,
+                                                 capsys, extra, message):
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
+        inp, _ = spiked_series
+        code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
+                    "--out-flags", str(tmp_path / "f.json"), *extra])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_hurst_exits_2(self, tmp_path, spiked_series):
         inp, _ = spiked_series
@@ -387,18 +435,21 @@ class TestStreamCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("extra,message", [
-        (["--mean", "5.0"], "--mean and --std must be given together"),
-        (["--mean", "5.0", "--std", "0"], "--std must be positive"),
-    ])
+    @pytest.mark.parametrize("extra,message", MOMENT_ERRORS)
     def test_usage_errors_precede_the_threshold(self, monkeypatch, capsys, extra, message):
-        def refuse(query):
-            raise AssertionError("threshold computed before the usage check")
-
-        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse)
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
         code, _, err = self.stream(monkeypatch, capsys, "0.0\n", ["--hurst", "0.9", *extra])
         assert code == 2
         assert message in err
+
+    def test_infinite_threshold_value_exits_2(self, monkeypatch, capsys):
+        """An infinite critical value would never flag anything."""
+        code, out, err = self.stream(
+            monkeypatch, capsys, "0.0\n100.0\n",
+            ["--hurst", "0.9", "--scales", "1", "--threshold-value", "inf"],
+        )
+        assert code == 2 and out == ""
+        assert "--threshold-value must be positive and finite" in err
 
 
 class TestPipelineRoundTrip:

@@ -39,29 +39,29 @@ def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, **k
 class TestStandardize:
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            standardize(np.ones(16), "sample")
+            standardize(np.ones(16))
 
     def test_sample_mode_on_standardized_data_is_near_identity(self):
         x = synthesize_fgn(LrdModel(0.5), 4096, seed=1).values
-        out, mean, std = standardize(x, "sample")
+        out, mean, std = standardize(x)
         assert abs(mean) < 0.1 and abs(std - 1.0) < 0.1
         assert np.allclose(out.values, (x - mean) / std)
 
     def test_provided_mode_is_exact_affine(self):
         x = np.array([1.0, 3.0, 5.0])
-        out, mean, std = standardize(x, "provided", mean=3.0, std=2.0)
+        out, mean, std = standardize(x, mean=3.0, std=2.0)
         assert np.array_equal(out.values, [-1.0, 0.0, 1.0])
         assert (mean, std) == (3.0, 2.0)
 
-    def test_none_mode_is_identity(self):
-        x = np.array([4.0, 5.0])
-        out, mean, std = standardize(x, "none")
-        assert np.array_equal(out.values, x)
-        assert (mean, std) == (0.0, 1.0)
-
     def test_provided_requires_both_moments(self):
         with pytest.raises(ValueError):
-            standardize(np.ones(4), "provided", mean=0.0)
+            standardize(np.ones(4), mean=0.0)
+
+    @pytest.mark.parametrize("mean,std", [(0.0, np.inf), (0.0, np.nan), (np.nan, 1.0), (np.inf, 1.0)])
+    def test_provided_moments_must_be_finite(self, mean, std):
+        """Moments that map every sample to 0 or NaN would switch detection off."""
+        with pytest.raises(ValueError, match="finite"):
+            standardize(np.arange(4.0), mean=mean, std=std)
 
 
 class TestDetect:
@@ -139,15 +139,6 @@ class TestDetect:
         for position, scale in zip(result.flags, result.argmax_scale):
             assert magnitudes[scale - 1, position - 1] == result.statistic[position - 1]
 
-    def test_origin_index_offsets_flags(self):
-        from lrdshift import TimeSeries
-
-        x = np.zeros(32)
-        x[5] = 9.0
-        shifted_origin = TimeSeries(x, origin_index=1001)
-        result = detect(shifted_origin, make_config(num_scales=2, threshold_value=3.0))
-        assert 1006 in result.flags
-
     def test_null_calibration_small(self):
         """Family-wise per-position flag rate over fully-covered positions
         is close to alpha when the improved threshold is used."""
@@ -206,8 +197,6 @@ class TestFlagsToIntervals:
             flags=flags,
             argmax_scale=scales,
             pyramid=None,
-            threshold=ThresholdResult(value=2.0, kind="asymptotic"),
-            method="swa",
         )
 
     def test_consecutive_run(self):
