@@ -81,13 +81,18 @@ def write_series(path, values: np.ndarray) -> None:
 
 
 def write_pvalue_csv(path, pvalues: np.ndarray) -> None:
-    """Map CSV: first column is the scale index, then one column per position."""
+    """Map CSV: first column is the scale index, then one column per position.
+
+    A cell holds ``repr`` of its p-value, or nothing where the cell is absent
+    (NaN).  Rows are converted one at a time to bound the memory.
+    """
     num_scales, n = pvalues.shape
     with open(path, "w") as fh:
-        fh.write("scale," + ",".join(str(t) for t in range(1, n + 1)) + "\n")
+        fh.write("scale," + ",".join(map(str, range(1, n + 1))) + "\n")
         for k in range(1, num_scales + 1):
-            cells = ["" if np.isnan(p) else repr(float(p)) for p in pvalues[k - 1]]
-            fh.write(str(k) + "," + ",".join(cells) + "\n")
+            # repr of a float contains "nan" only when it is NaN.
+            cells = ",".join(map(repr, pvalues[k - 1].tolist())).replace("nan", "")
+            fh.write(f"{k},{cells}\n")
 
 
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -108,14 +113,24 @@ def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
     return np.array(rows), labels
 
 
-def _check_moments(args) -> None:
-    """Reject ``--mean``/``--std`` that cannot standardize to finite values."""
+def _check_usage(args) -> None:
+    """Reject ``--mean``/``--std``/``--threshold-value`` that would switch detection off."""
     if (args.mean is None) != (args.std is None):
         raise ValueError("--mean and --std must be given together")
     if args.mean is not None and not math.isfinite(args.mean):
         raise ValueError("--mean must be finite")
     if args.std is not None and not (math.isfinite(args.std) and args.std > 0):
         raise ValueError("--std must be positive and finite")
+    value = args.threshold_value
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError("--threshold-value must be positive and finite")
+
+
+def _detection_threshold(args) -> ThresholdResult:
+    """``--threshold-value`` as given, else the threshold the flags calibrate."""
+    if args.threshold_value is not None:
+        return ThresholdResult(value=args.threshold_value, kind="given")
+    return _threshold_from_args(args)
 
 
 def _threshold_from_args(args) -> ThresholdResult:
@@ -142,7 +157,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    _check_moments(args)
+    _check_usage(args)
     values = read_series(args.input, args.column)
     if args.estimate_hurst:
         estimate = estimate_hurst(values)
@@ -162,7 +177,7 @@ def cmd_detect(args) -> int:
             f"series has {len(values)} samples but the largest window is "
             f"{scale_config.max_window}; reduce --scales or --base"
         )
-    threshold = _threshold_from_args(args)
+    threshold = _detection_threshold(args)
     if args.mean is not None or args.standardize == "sample":
         # Rebinding frees the raw values before the pyramid is built.
         values = standardize(values, args.mean, args.std)[0].values
@@ -243,13 +258,8 @@ def cmd_eval(args) -> int:
 
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
-    _check_moments(args)
-    if args.threshold_value is not None:
-        critical = args.threshold_value
-        if not (math.isfinite(critical) and critical > 0):
-            raise ValueError("--threshold-value must be positive and finite")
-    else:
-        critical = _threshold_from_args(args).value
+    _check_usage(args)
+    critical = _detection_threshold(args).value
     state = StreamState(scale_config)
     index = 0
     for lineno, raw in enumerate(sys.stdin, start=1):
@@ -289,6 +299,8 @@ def _add_threshold_flags(parser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
     parser.add_argument("--mc-reps", type=int, default=10**6, dest="mc_reps",
                         help="Monte-Carlo replicates for the improved threshold")
+    parser.add_argument("--threshold-value", type=float, default=None, dest="threshold_value",
+                        help="use this critical value instead of computing one")
 
 
 def _add_scale_flags(parser) -> None:
@@ -374,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float, required=True)
     _add_scale_flags(p)
     _add_threshold_flags(p)
-    p.add_argument("--threshold-value", type=float, default=None, dest="threshold_value",
-                   help="use this critical value instead of computing one")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mean", type=float, default=None)
     p.add_argument("--std", type=float, default=None)

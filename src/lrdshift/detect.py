@@ -108,6 +108,8 @@ def expand_levels(pyramid: Pyramid) -> np.ndarray:
     Row ``k-1`` holds the scale-``k`` value covering each position: the
     covering complete block (non-overlapping layout) or the backward window
     ending there (sliding layout).  NaN marks positions without a value.
+    This is the layout of :func:`pvalue_map`, its only caller; detection
+    itself never builds the matrix.
     """
     config = pyramid.config
     out = np.full((config.num_scales, len(pyramid.levels[0])), np.nan)
@@ -139,19 +141,37 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     :func:`standardize`).  A position is flagged iff its statistic strictly
     exceeds the threshold; ties do not reject.  Near boundaries fewer scales
     are available and the max runs over those present (using the
-    full-family threshold there is conservative).
+    full-family threshold there is conservative).  The max is folded over
+    the levels into one length-n array, so the working memory besides the
+    pyramid is O(n) and no (scales x n) matrix is built; the scale achieving
+    the max (smallest on ties) is looked up at the flagged positions only.
     """
     build = build_nowa if config.method == "nowa" else build_swa
     pyramid = build(series, config.scale_config)
-    expanded = expand_levels(pyramid)
-    magnitudes = np.abs(expanded)
-    statistic = np.nanmax(magnitudes, axis=0)
+    levels = pyramid.levels
+    windows = [config.scale_config.window(k) for k in range(1, len(levels) + 1)]
+    statistic = np.abs(levels[0])
+    for level, window in zip(levels[1:], windows[1:]):
+        magnitude = np.abs(level)
+        if config.method == "nowa":
+            covered = statistic[: len(level) * window].reshape(len(level), window)
+            magnitude = magnitude[:, None]
+        else:
+            covered = statistic[window - 1 :]
+        np.maximum(covered, magnitude, out=covered)
     flagged = np.nonzero(statistic > config.threshold.value)[0]
-    argmax_scale = np.nanargmax(magnitudes[:, flagged], axis=0) + 1 if len(flagged) else np.array([], dtype=int)
+    best = np.abs(levels[0][flagged])
+    argmax_scale = np.ones(len(flagged), dtype=int)
+    for k, (level, window) in enumerate(zip(levels[1:], windows[1:]), start=2):
+        index = flagged // window if config.method == "nowa" else flagged - (window - 1)
+        magnitude = np.abs(level.take(index, mode="clip"))
+        better = (index >= 0) & (index < len(level)) & (magnitude > best)
+        best[better] = magnitude[better]
+        argmax_scale[better] = k
     return DetectionResult(
         statistic=statistic,
         flags=flagged + 1,
-        argmax_scale=np.asarray(argmax_scale, dtype=int),
+        argmax_scale=argmax_scale,
         pyramid=pyramid,
     )
 

@@ -116,8 +116,9 @@ def build_nowa(series, config: ScaleConfig) -> Pyramid:
         for r in range(1, b):
             cur += prev[r : nblocks * b : b]
         sums.append(cur)
-    levels = [s if norm == 1.0 else s / norm for s, norm in zip(sums, _normalizers(config))]
-    return Pyramid("nowa", config, levels)
+    for level, norm in zip(sums[1:], _normalizers(config)[1:]):
+        level /= norm  # in place: these sums are fresh, unlike level 1 (the input)
+    return Pyramid("nowa", config, sums)
 
 
 def build_swa(series, config: ScaleConfig) -> Pyramid:
@@ -141,8 +142,9 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
             i0 = (b - 1 - r) * sub
             cur += prev[i0 : i0 + m]
         sums.append(cur)
-    levels = [s if norm == 1.0 else s / norm for s, norm in zip(sums, _normalizers(config))]
-    return Pyramid("swa", config, levels)
+    for level, norm in zip(sums[1:], _normalizers(config)[1:]):
+        level /= norm  # in place: these sums are fresh, unlike level 1 (the input)
+    return Pyramid("swa", config, sums)
 
 
 class StreamState:

@@ -1,6 +1,9 @@
-"""Per-position reference readers that tests compare the vectorized code against."""
+"""Per-position and per-cell reference code that tests compare the vectorized code against."""
+
+import numpy as np
 
 from lrdshift import Pyramid
+from lrdshift.detect import expand_levels
 
 
 def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
@@ -25,3 +28,26 @@ def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
             if t >= window:
                 out.append((k, float(level[t - window])))
     return out
+
+
+def dense_detect(pyramid: Pyramid, threshold: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(statistic, flags, argmax_scale)`` from the dense (M, n) matrix of magnitudes.
+
+    The max and the first scale achieving it run over the expanded levels,
+    NaN (absent) cells ignored; flags are 1-based positions.
+    """
+    magnitudes = np.abs(expand_levels(pyramid))
+    statistic = np.nanmax(magnitudes, axis=0)
+    flagged = np.nonzero(statistic > threshold)[0]
+    argmax_scale = np.nanargmax(magnitudes[:, flagged], axis=0) + 1 if len(flagged) else np.array([], dtype=int)
+    return statistic, flagged + 1, np.asarray(argmax_scale, dtype=int)
+
+
+def write_pvalue_csv_per_cell(path, pvalues: np.ndarray) -> None:
+    """The map CSV written cell by cell: ``repr(float(p))``, empty for NaN."""
+    num_scales, n = pvalues.shape
+    with open(path, "w") as fh:
+        fh.write("scale," + ",".join(str(t) for t in range(1, n + 1)) + "\n")
+        for k in range(1, num_scales + 1):
+            cells = ["" if np.isnan(p) else repr(float(p)) for p in pvalues[k - 1]]
+            fh.write(str(k) + "," + ",".join(cells) + "\n")

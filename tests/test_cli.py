@@ -7,8 +7,12 @@ import json
 import numpy as np
 import pytest
 
-from lrdshift import LrdModel, ScaleConfig, ThresholdResult, DetectionConfig, detect, synthesize_fgn
-from lrdshift.cli import main, read_pvalue_csv, read_series
+from lrdshift import (
+    LrdModel, ScaleConfig, ThresholdResult, DetectionConfig, build_nowa, build_swa, detect,
+    pvalue_map, synthesize_fgn,
+)
+from lrdshift.cli import main, read_pvalue_csv, read_series, write_pvalue_csv
+from oracles import write_pvalue_csv_per_cell
 
 
 def run(argv):
@@ -145,6 +149,56 @@ class TestDetectCommand:
                     "--out-flags", str(tmp_path / "f.json"), *extra])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_threshold_value_reuses_a_computed_threshold(self, tmp_path, spiked_series, capsys):
+        """A value printed by `lrdshift threshold` and passed back as
+        --threshold-value gives the flags and intervals of the Monte-Carlo run."""
+        inp, _ = spiked_series
+        calibration = ["--hurst", "0.9", "--scales", "6", "--mc-reps", "30000", "--seed", "3"]
+        assert run(["threshold", *calibration]) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        common = ["detect", "--in", str(inp), "--method", "swa", "--gap-tolerance", "2"]
+        computed, given = tmp_path / "computed.json", tmp_path / "given.json"
+        assert run([*common, *calibration, "--out-flags", str(computed)]) == 0
+        assert run([*common, "--hurst", "0.9", "--scales", "6", "--threshold-value", repr(value),
+                    "--out-flags", str(given)]) == 0
+        computed, given = json.loads(computed.read_text()), json.loads(given.read_text())
+        assert computed["threshold_kind"] == "monte_carlo" and computed["threshold"] == value
+        assert given["flagged_indices"] == computed["flagged_indices"] != []
+        assert given["intervals"] == computed["intervals"]
+        assert (given["threshold"], given["threshold_kind"], given["threshold_se"]) == (value, "given", 0.0)
+
+    @pytest.mark.parametrize("value", ["inf", "0", "nan"])
+    def test_bad_threshold_value_exits_2_before_reading(self, tmp_path, spiked_series, monkeypatch,
+                                                        capsys, value):
+        def refuse_read(*args):
+            raise AssertionError("input read before the usage check")
+
+        monkeypatch.setattr("lrdshift.cli.read_series", refuse_read)
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
+        inp, _ = spiked_series
+        code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
+                    "--threshold-value", value, "--out-flags", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "--threshold-value must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base,scales", [("2", "6"), ("3", "5")])
+    def test_map_bytes_match_per_cell_writer(self, tmp_path, method, base, scales):
+        """--out-map writes the bytes of the per-cell writer; n = 1000 leaves
+        a trailing partial block at the largest window in both bases."""
+        x = synthesize_fgn(LrdModel(0.9), 1000, seed=12).values
+        inp = tmp_path / "x.txt"
+        inp.write_text("".join(repr(float(v)) + "\n" for v in x))
+        map_path, expected = tmp_path / "map.csv", tmp_path / "expected.csv"
+        assert run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", scales, "--base", base,
+                    "--method", method, "--threshold", "asymptotic",
+                    "--out-flags", str(tmp_path / "f.json"), "--out-map", str(map_path)]) == 0
+        build = build_nowa if method == "nowa" else build_swa
+        pyramid = build(x, ScaleConfig(base=int(base), num_scales=int(scales), hurst=0.9))
+        write_pvalue_csv_per_cell(expected, pvalue_map(pyramid))
+        assert map_path.read_bytes() == expected.read_bytes()
+        assert b",," in expected.read_bytes()  # the case includes absent cells
 
     def test_missing_hurst_exits_2(self, tmp_path, spiked_series):
         inp, _ = spiked_series
@@ -283,6 +337,18 @@ class TestMapCommand:
         run(["map", "--in-map", str(map_path), "--out-svg", str(a)])
         run(["map", "--in-map", str(map_path), "--out-svg", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestMapCsvWriter:
+    def test_bytes_match_per_cell_formatting(self, tmp_path):
+        """Row-wise repr agrees with repr(float(p)) cell by cell, NaN written empty."""
+        cells = [np.nan, 0.0, 1.0, 5e-324, 1e-300, 1e-05, 0.1, 0.30000000000000004]
+        pvalues = np.array([cells, cells[::-1], [np.nan] * len(cells)])
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_pvalue_csv(fast, pvalues)
+        write_pvalue_csv_per_cell(slow, pvalues)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert fast.read_text().splitlines()[1] == "1,,0.0,1.0,5e-324,1e-300,1e-05,0.1,0.30000000000000004"
 
 
 class TestThresholdCommand:

@@ -1,5 +1,7 @@
 """Pointwise detection, the p-value map, and interval reporting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,15 +26,14 @@ from lrdshift import (
     ThresholdQuery,
 )
 from lrdshift.detect import Interval, expand_levels
-from oracles import column_at
+from oracles import column_at, dense_detect
 
 
-def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, **kwargs):
+def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, base=2):
     return DetectionConfig(
-        scale_config=ScaleConfig(base=2, num_scales=num_scales, hurst=hurst),
+        scale_config=ScaleConfig(base=base, num_scales=num_scales, hurst=hurst),
         threshold=ThresholdResult(value=threshold_value, kind="asymptotic"),
         method=method,
-        **kwargs,
     )
 
 
@@ -111,6 +112,53 @@ class TestDetect:
             if stat > 1.8:
                 flags.add(t)
         assert flags == set(int(i) for i in result.flags)
+
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base,num_scales,n", [(2, 6, 1000), (3, 5, 500)])
+    def test_matches_dense_oracle_exactly(self, method, base, num_scales, n):
+        """The folded max equals nanmax/nanargmax over the (M, n) matrix bit
+        for bit, trailing partial blocks (n is no multiple of the largest
+        window) included."""
+        config = make_config(num_scales=num_scales, hurst=0.8, method=method,
+                             threshold_value=1.5, base=base)
+        x = synthesize_fgn(LrdModel(0.8), n, seed=7).values
+        x[n // 2 : n // 2 + 60] += 2.0
+        build = build_nowa if method == "nowa" else build_swa
+        statistic, flags, argmax_scale = dense_detect(build(x, config.scale_config), 1.5)
+        result = detect(x, config)
+        assert np.array_equal(result.statistic, statistic)
+        assert np.array_equal(result.flags, flags)
+        assert np.array_equal(result.argmax_scale, argmax_scale)
+        assert len(set(argmax_scale.tolist())) >= 3
+
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_ties_go_to_the_smallest_scale(self, method, base):
+        """Zeros tie at every scale; so does a constant under plain averaging
+        (hurst 1), where every position is flagged with argmax scale 1."""
+        config = make_config(num_scales=4, hurst=1.0, method=method, threshold_value=2.5, base=base)
+        build = build_nowa if method == "nowa" else build_swa
+        for x in (np.zeros(100), np.full(100, 3.0)):
+            statistic, flags, argmax_scale = dense_detect(build(x, config.scale_config), 2.5)
+            result = detect(x, config)
+            assert np.array_equal(result.statistic, statistic)
+            assert np.array_equal(result.flags, flags)
+            assert np.array_equal(result.argmax_scale, argmax_scale)
+        assert np.array_equal(result.flags, np.arange(1, 101))
+        assert np.all(result.argmax_scale == 1)
+
+    def test_nowa_memory_is_linear_and_small(self):
+        """No (scales x n) matrix: the traced peak stays within 40 bytes per sample."""
+        n = 1 << 18
+        x = np.random.default_rng(0).standard_normal(n)
+        config = make_config(num_scales=15, hurst=0.9, method="nowa", threshold_value=2.6)
+        tracemalloc.start()
+        try:
+            detect(x, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 40.0, f"{peak / n:.1f} B/sample"
 
     def test_raising_threshold_never_adds_flags(self):
         x = synthesize_fgn(LrdModel(0.85), 256, seed=4)
