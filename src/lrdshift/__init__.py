@@ -31,14 +31,13 @@ from .evaluate import (
     run_experiment,
 )
 from .fgn import (
+    FgnSampler,
     LrdModel,
     TimeSeries,
     estimate_hurst,
     fbm_cov,
     fgn_acf,
     synthesize_fgn,
-    synthesize_fgn_batch,
-    synthesize_fgn_cholesky,
 )
 from .pyramid import Pyramid, ScaleConfig, StreamState, build_nowa, build_swa
 from .seeding import subseed, substream

@@ -149,8 +149,6 @@ def _threshold_from_args(args) -> ThresholdResult:
 
 def cmd_synth(args) -> int:
     model = LrdModel(hurst=args.hurst, sigma=args.sigma)
-    if args.n < 1:
-        raise ValueError(f"--n must be >= 1, got {args.n}")
     series = synthesize_fgn(model, args.n, args.seed)
     write_series(args.out, series.values)
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .detect import DetectionConfig, detect
-from .fgn import LrdModel, TimeSeries, as_series, synthesize_fgn
+from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
 from .pyramid import ScaleConfig
 from .seeding import subseed, substream
 from .thresholds import ThresholdQuery, improved_threshold
@@ -138,16 +138,19 @@ class ConfusionCounts:
 
 
 def confusion(flags, truth, n: int) -> ConfusionCounts:
-    """Count the four cells from flag and truth index sets over ``1..n``."""
-    flag_set = set(int(i) for i in flags)
-    truth_set = set(int(i) for i in truth)
-    if flag_set and not all(1 <= i <= n for i in flag_set):
-        raise ValueError("flags must be within 1..n")
-    if truth_set and not all(1 <= i <= n for i in truth_set):
-        raise ValueError("truth must be within 1..n")
-    tp = len(flag_set & truth_set)
-    fp = len(flag_set - truth_set)
-    fn = len(truth_set - flag_set)
+    """Count the four cells over ``1..n`` from 1-based flag and truth indices (repeats count once)."""
+    masks = np.zeros((2, n), dtype=bool)
+    for mask, indices, name in ((masks[0], flags, "flags"), (masks[1], truth, "truth")):
+        if isinstance(indices, (set, frozenset)):
+            indices = list(indices)
+        index = np.asarray(indices, dtype=np.int64)
+        if index.size and not (index.min() >= 1 and index.max() <= n):
+            raise ValueError(f"{name} must be within 1..n")
+        mask[index - 1] = True
+    flagged, actual = masks
+    tp = int(np.count_nonzero(flagged & actual))
+    fp = int(np.count_nonzero(flagged)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
     return ConfusionCounts(n - tp - fp - fn, fp, fn, tp)
 
 
@@ -263,6 +266,7 @@ def _mean_or_none(values: list[float | None]) -> float | None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full synthesize/inject/detect/score study.
 
+    One ``FgnSampler`` serves the study, so the embedding is computed once.
     Each simulation draws a fresh background from its own substream, injects
     one level shift, and scores both detectors per observation.  A shift of
     ``delta = 0`` leaves the series untouched, so the truth set is empty and
@@ -270,7 +274,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     (undefined entries skipped); identical seeds give identical results
     regardless of how the loop is scheduled.
     """
-    model = LrdModel(hurst=config.hurst)
     scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
     threshold = improved_threshold(
         ThresholdQuery(
@@ -284,10 +287,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     )
     detection = DetectionConfig(scale_config=scale_config, threshold=threshold, method=config.method)
     result = ExperimentResult(config=config, threshold_value=threshold.value)
+    sampler = FgnSampler(LrdModel(hurst=config.hurst), config.n)
     for set_id in range(1, config.sets + 1):
         per_sim: dict[str, list[MetricSummary]] = {"multiscale": [], "naive": []}
         for sim in range(config.sims_per_set):
-            background = synthesize_fgn(model, config.n, subseed(config.seed, 1, set_id, sim, 0))
+            background = sampler.sample(subseed(config.seed, 1, set_id, sim, 0))
             shifted, truth_mask = inject(
                 background, config.injection, substream(config.seed, 1, set_id, sim, 1)
             )

@@ -6,8 +6,8 @@ parameter ``H`` and marginal standard deviation ``sigma``.  For ``H > 1/2``
 the autocovariance decays polynomially (long range dependence).
 
 Synthesis uses circulant embedding of the covariance, which is exact in
-distribution and costs ``O(n log n)``.  A dense Cholesky sampler is provided
-as an independent reference route for cross-checks on short paths.
+distribution and costs ``O(n log n)`` per path.  ``FgnSampler`` embeds one
+model and length once and draws any number of seeded paths from it.
 """
 
 from __future__ import annotations
@@ -16,16 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seeding import subseed, substream
+from .seeding import substream
 
 __all__ = [
     "LrdModel",
     "TimeSeries",
     "fgn_acf",
     "fbm_cov",
+    "FgnSampler",
     "synthesize_fgn",
-    "synthesize_fgn_batch",
-    "synthesize_fgn_cholesky",
     "estimate_hurst",
 ]
 
@@ -134,6 +133,24 @@ def _sample_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> n
     return np.fft.fft(spectrum)[:n].real / np.sqrt(2 * n)
 
 
+class FgnSampler:
+    """Exact length-``n`` sample paths of one background law.
+
+    The circulant-embedding eigenvalues depend only on ``(model, n)``, so
+    they are computed once here and shared by every ``sample`` call.
+    """
+
+    def __init__(self, model: LrdModel, n: int) -> None:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        self.n = n
+        self._eigenvalues = _embedding_eigenvalues(model, n)
+
+    def sample(self, seed: int | np.random.SeedSequence) -> TimeSeries:
+        """Draw the path for ``seed``; the same seed gives the same bits."""
+        return TimeSeries(_sample_path(self._eigenvalues, self.n, substream(seed)))
+
+
 def synthesize_fgn(
     model: LrdModel, n: int, seed: int | np.random.SeedSequence
 ) -> TimeSeries:
@@ -143,47 +160,7 @@ def synthesize_fgn(
     covariance ``fgn_acf(model, |i - j|)`` — no approximation.  Output is
     bit-identical for repeated calls with the same ``(model, n, seed)``.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    eigenvalues = _embedding_eigenvalues(model, n)
-    values = _sample_path(eigenvalues, n, substream(seed))
-    return TimeSeries(values)
-
-
-def synthesize_fgn_batch(
-    model: LrdModel, n: int, reps: int, seed: int | np.random.SeedSequence
-) -> np.ndarray:
-    """Stack ``reps`` independent paths as a ``(reps, n)`` array.
-
-    Row ``i`` is drawn from ``substream(seed, i)``, so it equals
-    ``synthesize_fgn(model, n, subseed(seed, i))`` and the batch is
-    reproducible under any parallel partitioning of the replicate loop.
-    """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    eigenvalues = _embedding_eigenvalues(model, n)
-    out = np.empty((reps, n))
-    for i in range(reps):
-        out[i] = _sample_path(eigenvalues, n, substream(seed, i))
-    return out
-
-
-def synthesize_fgn_cholesky(
-    model: LrdModel, n: int, seed: int | np.random.SeedSequence
-) -> TimeSeries:
-    """Reference sampler via dense Cholesky factorization (n <= 1024).
-
-    Quadratic cost and independent of the FFT route; used to cross-check
-    the circulant-embedding sampler in tests.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if n > 1024:
-        raise ValueError("Cholesky route is limited to n <= 1024")
-    cov = fgn_acf(model, np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
-    factor = np.linalg.cholesky(cov)
-    values = factor @ substream(seed).standard_normal(n)
-    return TimeSeries(values)
+    return FgnSampler(model, n).sample(seed)
 
 
 def estimate_hurst(series, block_sizes=None) -> float:

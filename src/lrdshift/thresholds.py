@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 from scipy.special import ndtr, ndtri
 
+from .pyramid import ScaleConfig
 from .seeding import subseed, substream
 
 __all__ = [
@@ -70,8 +71,7 @@ class ThresholdQuery:
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be strictly inside (0, 1), got {self.alpha}")
-        if self.num_scales < 1:
-            raise ValueError(f"num_scales must be >= 1, got {self.num_scales}")
+        ScaleConfig(self.base, self.num_scales, self.hurst)  # checks base, num_scales, hurst
         if self.kind not in ("single_scale", "asymptotic", "monte_carlo"):
             raise ValueError(f"unknown threshold kind {self.kind!r}")
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from lrdshift import Pyramid
+from lrdshift import LrdModel, Pyramid, TimeSeries, fgn_acf, substream
 from lrdshift.detect import expand_levels
 
 
@@ -51,3 +51,19 @@ def write_pvalue_csv_per_cell(path, pvalues: np.ndarray) -> None:
         for k in range(1, num_scales + 1):
             cells = ["" if np.isnan(p) else repr(float(p)) for p in pvalues[k - 1]]
             fh.write(str(k) + "," + ",".join(cells) + "\n")
+
+
+def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
+    """Reference sampler via dense Cholesky factorization (n <= 1024).
+
+    Quadratic cost and independent of the FFT route; used to cross-check
+    the circulant-embedding sampler.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if n > 1024:
+        raise ValueError("Cholesky route is limited to n <= 1024")
+    cov = fgn_acf(model, np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
+    factor = np.linalg.cholesky(cov)
+    values = factor @ substream(seed).standard_normal(n)
+    return TimeSeries(values)

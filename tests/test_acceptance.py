@@ -21,6 +21,7 @@ from lrdshift import (
     ConfusionCounts,
     DetectionConfig,
     ExperimentConfig,
+    FgnSampler,
     InjectionSpec,
     LrdModel,
     ScaleConfig,
@@ -42,7 +43,6 @@ from lrdshift import (
     subseed,
     substream,
     synthesize_fgn,
-    synthesize_fgn_batch,
     two_scale_expansion,
 )
 from oracles import column_at
@@ -58,7 +58,8 @@ def test_criterion_1_fgn_synthesis_exactness():
     started = time.time()
     model = LrdModel(0.9)
     reps = 10**4
-    paths = synthesize_fgn_batch(model, 8, reps, seed=1101)
+    sampler = FgnSampler(model, 8)
+    paths = np.stack([sampler.sample(subseed(1101, i)).values for i in range(reps)])
     empirical = paths.T @ paths / reps
     theoretical = fgn_acf(model, np.abs(np.subtract.outer(np.arange(8), np.arange(8))))
     variances = np.outer(np.diag(theoretical), np.diag(theoretical))
@@ -77,7 +78,8 @@ def test_criterion_2_cross_scale_correlation():
     started = time.time()
     reps, position = 10**4, 12
     config = ScaleConfig(base=2, num_scales=3, hurst=0.9)
-    paths = synthesize_fgn_batch(LrdModel(0.9), 16, reps, seed=1102)
+    sampler = FgnSampler(LrdModel(0.9), 16)
+    paths = (sampler.sample(subseed(1102, i)).values for i in range(reps))
     columns = np.empty((reps, 3))
     for i, path in enumerate(paths):
         columns[i] = [value for _, value in column_at(build_swa(path, config), position)]

@@ -378,6 +378,14 @@ class TestThresholdCommand:
             values[hurst] = json.loads(capsys.readouterr().out)["value"]
         assert values["0.95"] < values["0.6"]
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--hurst", "0"), ("--hurst", "1.5"), ("--hurst", "nan"), ("--base", "1"), ("--base", "0"),
+    ])
+    def test_out_of_domain_exits_2_before_monte_carlo(self, flag, value, monkeypatch, capsys):
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
+        assert run(["threshold", flag, value]) == 2
+        assert f"{flag[2:]} must be" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["improved", "asymptotic", "single"])
     def test_zero_scales_exits_2(self, kind, capsys):
         assert run(["threshold", "--scales", "0", "--kind", kind]) == 2

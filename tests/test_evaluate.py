@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrdshift.fgn as fgn_module
 from lrdshift import (
     ConfusionCounts,
     ExperimentConfig,
@@ -120,13 +121,16 @@ class TestConfusion:
         data=st.data(),
     )
     def test_partition_identity_and_oracle(self, n, data):
-        flags = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
-        truth = data.draw(st.sets(st.integers(min_value=1, max_value=n)))
-        counts = confusion(flags, truth, n)
-        assert counts.total == n
+        """Sets, lists with repeated indices and numpy arrays all count
+        each position once."""
+        indices = st.lists(st.integers(min_value=1, max_value=n), max_size=2 * n)
+        flags, truth = data.draw(indices), data.draw(indices)
         expected = brute_force_confusion(flags, truth, n)
-        assert (counts.true_negative, counts.false_positive,
-                counts.false_negative, counts.true_positive) == expected
+        for form in (set, list, np.array):
+            counts = confusion(form(flags), form(truth), n)
+            assert counts.total == n
+            assert (counts.true_negative, counts.false_positive,
+                    counts.false_negative, counts.true_positive) == expected
 
 
 class TestMetrics:
@@ -188,6 +192,18 @@ class TestRunExperiment:
         b = run_experiment(self.small_config())
         assert a.threshold_value == b.threshold_value
         assert a.rows == b.rows
+
+    def test_embedding_is_computed_once_per_study(self, monkeypatch):
+        calls = []
+        original = fgn_module._embedding_eigenvalues
+
+        def counting(model, n):
+            calls.append(n)
+            return original(model, n)
+
+        monkeypatch.setattr(fgn_module, "_embedding_eigenvalues", counting)
+        run_experiment(self.small_config())
+        assert calls == [2**10]
 
     def test_row_layout(self):
         result = run_experiment(self.small_config())

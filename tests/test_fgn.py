@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import lrdshift.fgn as fgn_module
 from lrdshift import (
+    FgnSampler,
     LrdModel,
     TimeSeries,
     estimate_hurst,
@@ -19,12 +20,17 @@ from lrdshift import (
     fgn_acf,
     subseed,
     synthesize_fgn,
-    synthesize_fgn_batch,
-    synthesize_fgn_cholesky,
 )
+from oracles import synthesize_fgn_cholesky
 
 # 0.5 * (2**1.8 - 2), the lag-1 autocovariance at H = 0.9
 LAG1_H09 = 0.7411011265922483
+
+
+def sample_paths(model, n, reps, seed):
+    """``(reps, n)`` paths from one sampler; row ``i`` uses ``subseed(seed, i)``."""
+    sampler = FgnSampler(model, n)
+    return np.stack([sampler.sample(subseed(seed, i)).values for i in range(reps)])
 
 
 class TestModelValidation:
@@ -125,13 +131,6 @@ class TestSynthesis:
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, synthesize_fgn(model, 64, seed=6).values)
 
-    def test_batch_rows_are_substreams(self):
-        model = LrdModel(0.8)
-        batch = synthesize_fgn_batch(model, 32, 4, seed=11)
-        for i in range(4):
-            row = synthesize_fgn(model, 32, subseed(11, i))
-            assert np.array_equal(batch[i], row.values)
-
     def test_invalid_length(self):
         with pytest.raises(ValueError):
             synthesize_fgn(LrdModel(0.5), 0, seed=1)
@@ -139,7 +138,7 @@ class TestSynthesis:
     def test_white_noise_variance(self):
         """H = 1/2 gives i.i.d. N(0,1): pooled sample variance over 500
         replicate paths of length 2048 within 3 SE of 1."""
-        paths = synthesize_fgn_batch(LrdModel(0.5), 2048, 500, seed=21)
+        paths = sample_paths(LrdModel(0.5), 2048, 500, seed=21)
         per_path = paths.var(axis=1, ddof=1)
         se = per_path.std(ddof=1) / np.sqrt(len(per_path))
         assert abs(per_path.mean() - 1.0) < 3 * se, f"mean var {per_path.mean():.5f}, SE {se:.5f}"
@@ -147,7 +146,7 @@ class TestSynthesis:
     def test_lag_one_autocovariance_h09(self):
         """Average lag-1 sample autocovariance over 500 replicates within
         3 SE of the closed form 0.7411 (mean known to be zero)."""
-        paths = synthesize_fgn_batch(LrdModel(0.9), 2048, 500, seed=22)
+        paths = sample_paths(LrdModel(0.9), 2048, 500, seed=22)
         per_path = (paths[:, :-1] * paths[:, 1:]).mean(axis=1)
         se = per_path.std(ddof=1) / np.sqrt(len(per_path))
         assert abs(per_path.mean() - LAG1_H09) < 3 * se, (
@@ -155,7 +154,7 @@ class TestSynthesis:
         )
 
     def test_single_sample_is_standard_normal(self):
-        draws = synthesize_fgn_batch(LrdModel(0.9), 1, 2000, seed=23).ravel()
+        draws = sample_paths(LrdModel(0.9), 1, 2000, seed=23).ravel()
         assert abs(draws.mean()) < 3 / np.sqrt(len(draws))
         var = draws.var(ddof=1)
         assert abs(var - 1.0) < 3 * np.sqrt(2.0 / len(draws)), f"var {var:.4f}"

@@ -8,6 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from lrdshift import (
     DetectionConfig,
+    FgnSampler,
     LrdModel,
     ScaleConfig,
     StreamState,
@@ -18,7 +19,6 @@ from lrdshift import (
     fgn_acf,
     subseed,
     synthesize_fgn,
-    synthesize_fgn_batch,
 )
 from oracles import column_at
 
@@ -92,7 +92,8 @@ class TestBuildNowa:
         of 1 over 200 replicate paths (both layouts)."""
         model = LrdModel(0.9)
         config = ScaleConfig(base=2, num_scales=8, hurst=0.9)
-        paths = synthesize_fgn_batch(model, 2**14, 200, seed=51)
+        sampler = FgnSampler(model, 2**14)
+        paths = (sampler.sample(subseed(51, i)).values for i in range(200))
         per_path = np.array(
             [[np.mean(level**2) for level in build(p, config).levels] for p in paths]
         )
@@ -109,7 +110,8 @@ class TestBuildNowa:
         (3 SE bands over 300 replicates)."""
         hurst = 0.9
         config = ScaleConfig(base=2, num_scales=5, hurst=hurst)
-        paths = synthesize_fgn_batch(LrdModel(hurst), 2**13, 300, seed=52)
+        sampler = FgnSampler(LrdModel(hurst), 2**13)
+        paths = (sampler.sample(subseed(52, i)).values for i in range(300))
         per_path = []
         for p in paths:
             level = build_nowa(p, config).levels[4]  # 512 values
