@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .fgn import TimeSeries, as_series
 from .pyramid import Pyramid, ScaleConfig, build_nowa, build_swa
@@ -129,6 +128,8 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
     Same (M, n) layout as :func:`expand_levels`; invalid cells stay NaN —
     they are absent, never zero.
     """
+    from scipy.special import ndtr
+
     expanded = expand_levels(pyramid)
     with np.errstate(invalid="ignore"):
         return 2.0 * ndtr(-np.abs(expanded))

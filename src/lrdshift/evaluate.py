@@ -17,7 +17,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .detect import DetectionConfig, detect
 from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
@@ -182,6 +181,8 @@ def naive_baseline(series, alpha: float) -> np.ndarray:
     Assumes the series is already standardized.  Exactly calibrated for
     independent data and deliberately ignorant of the dependence structure.
     """
+    from scipy.special import ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     ts = as_series(series)

@@ -21,6 +21,7 @@ positions that are multiples of the largest window.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,9 +152,11 @@ class StreamState:
     """One-sample-at-a-time sliding aggregation over all scales.
 
     Keeps a ring buffer of the last ``max_window`` raw samples and one
-    running sum per scale; each push costs O(num_scales).  Running sums are
-    recomputed from the ring buffer every ``recompute_every`` pushes to keep
-    accumulated floating-point drift below ~1e-9 over arbitrarily long runs.
+    running sum per scale, all as Python floats: each push does
+    O(num_scales) float work and calls no numpy.  Running sums are
+    recomputed from the ring buffer with numpy every ``recompute_every``
+    pushes to keep accumulated floating-point drift below ~1e-9 over
+    arbitrarily long runs.
     """
 
     def __init__(self, config: ScaleConfig, recompute_every: int = 1 << 20):
@@ -161,11 +164,12 @@ class StreamState:
             raise ValueError("recompute_every must be >= 1")
         self.config = config
         self.samples_seen = 0
-        self._windows = np.array([config.window(k) for k in range(1, config.num_scales + 1)])
-        self._normalizers = np.array(_normalizers(config))
-        self._ring = np.zeros(config.max_window)
+        self._windows = [config.window(k) for k in range(1, config.num_scales + 1)]
+        self._normalizers = _normalizers(config)
+        self._ring = [0.0] * config.max_window
         self._pos = 0
-        self._sums = np.zeros(config.num_scales)
+        self._sums = [0.0] * config.num_scales
+        self._warm = 0  # scales with L_k <= samples_seen; windows increase, so a prefix
         self._recompute_every = recompute_every
 
     def push(self, sample: float) -> tuple[float, int]:
@@ -174,28 +178,40 @@ class StreamState:
         The statistic is the max of absolute values over the warm scales of
         a sliding pyramid of the full history, scale ``k`` being warm once at
         least ``L_k`` samples have been seen; ties go to the smallest scale.
+        A non-finite sample raises ``ValueError`` and leaves the state as it
+        was.
         """
-        sample = float(sample)
-        size = len(self._ring)
-        full = self.samples_seen >= self._windows
-        leaving_idx = (self._pos - self._windows[full]) % size
-        self._sums += sample
-        self._sums[full] -= self._ring[leaving_idx]
-        self._ring[self._pos] = sample
-        self._pos = (self._pos + 1) % size
+        x = float(sample)
+        if not math.isfinite(x):
+            raise ValueError(f"sample must be finite, got {x!r}")
+        ring, sums, windows = self._ring, self._sums, self._windows
+        pos = self._pos
+        # ring[pos - L_k] is the sample leaving scale k (a negative index
+        # wraps, since L_k <= len(ring)).  A slot not yet written holds 0.0
+        # and (s + x) - 0.0 == s + x exactly, so scales still filling up
+        # need no separate case.
+        for i in range(len(sums)):
+            sums[i] = (sums[i] + x) - ring[pos - windows[i]]
+        ring[pos] = x
+        self._pos = (pos + 1) % len(ring)
         self.samples_seen += 1
+        warm = self._warm
+        if warm < len(windows) and windows[warm] <= self.samples_seen:
+            self._warm = warm = warm + 1
         if self.samples_seen % self._recompute_every == 0:
             self._recompute_sums()
-        # Windows increase with the scale, so the warm scales are a prefix.
-        warm = int(np.searchsorted(self._windows, self.samples_seen, side="right"))
-        magnitudes = np.abs(self._sums[:warm] / self._normalizers[:warm])
-        best = int(magnitudes.argmax())
-        return float(magnitudes[best]), best + 1
+        norms = self._normalizers
+        best = 0
+        top = abs(sums[0] / norms[0])
+        for k in range(1, warm):
+            magnitude = abs(sums[k] / norms[k])
+            if magnitude > top:
+                top, best = magnitude, k
+        return top, best + 1
 
     def _recompute_sums(self) -> None:
-        # Chronological view of the ring: oldest retained sample first.
+        # Chronological copy of the ring: oldest retained sample first.
         size = len(self._ring)
-        history = self._ring[(self._pos + np.arange(size)) % size]
-        for i, window in enumerate(self._windows):
-            if self.samples_seen >= window:
-                self._sums[i] = history[size - window :].sum()
+        history = np.array(self._ring[self._pos :] + self._ring[: self._pos])
+        for i in range(self._warm):
+            self._sums[i] = float(history[size - self._windows[i] :].sum())

@@ -20,7 +20,8 @@ The critical value ``C`` for ``max_k |Y_k| > C`` at family-wise level
 Normal CDF/quantile evaluations delegate to scipy's Cephes routines
 (``ndtr``/``ndtri``, rational approximations accurate to well below 1e-9
 over the range used here); the accuracy contract is pinned by tests against
-an arbitrary-precision oracle.
+an arbitrary-precision oracle.  scipy is imported inside the functions that
+call it, so a run that computes no threshold never loads it.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
-from scipy.special import ndtr, ndtri
 
 from .pyramid import ScaleConfig
 from .seeding import subseed, substream
@@ -117,6 +116,8 @@ def cross_scale_corr(hurst: float, base: int, lag: int) -> float:
 
 def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
     """The ``m x m`` cross-scale correlation matrix (unit diagonal, Toeplitz)."""
+    from scipy.linalg import toeplitz
+
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     first = np.array([cross_scale_corr(hurst, base, k) for k in range(m)])
@@ -131,6 +132,8 @@ def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
 
 def single_scale_threshold(alpha: float) -> ThresholdResult:
     """Two-sided critical value ``Phi^{-1}(1 - alpha/2)`` for one scale."""
+    from scipy.special import ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     return ThresholdResult(
@@ -140,6 +143,8 @@ def single_scale_threshold(alpha: float) -> ThresholdResult:
 
 def asymptotic_threshold(alpha: float, m: int) -> ThresholdResult:
     """Many-scales threshold ``Phi^{-1}((1 - alpha)^{1/(2m)})`` for ``m`` scales."""
+    from scipy.special import ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     if m < 1:
@@ -242,6 +247,8 @@ def two_scale_expansion(alpha: float, hurst: float, big_window: int) -> float:
     ``C0 = Phi^{-1}((1 + sqrt(1-alpha))/2)`` as ``L`` grows, with leading
     correction ``phi(C0) C0^2 H^2 L^{2(H-1)} / (2 sqrt(1-alpha))``.
     """
+    from scipy.special import ndtri
+
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     if big_window < 2:
@@ -260,6 +267,8 @@ def power_single_scale(threshold: float, shift: float) -> float:
     For a window of length ``L`` containing ``K`` shifted samples of size
     ``delta``, pass ``shift = K * delta / L**hurst``.
     """
+    from scipy.special import ndtr
+
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
     return float(1.0 - (ndtr(threshold - shift) - ndtr(-threshold - shift)))
@@ -310,6 +319,8 @@ def power_gap(alpha: float, delta: float) -> float:
     Positive values mean the two-scale max test beats the average of the two
     single-scale tests.  Exactly zero at ``alpha = 0``.
     """
+    from scipy.special import ndtr, ndtri
+
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not delta > 0.0:

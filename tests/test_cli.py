@@ -3,6 +3,10 @@
 import importlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,20 @@ MOMENT_ERRORS = [
     (["--mean", "0", "--std", "inf"], "--std must be positive and finite"),
     (["--mean", "nan", "--std", "1"], "--mean must be finite"),
 ]
+
+
+# Imports the CLI, runs it on argv and stdin, and prints its exit code and
+# the scipy modules loaded after the import and after the run as the last
+# stdout line.
+SCIPY_PROBE = """
+import json, sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+from lrdshift.cli import main
+after_import = scipy_modules()
+code = main(sys.argv[1:])
+print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy_modules()}))
+"""
 
 
 @pytest.fixture
@@ -515,6 +533,28 @@ class TestStreamCommand:
         code, _, err = self.stream(monkeypatch, capsys, "0.0\n", ["--hurst", "0.9", *extra])
         assert code == 2
         assert message in err
+
+    @pytest.mark.parametrize("threshold,loads_scipy", [
+        (["--threshold-value", "2.2"], False),
+        (["--threshold", "asymptotic"], True),
+    ])
+    def test_scipy_is_loaded_only_for_a_threshold(self, threshold, loads_scipy):
+        """Importing the CLI loads no scipy module, and neither does a
+        stream run with a given critical value; computing one does."""
+        src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        completed = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, "stream", "--hurst", "0.9", "--scales", "2", *threshold],
+            input="0\n0\n100\n", capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        *flags, probe = completed.stdout.splitlines()
+        result = json.loads(probe)
+        assert result["code"] == 0
+        assert flags == ["3,100.0,1"]
+        assert result["after_import"] == []
+        assert bool(result["after_run"]) == loads_scipy, result["after_run"]
 
     def test_infinite_threshold_value_exits_2(self, monkeypatch, capsys):
         """An infinite critical value would never flag anything."""

@@ -45,6 +45,14 @@ def test_stream_jsonl(workdir, monkeypatch, capsys):
     assert digest(capsys.readouterr().out.encode()) == "11fe518e4cead2b6"
 
 
+def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
+    code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold", "asymptotic",
+                 "--mean", "0.1", "--std", "0.9"])
+    assert code == 0
+    assert digest(capsys.readouterr().out.encode()) == "6c30c4d977c25c48"
+
+
 def test_eval(tmp_path):
     prefix = tmp_path / "ev"
     code = main(["eval", "--sets", "2", "--sims", "3", "--n", "2048", "--hurst", "0.8",

@@ -20,7 +20,7 @@ from lrdshift import (
     subseed,
     synthesize_fgn,
 )
-from oracles import column_at
+from oracles import NumpyStreamState, column_at
 
 
 def brute_force_nowa_level(x, window, hurst):
@@ -299,6 +299,50 @@ class TestStreaming:
                 assert scale == batch_scale, f"t={t}"
                 compared.add(scale)
         assert len(compared) >= 3, f"argmax compared only at scales {sorted(compared)}"
+
+    @pytest.mark.parametrize(
+        "base, num_scales, n, recompute_every",
+        [(2, 15, 1 << 17, 777), (3, 6, 1 << 17, 1 << 20), (2, 6, 300, 1)],
+    )
+    def test_matches_numpy_oracle_exactly(self, base, num_scales, n, recompute_every):
+        """Every pushed (statistic, argmax_scale) equals the numpy state's,
+        bit for bit, through the warm-up, the recomputes and a shifted
+        stretch and a spike that move the argmax across scales."""
+        config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
+        x = synthesize_fgn(LrdModel(0.8), n, seed=58).values.copy()
+        x[n // 3 : n // 2] += 0.8
+        x[2 * n // 3] += 8.0
+        samples = x.tolist()
+        state = StreamState(config, recompute_every=recompute_every)
+        oracle = NumpyStreamState(config, recompute_every=recompute_every)
+        pushed = [state.push(v) for v in samples]
+        assert pushed == [oracle.push(v) for v in samples]
+        assert len({scale for _, scale in pushed}) >= 3
+
+    def test_ties_go_to_the_smallest_scale(self):
+        """A constant at hurst 1 ties exactly at every warm scale."""
+        config = ScaleConfig(base=2, num_scales=5, hurst=1.0)
+        state = StreamState(config)
+        assert [state.push(3.0) for _ in range(40)] == [(3.0, 1)] * 40
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_sample_and_keeps_state(self, bad):
+        """A rejected sample changes nothing: later pushes, and a 100 sd
+        spike among them, equal those of a state that never saw it."""
+        config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
+        x = synthesize_fgn(LrdModel(0.8), 200, seed=59).values.copy()
+        x[150] += 100.0
+        state = StreamState(config)
+        clean = StreamState(config)
+        for v in x[:50]:
+            state.push(v)
+            clean.push(v)
+        with pytest.raises(ValueError, match=f"sample must be finite, got {bad!r}"):
+            state.push(bad)
+        assert state.samples_seen == 50
+        after = [state.push(v) for v in x[50:]]
+        assert after == [clean.push(v) for v in x[50:]]
+        assert after[100] == (pytest.approx(100.0, abs=5.0), 1)
 
     def test_rejects_bad_recompute_interval(self):
         with pytest.raises(ValueError):
