@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -36,29 +37,84 @@ _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single"
 def read_series(path, column: int | None = None) -> np.ndarray:
     """Parse a series file: one value per line, or a CSV column.
 
-    A non-numeric first row is treated as a header and skipped.  With
-    ``column`` (1-based), each line is split on commas and that field is
-    used; other fields (e.g. timestamps) are ignored.  A malformed or
+    A non-numeric or short first row is treated as a header and skipped.
+    With ``column`` (1-based), each line is split on commas and that field
+    is used; other fields (e.g. timestamps) are ignored.  A malformed or
     non-finite value is an error naming its line.
+
+    A seekable file is parsed in C by ``np.loadtxt`` first.  Its result is
+    used only when it is non-empty and all finite; otherwise, when loadtxt
+    rejects the text, or for a pipe, the file is parsed line by line with
+    ``float()``.  That per-line parser decides which text is accepted
+    (``float()`` also takes ``1_000`` and whitespace-only lines are
+    skipped) and words every error, so both paths return the same array
+    or raise the same message.
     """
     if column is not None and column < 1:
         raise ValueError("--column is 1-based and must be >= 1")
+    with open(path) as fh:
+        if fh.seekable():  # a pipe could not be read a second time
+            series = _load_series(fh, column)
+            if series is not None:
+                return series
+            fh.seek(0)
+        return _parse_lines(fh, path, column)
+
+
+def _field_value(line: str, column: int | None) -> float:
+    """``float`` of the value field of a stripped, non-empty line."""
+    return float(line.split(",")[column - 1] if column is not None else line)
+
+
+def _is_header(line: str, column: int | None) -> bool:
+    """Whether the per-line parser skips this stripped line 1 as a header."""
+    try:
+        _field_value(line, column)
+    except (ValueError, IndexError):
+        return bool(line)  # an empty line is skipped as blank instead
+    return False
+
+
+def _load_series(fh, column: int | None) -> np.ndarray | None:
+    """The values of a seekable text file as ``np.loadtxt`` parses them.
+
+    Returns None unless loadtxt parses the file into one non-empty, all
+    finite column of values.
+    """
+    try:
+        header = _is_header(fh.readline().strip(), column)
+        fh.seek(0)
+        options = {"delimiter": ",", "comments": None, "skiprows": int(header)}
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            if column is not None:
+                series = np.loadtxt(fh, usecols=column - 1, ndmin=1, **options)
+            else:
+                table = np.loadtxt(fh, ndmin=2, **options)
+                if table.shape[1] != 1:
+                    return None  # a row like ``3,4`` is not one value
+                series = table[:, 0]
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    return series if len(series) and np.isfinite(series).all() else None
+
+
+def _parse_lines(fh, path, column: int | None) -> np.ndarray:
+    """The per-line parser behind :func:`read_series`, one ``float()`` per line of ``fh``."""
     values: list[float] = []
     skipped: list[int] = []  # lines holding no value, to name a bad value's line
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.strip()
+        if not line:
+            skipped.append(lineno)
+            continue
+        try:
+            values.append(_field_value(line, column))
+        except (ValueError, IndexError):
+            if lineno == 1:
                 skipped.append(lineno)
-                continue
-            field = line.split(",")[column - 1] if column is not None else line
-            try:
-                values.append(float(field))
-            except (ValueError, IndexError):
-                if lineno == 1:
-                    skipped.append(lineno)
-                    continue  # header row
-                raise ValueError(f"{path}: line {lineno}: cannot parse {line!r} as a number")
+                continue  # header row
+            raise ValueError(f"{path}: line {lineno}: cannot parse {line!r} as a number")
     if not values:
         raise ValueError(f"{path}: no numeric data found")
     series = np.array(values)
@@ -184,7 +240,7 @@ def cmd_detect(args) -> int:
     payload = {
         "alpha": args.alpha,
         "base": args.base,
-        "flagged_indices": [int(i) for i in result.flags],
+        "flagged_indices": result.flags.tolist(),
         "hurst": args.hurst,
         "intervals": [
             {"start": iv.start, "end": iv.end, "peak_scale": iv.peak_scale} for iv in intervals
@@ -197,8 +253,7 @@ def cmd_detect(args) -> int:
         "threshold_se": threshold.mc_standard_error,
     }
     with open(args.out_flags, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.out_map:
         write_pvalue_csv(args.out_map, pvalue_map(result.pyramid))
     return 0

@@ -146,20 +146,27 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     the levels into one length-n array, so the working memory besides the
     pyramid is O(n) and no (scales x n) matrix is built; the scale achieving
     the max (smallest on ties) is looked up at the flagged positions only.
+    For ``nowa`` the fold runs from the coarsest level down, each level's
+    running max pushed into the next finer level only, so each level is
+    read once.
     """
     build = build_nowa if config.method == "nowa" else build_swa
     pyramid = build(series, config.scale_config)
     levels = pyramid.levels
     windows = [config.scale_config.window(k) for k in range(1, len(levels) + 1)]
-    statistic = np.abs(levels[0])
-    for level, window in zip(levels[1:], windows[1:]):
-        magnitude = np.abs(level)
-        if config.method == "nowa":
-            covered = statistic[: len(level) * window].reshape(len(level), window)
-            magnitude = magnitude[:, None]
-        else:
+    if config.method == "nowa":
+        base = config.scale_config.base
+        statistic = np.abs(levels[-1])
+        for level in reversed(levels[:-1]):
+            finer = np.abs(level)
+            covered = finer[: len(statistic) * base].reshape(len(statistic), base)
+            np.maximum(covered, statistic[:, None], out=covered)
+            statistic = finer
+    else:
+        statistic = np.abs(levels[0])
+        for level, window in zip(levels[1:], windows[1:]):
             covered = statistic[window - 1 :]
-        np.maximum(covered, magnitude, out=covered)
+            np.maximum(covered, np.abs(level), out=covered)
     flagged = np.nonzero(statistic > config.threshold.value)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)
@@ -186,15 +193,17 @@ def flags_to_intervals(result: DetectionResult, gap_tolerance: int = 0) -> list[
     """
     if gap_tolerance < 0:
         raise ValueError("gap_tolerance must be >= 0")
-    if len(result.flags) == 0:
-        return []
-    intervals: list[Interval] = []
-    run_start = 0
     flags = result.flags
-    for j in range(1, len(flags) + 1):
-        if j == len(flags) or flags[j] - flags[j - 1] - 1 > gap_tolerance:
-            scales = result.argmax_scale[run_start:j]
-            peak = int(np.bincount(scales).argmax())
-            intervals.append(Interval(int(flags[run_start]), int(flags[j - 1]) + 1, peak))
-            run_start = j
-    return intervals
+    if len(flags) == 0:
+        return []
+    breaks = (np.flatnonzero(np.diff(flags) - 1 > gap_tolerance) + 1).tolist()
+    starts = [0, *breaks]
+    ends = [*breaks, len(flags)]
+    return [
+        Interval(
+            int(flags[start]),
+            int(flags[end - 1]) + 1,
+            int(np.bincount(result.argmax_scale[start:end]).argmax()),
+        )
+        for start, end in zip(starts, ends)
+    ]

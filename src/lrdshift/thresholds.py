@@ -21,7 +21,8 @@ Normal CDF/quantile evaluations delegate to scipy's Cephes routines
 (``ndtr``/``ndtri``, rational approximations accurate to well below 1e-9
 over the range used here); the accuracy contract is pinned by tests against
 an arbitrary-precision oracle.  scipy is imported inside the functions that
-call it, so a run that computes no threshold never loads it.
+call it, so the Monte-Carlo threshold, which needs no normal CDF, and a run
+that computes no threshold never load it.
 """
 
 from __future__ import annotations
@@ -116,12 +117,11 @@ def cross_scale_corr(hurst: float, base: int, lag: int) -> float:
 
 def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
     """The ``m x m`` cross-scale correlation matrix (unit diagonal, Toeplitz)."""
-    from scipy.linalg import toeplitz
-
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     first = np.array([cross_scale_corr(hurst, base, k) for k in range(m)])
-    cov = toeplitz(first)
+    lags = np.arange(m)
+    cov = first[np.abs(np.subtract.outer(lags, lags))]
     smallest = np.linalg.eigvalsh(cov)[0]
     if smallest < -1e-10:
         raise RuntimeError(

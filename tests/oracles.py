@@ -3,7 +3,7 @@
 import numpy as np
 
 from lrdshift import LrdModel, Pyramid, ScaleConfig, TimeSeries, fgn_acf, substream
-from lrdshift.detect import expand_levels
+from lrdshift.detect import DetectionResult, Interval, expand_levels
 
 
 def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
@@ -41,6 +41,22 @@ def dense_detect(pyramid: Pyramid, threshold: float) -> tuple[np.ndarray, np.nda
     flagged = np.nonzero(statistic > threshold)[0]
     argmax_scale = np.nanargmax(magnitudes[:, flagged], axis=0) + 1 if len(flagged) else np.array([], dtype=int)
     return statistic, flagged + 1, np.asarray(argmax_scale, dtype=int)
+
+
+def flags_to_intervals_per_flag(result: DetectionResult, gap_tolerance: int = 0) -> list[Interval]:
+    """``flags_to_intervals`` as one pass over every flag, closing a run at each long gap."""
+    if len(result.flags) == 0:
+        return []
+    intervals: list[Interval] = []
+    run_start = 0
+    flags = result.flags
+    for j in range(1, len(flags) + 1):
+        if j == len(flags) or flags[j] - flags[j - 1] - 1 > gap_tolerance:
+            scales = result.argmax_scale[run_start:j]
+            peak = int(np.bincount(scales).argmax())
+            intervals.append(Interval(int(flags[run_start]), int(flags[j - 1]) + 1, peak))
+            run_start = j
+    return intervals
 
 
 def write_pvalue_csv_per_cell(path, pvalues: np.ndarray) -> None:

@@ -6,16 +6,20 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lrdshift import (
     LrdModel, ScaleConfig, ThresholdResult, DetectionConfig, build_nowa, build_swa, detect,
     pvalue_map, synthesize_fgn,
 )
-from lrdshift.cli import main, read_pvalue_csv, read_series, write_pvalue_csv
+from lrdshift.cli import _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv
 from oracles import write_pvalue_csv_per_cell
 
 
@@ -49,6 +53,21 @@ after_import = scipy_modules()
 code = main(sys.argv[1:])
 print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy_modules()}))
 """
+
+
+def run_probe(argv, stdin=""):
+    """Runs SCIPY_PROBE in a fresh interpreter; returns (stdout lines before the probe, probe)."""
+    src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    completed = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+    *lines, probe = completed.stdout.splitlines()
+    return lines, json.loads(probe)
 
 
 @pytest.fixture
@@ -286,6 +305,33 @@ class TestDetectCommand:
         values = read_series(inp, column=2)
         assert len(values) == 40 and values[0] == 0.5
 
+    def test_short_row_under_column_exits_2_and_names_the_line(self, tmp_path, capsys):
+        inp = tmp_path / "short-row.csv"
+        inp.write_text("t,b\n1,2\n3\n")
+        code = run(["detect", "--in", str(inp), "--column", "2", "--hurst", "0.9",
+                    "--scales", "1", "--out-flags", str(tmp_path / "f.json")])
+        assert code == 2
+        assert f"{inp}: line 3: cannot parse '3' as a number" in capsys.readouterr().err
+
+    def test_short_first_row_under_column_is_a_header(self, tmp_path):
+        inp = tmp_path / "one-field-header.csv"
+        inp.write_text("value\n1,2\n3,4\n")
+        assert read_series(inp, column=2).tolist() == [2.0, 4.0]
+
+    @pytest.mark.parametrize("with_map,loaded", [(False, []), (True, ["scipy.special"])])
+    def test_scipy_is_loaded_only_for_the_map(self, tmp_path, spiked_series, with_map, loaded):
+        """A flags-only run with the Monte-Carlo threshold loads no scipy
+        module; the p-value map needs scipy.special."""
+        inp, _ = spiked_series
+        out_map = ["--out-map", str(tmp_path / "map.csv")] if with_map else []
+        _, result = run_probe(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
+                               "--mc-reps", "10000", "--out-flags", str(tmp_path / "f.json"),
+                               *out_map])
+        assert result["code"] == 0
+        assert result["after_import"] == []
+        assert [m for m in result["after_run"] if m in ("scipy.special", "scipy.linalg")] == loaded
+        assert bool(result["after_run"]) == bool(loaded), result["after_run"]
+
     def test_null_flag_rate_over_scripted_loop(self, tmp_path):
         """Flag count / n on clean background fixtures stays in the
         Monte-Carlo band around alpha across a seeded loop of runs."""
@@ -307,6 +353,118 @@ class TestDetectCommand:
             rates.append(len(payload["flagged_indices"]) / n)
         band = 3 * np.std(rates, ddof=1) / np.sqrt(seeds) + 0.01
         assert abs(np.mean(rates) - alpha) < band, f"rate {np.mean(rates):.4f}"
+
+
+# (name, file bytes, --column, whether np.loadtxt's result is used).
+READ_SERIES_FIXTURES = [
+    ("plain", b"1.5\n-2\n3e-3\n.5\n5.\n", None, True),
+    ("header", b"t,bytes\n1,10\n2,20\n", 2, True),
+    ("plain-header", b"value\n1\n2\n", None, True),
+    ("crlf", b"t,b\r\n1,2\r\n3,4\r\n", 2, True),
+    ("lone-cr", b"1\r2\r", None, True),
+    ("tabs-and-blanks", b" \t1.0 \n\n\t2.0\t\n\n", None, True),
+    ("padded-fields", b"1, 2.5 \n2,\t3\n", 2, True),
+    ("extra-fields", b"1,2,3\n4,5\n", 2, True),
+    ("hash-header", b"#value\n1\n2\n", None, True),
+    ("short-header", b"value\n1,2\n3,4\n", 2, True),
+    ("whitespace-only-line", b"1\n   \n2\n", None, False),
+    ("underscore", b"1_000\n2\n", None, False),
+    ("underscore-in-column", b"t,v\n1,1_000\n2,3\n", 2, False),
+    ("hash", b"1\n#2\n3\n", None, False),
+    ("nan-on-line-4", b"t,v\n1,0.5\n\n3,nan\n4,0.5\n", 2, False),
+    ("1e400-on-line-3", b"1\n2\n1e400\n", None, False),
+    ("plus-inf-after-a-blank", b"1\n\n+inf\n", None, False),
+    ("pair-without-column", b"1,2\n3,4\n", None, False),
+    ("single-pair-without-column", b"1,2\n", None, False),
+    ("short-row", b"t,b\n1,2\n3\n", 2, False),
+    ("empty-field", b"t,b\n1,\n2,3\n", 2, False),
+    ("only-header", b"t,b\n", 2, False),
+    ("only-plain-header", b"value\n", None, False),
+    ("empty", b"", None, False),
+    ("blank-then-header", b"\nt,b\n1,2\n", 2, False),
+    ("hex", b"1\n0x10\n", None, False),
+    ("not-utf-8", b"1\n\xff\n", None, False),
+]
+
+
+def outcome(parse, path, column):
+    """The array ``parse`` returns, or the text of the ValueError it raises."""
+    try:
+        return parse(path, column).tolist()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def parse_lines(path, column):
+    with open(path) as fh:
+        return _parse_lines(fh, path, column)
+
+
+def load_series(path, column):
+    """The loadtxt result read_series would return, or an empty array where it would not."""
+    with open(path) as fh:
+        series = _load_series(fh, column)
+    return np.array([]) if series is None else series
+
+
+class TestReadSeries:
+    @pytest.mark.parametrize("data,column,fast", [f[1:] for f in READ_SERIES_FIXTURES],
+                             ids=[f[0] for f in READ_SERIES_FIXTURES])
+    def test_matches_the_per_line_parser(self, tmp_path, capfd, data, column, fast):
+        """read_series returns the per-line parser's array or raises its
+        message, takes the loadtxt result only where the fixture expects it,
+        and writes nothing to stderr."""
+        path = tmp_path / "series.csv"
+        path.write_bytes(data)
+        expected = outcome(parse_lines, path, column)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = outcome(read_series, path, column)
+            loaded = outcome(load_series, path, column)
+        assert got == expected
+        assert caught == []
+        assert capfd.readouterr().err == ""
+        accepted = isinstance(loaded, list) and loaded != []
+        assert accepted == fast, loaded
+        if accepted:
+            assert loaded == expected
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lines=st.lists(
+            st.lists(st.sampled_from(["1", "-2.5", "+3e-2", ".5", "1e400", "nan", "-inf", "1_0",
+                                      "0x1", "#4", "x", "", " ", "\t", ",", "\r", "\xa0"]),
+                     max_size=5).map("".join),
+            max_size=6,
+        ),
+        column=st.sampled_from([None, 1, 2]),
+    )
+    def test_random_text_matches_the_per_line_parser(self, tmp_path, lines, column):
+        path = tmp_path / "fuzz.csv"
+        path.write_text("\n".join(lines))
+        assert outcome(read_series, path, column) == outcome(parse_lines, path, column)
+
+    def test_reads_a_pipe_once(self, tmp_path):
+        """A FIFO cannot be rewound, so it goes to the per-line parser unread."""
+        fifo = tmp_path / "series.fifo"
+        os.mkfifo(fifo)
+        values = []
+
+        def feed():
+            with open(fifo, "w") as fh:
+                fh.write("t,b\n1,2\n3,4\n")
+
+        threads = [
+            threading.Thread(target=feed, daemon=True),
+            threading.Thread(target=lambda: values.extend(read_series(fifo, 2)), daemon=True),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert values == [2.0, 4.0]
 
 
 class TestMapCommand:
@@ -540,17 +698,10 @@ class TestStreamCommand:
     ])
     def test_scipy_is_loaded_only_for_a_threshold(self, threshold, loads_scipy):
         """Importing the CLI loads no scipy module, and neither does a
-        stream run with a given critical value; computing one does."""
-        src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-        completed = subprocess.run(
-            [sys.executable, "-c", SCIPY_PROBE, "stream", "--hurst", "0.9", "--scales", "2", *threshold],
-            input="0\n0\n100\n", capture_output=True, text=True, env=env, timeout=120,
+        stream run with a given critical value; the asymptotic one needs it."""
+        flags, result = run_probe(
+            ["stream", "--hurst", "0.9", "--scales", "2", *threshold], stdin="0\n0\n100\n"
         )
-        assert completed.returncode == 0, completed.stderr
-        *flags, probe = completed.stdout.splitlines()
-        result = json.loads(probe)
         assert result["code"] == 0
         assert flags == ["3,100.0,1"]
         assert result["after_import"] == []

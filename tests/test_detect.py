@@ -26,7 +26,7 @@ from lrdshift import (
     ThresholdQuery,
 )
 from lrdshift.detect import Interval, expand_levels
-from oracles import column_at, dense_detect
+from oracles import column_at, dense_detect, flags_to_intervals_per_flag
 
 
 def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, base=2):
@@ -269,6 +269,26 @@ class TestFlagsToIntervals:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             flags_to_intervals(self.make_result([1]), gap_tolerance=-1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        flags=st.lists(st.integers(min_value=1, max_value=80), unique=True, max_size=40),
+        scales=st.lists(st.integers(min_value=1, max_value=5), min_size=40, max_size=40),
+        gap=st.integers(min_value=0, max_value=6),
+    )
+    def test_matches_per_flag_loop(self, flags, scales, gap):
+        result = self.make_result(sorted(flags), scales[: len(flags)])
+        assert flags_to_intervals(result, gap) == flags_to_intervals_per_flag(result, gap)
+
+    @pytest.mark.parametrize("gap", [0, 3, 50])
+    def test_matches_per_flag_loop_at_scale(self, gap):
+        """31,400 flags in clustered runs over 2^20 positions, 15 scales."""
+        rng = np.random.default_rng(gap)
+        steps = rng.choice([1, 2, 4, 40, 900], size=31_400, p=[0.8, 0.1, 0.05, 0.04, 0.01])
+        result = self.make_result(np.cumsum(steps), rng.integers(1, 16, size=31_400))
+        intervals = flags_to_intervals(result, gap)
+        assert len(intervals) > 100
+        assert intervals == flags_to_intervals_per_flag(result, gap)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -119,6 +119,14 @@ class TestScaleCovMatrix:
         cov = scale_cov_matrix(0.5, 2, 2)
         assert cov == pytest.approx(np.array([[1.0, 2**-0.5], [2**-0.5, 1.0]]), abs=1e-12)
 
+    @pytest.mark.parametrize("base", [2, 3])
+    def test_equals_scipy_toeplitz(self, base):
+        from scipy.linalg import toeplitz
+
+        for m in range(1, 21):
+            first = np.array([cross_scale_corr(0.9, base, k) for k in range(m)])
+            assert np.array_equal(scale_cov_matrix(0.9, base, m), toeplitz(first))
+
     def test_structure_at_fifteen_scales(self):
         cov = scale_cov_matrix(0.9, 2, 15)
         assert np.allclose(cov, cov.T)
