@@ -31,6 +31,8 @@ from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
 
 __all__ = ["main"]
 
+# The flag spelling of each threshold kind.  ``single`` is not a family-wise
+# threshold for the max over scales, so only ``threshold`` offers it.
 _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single": "single_scale"}
 
 
@@ -190,17 +192,9 @@ def _detection_threshold(args) -> ThresholdResult:
 
 
 def _threshold_from_args(args) -> ThresholdResult:
-    return compute_threshold(
-        ThresholdQuery(
-            alpha=args.alpha,
-            num_scales=args.scales,
-            hurst=args.hurst,
-            base=args.base,
-            kind=_KIND_BY_FLAG[args.threshold],
-            mc_reps=args.mc_reps,
-            seed=args.seed,
-        )
-    )
+    query = ThresholdQuery(alpha=args.alpha, num_scales=args.scales, hurst=args.hurst,
+                           base=args.base, mc_reps=args.mc_reps, seed=args.seed)
+    return compute_threshold(query, _KIND_BY_FLAG[args.threshold])
 
 
 def cmd_synth(args) -> int:
@@ -235,7 +229,7 @@ def cmd_detect(args) -> int:
     if args.mean is not None or args.standardize == "sample":
         # Rebinding frees the raw values before the pyramid is built.
         values = standardize(values, args.mean, args.std)[0].values
-    result = detect(values, DetectionConfig(scale_config, threshold, args.method))
+    result = detect(values, DetectionConfig(scale_config, threshold.value, args.method))
     intervals = flags_to_intervals(result, args.gap_tolerance)
     payload = {
         "alpha": args.alpha,
@@ -346,12 +340,21 @@ def cmd_stream(args) -> int:
     return 0
 
 
-def _add_threshold_flags(parser) -> None:
-    parser.add_argument("--threshold", choices=["improved", "asymptotic"], default="improved",
-                        help="threshold kind (default: improved)")
+def _add_kind_flag(parser, name: str, flags: list[str]) -> None:
+    parser.add_argument(name, choices=flags, default="improved", dest="threshold",
+                        help="threshold kind (default: %(default)s)")
+
+
+def _add_calibration_flags(parser) -> None:
     parser.add_argument("--alpha", type=float, default=0.05, help="family-wise level")
     parser.add_argument("--mc-reps", type=int, default=10**6, dest="mc_reps",
                         help="Monte-Carlo replicates for the improved threshold")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_threshold_flags(parser) -> None:
+    _add_kind_flag(parser, "--threshold", [flag for flag in _KIND_BY_FLAG if flag != "single"])
+    _add_calibration_flags(parser)
     parser.add_argument("--threshold-value", type=float, default=None, dest="threshold_value",
                         help="use this critical value instead of computing one")
 
@@ -391,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean", type=float, default=None, help="pre-known mean (with --std)")
     p.add_argument("--std", type=float, default=None, help="pre-known std (with --mean)")
     p.add_argument("--gap-tolerance", type=int, default=0, dest="gap_tolerance")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-flags", required=True, dest="out_flags")
     p.add_argument("--out-map", default=None, dest="out_map")
     p.set_defaults(func=cmd_detect)
@@ -408,11 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="print a calibrated critical value as JSON")
     p.add_argument("--hurst", type=float, default=0.9)
     _add_scale_flags(p)
-    p.add_argument("--kind", choices=["improved", "asymptotic", "single"], default="improved",
-                   dest="threshold")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--mc-reps", type=int, default=10**6, dest="mc_reps")
-    p.add_argument("--seed", type=int, default=0)
+    _add_kind_flag(p, "--kind", list(_KIND_BY_FLAG))
+    _add_calibration_flags(p)
     p.set_defaults(func=cmd_threshold)
 
     p = sub.add_parser("eval", help="simulation study: synthesize, inject, detect, score")
@@ -421,9 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=2**15)
     p.add_argument("--hurst", type=float, default=0.9)
     _add_scale_flags(p)
-    p.add_argument("--alpha", type=float, default=0.05)
+    _add_calibration_flags(p)
     p.add_argument("--method", choices=["nowa", "swa"], default="swa")
-    p.add_argument("--mc-reps", type=int, default=10**6, dest="mc_reps")
     p.add_argument("--delta", type=float, default=1.0)
     p.add_argument("--start", type=int, default=None, help="fixed 1-based shift start")
     p.add_argument("--start-range", type=int, default=2**14, dest="start_range",
@@ -431,7 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=int, default=None, help="fixed shift duration")
     p.add_argument("--duration-mean", type=float, default=4000.0, dest="duration_mean",
                    help="exponential duration mean (used unless --duration is given)")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_eval)
 
@@ -439,7 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hurst", type=float, required=True)
     _add_scale_flags(p)
     _add_threshold_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mean", type=float, default=None)
     p.add_argument("--std", type=float, default=None)
     p.add_argument("--format", choices=["csv", "jsonl"], default="csv")

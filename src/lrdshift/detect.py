@@ -20,7 +20,6 @@ import numpy as np
 
 from .fgn import TimeSeries, as_series
 from .pyramid import Pyramid, ScaleConfig, build_nowa, build_swa
-from .thresholds import ThresholdResult
 
 __all__ = [
     "DetectionConfig",
@@ -36,13 +35,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DetectionConfig:
-    """Everything the detector needs besides the data."""
+    """Everything the detector needs besides the data.
+
+    ``threshold`` is the family-wise critical value, e.g. a threshold result's
+    ``value``; it must be positive and finite (an infinite one flags nothing).
+    """
 
     scale_config: ScaleConfig
-    threshold: ThresholdResult
+    threshold: float
     method: str = "nowa"  # "nowa" | "swa"
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.threshold) and self.threshold > 0.0):
+            raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
         if self.method not in ("nowa", "swa"):
             raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
 
@@ -167,7 +172,7 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
         for level, window in zip(levels[1:], windows[1:]):
             covered = statistic[window - 1 :]
             np.maximum(covered, np.abs(level), out=covered)
-    flagged = np.nonzero(statistic > config.threshold.value)[0]
+    flagged = np.nonzero(statistic > config.threshold)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)
     for k, (level, window) in enumerate(zip(levels[1:], windows[1:]), start=2):

@@ -22,7 +22,7 @@ from .detect import DetectionConfig, detect
 from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
 from .pyramid import ScaleConfig
 from .seeding import subseed, substream
-from .thresholds import ThresholdQuery, improved_threshold
+from .thresholds import ThresholdQuery, improved_threshold, single_scale_threshold
 
 __all__ = [
     "InjectionSpec",
@@ -181,13 +181,8 @@ def naive_baseline(series, alpha: float) -> np.ndarray:
     Assumes the series is already standardized.  Exactly calibrated for
     independent data and deliberately ignorant of the dependence structure.
     """
-    from scipy.special import ndtri
-
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    ts = as_series(series)
-    critical = ndtri(1.0 - alpha / 2.0)
-    return np.nonzero(np.abs(ts.values) > critical)[0] + 1
+    critical = single_scale_threshold(alpha).value
+    return np.nonzero(np.abs(as_series(series).values) > critical)[0] + 1
 
 
 @dataclass(frozen=True)
@@ -276,7 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     regardless of how the loop is scheduled.
     """
     scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
-    threshold = improved_threshold(
+    critical = improved_threshold(
         ThresholdQuery(
             alpha=config.alpha,
             num_scales=config.num_scales,
@@ -285,9 +280,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             mc_reps=config.mc_reps,
             seed=subseed(config.seed, 0),
         )
-    )
-    detection = DetectionConfig(scale_config=scale_config, threshold=threshold, method=config.method)
-    result = ExperimentResult(config=config, threshold_value=threshold.value)
+    ).value
+    detection = DetectionConfig(scale_config=scale_config, threshold=critical, method=config.method)
+    result = ExperimentResult(config=config, threshold_value=critical)
     sampler = FgnSampler(LrdModel(hurst=config.hurst), config.n)
     for set_id in range(1, config.sets + 1):
         per_sim: dict[str, list[MetricSummary]] = {"multiscale": [], "naive": []}

@@ -156,7 +156,8 @@ class StreamState:
     O(num_scales) float work and calls no numpy.  Running sums are
     recomputed from the ring buffer with numpy every ``recompute_every``
     pushes to keep accumulated floating-point drift below ~1e-9 over
-    arbitrarily long runs.
+    arbitrarily long runs, and after each push that leaves a sum not finite,
+    which would otherwise stay so after the samples that overflowed it leave.
     """
 
     def __init__(self, config: ScaleConfig, recompute_every: int = 1 << 20):
@@ -199,7 +200,9 @@ class StreamState:
         if warm < len(windows) and windows[warm] <= self.samples_seen:
             self._warm = warm = warm + 1
         if self.samples_seen % self._recompute_every == 0:
-            self._recompute_sums()
+            self._recompute_sums(warm)
+        elif not math.isfinite(sum(sums)):  # a sum overflowed, or the total did
+            self._recompute_sums(len(sums))
         norms = self._normalizers
         best = 0
         top = abs(sums[0] / norms[0])
@@ -209,9 +212,11 @@ class StreamState:
                 top, best = magnitude, k
         return top, best + 1
 
-    def _recompute_sums(self) -> None:
-        # Chronological copy of the ring: oldest retained sample first.
+    def _recompute_sums(self, num_scales: int) -> None:
+        # Chronological copy of the ring: oldest retained sample first.  A slot
+        # not yet written holds 0.0, so a scale still filling up sums right too.
         size = len(self._ring)
         history = np.array(self._ring[self._pos :] + self._ring[: self._pos])
-        for i in range(self._warm):
-            self._sums[i] = float(history[size - self._windows[i] :].sum())
+        with np.errstate(over="ignore"):  # a window whose sum overflows sums to inf, as in batch
+            for i in range(num_scales):
+                self._sums[i] = float(history[size - self._windows[i] :].sum())

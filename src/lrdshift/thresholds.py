@@ -7,12 +7,13 @@ lag ``k`` depends only on the window ratio ``r = base**k``:
     rho(r) = (1 + r^{2H} - (r - 1)^{2H}) / (2 r^H).
 
 The critical value ``C`` for ``max_k |Y_k| > C`` at family-wise level
-``alpha`` is computed three ways:
+``alpha`` is computed three ways, one per kind that :func:`compute_threshold`
+takes:
 
-* single-scale: ``Phi^{-1}(1 - alpha/2)`` (no multiplicity adjustment);
-* asymptotic: ``Phi^{-1}((1 - alpha)^{1/(2m)})``, the many-scales limit,
+* ``single_scale``: ``Phi^{-1}(1 - alpha/2)`` (no multiplicity adjustment);
+* ``asymptotic``: ``Phi^{-1}((1 - alpha)^{1/(2m)})``, the many-scales limit,
   typically conservative at practical scale counts;
-* Monte Carlo: the empirical ``(1 - alpha)``-quantile of ``max_k |Z_k|``
+* ``monte_carlo``: the empirical ``(1 - alpha)``-quantile of ``max_k |Z_k|``
   with ``Z`` drawn from the cross-scale correlation matrix.  The threshold
   does not depend on the time position, so one simulation calibrates every
   location.
@@ -58,13 +59,15 @@ def _norm_pdf(x):
 
 @dataclass(frozen=True)
 class ThresholdQuery:
-    """Inputs for a threshold computation."""
+    """The level, the cross-scale law and the Monte-Carlo settings of a threshold.
+
+    The kind of threshold is chosen separately, by :func:`compute_threshold`.
+    """
 
     alpha: float
     num_scales: int
     hurst: float = 0.5
     base: int = 2
-    kind: str = "monte_carlo"  # "single_scale" | "asymptotic" | "monte_carlo"
     mc_reps: int = 10**6
     seed: int | np.random.SeedSequence = 0
 
@@ -72,25 +75,19 @@ class ThresholdQuery:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be strictly inside (0, 1), got {self.alpha}")
         ScaleConfig(self.base, self.num_scales, self.hurst)  # checks base, num_scales, hurst
-        if self.kind not in ("single_scale", "asymptotic", "monte_carlo"):
-            raise ValueError(f"unknown threshold kind {self.kind!r}")
 
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """A calibrated critical value plus its provenance.
+    """A calibrated critical value and the kind that produced it.
 
-    ``mc_standard_error`` is zero for the closed forms.
+    ``mc_standard_error`` is zero for the closed forms.  The settings behind
+    the value are those of the :class:`ThresholdQuery` it was computed for.
     """
 
     value: float
     kind: str
     mc_standard_error: float = 0.0
-    alpha: float | None = None
-    num_scales: int | None = None
-    hurst: float | None = None
-    base: int | None = None
-    mc_reps: int | None = None
 
     def __post_init__(self) -> None:
         if not self.value > 0.0:
@@ -136,9 +133,7 @@ def single_scale_threshold(alpha: float) -> ThresholdResult:
 
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    return ThresholdResult(
-        value=float(ndtri(1.0 - alpha / 2.0)), kind="single_scale", alpha=alpha, num_scales=1
-    )
+    return ThresholdResult(value=float(ndtri(1.0 - alpha / 2.0)), kind="single_scale")
 
 
 def asymptotic_threshold(alpha: float, m: int) -> ThresholdResult:
@@ -150,7 +145,7 @@ def asymptotic_threshold(alpha: float, m: int) -> ThresholdResult:
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     value = float(ndtri((1.0 - alpha) ** (1.0 / (2.0 * m))))
-    return ThresholdResult(value=value, kind="asymptotic", alpha=alpha, num_scales=m)
+    return ThresholdResult(value=value, kind="asymptotic")
 
 
 def _corr_factor(cov: np.ndarray) -> np.ndarray:
@@ -212,32 +207,28 @@ def improved_threshold(query: ThresholdQuery) -> ThresholdResult:
     absolute values.  Deterministic given ``seed`` and independent of how the
     replicate loop is partitioned.
     """
-    if query.kind != "monte_carlo":
-        raise ValueError(f"improved_threshold requires kind='monte_carlo', got {query.kind!r}")
     if query.mc_reps < 10**4:
         raise ValueError(f"mc_reps must be >= 10^4, got {query.mc_reps}")
     factor = _corr_factor(scale_cov_matrix(query.hurst, query.base, query.num_scales))
     samples = _max_abs_gaussian_samples(factor, query.mc_reps, query.seed)
     value, se = _quantile_with_se(samples, 1.0 - query.alpha)
-    return ThresholdResult(
-        value=value,
-        kind="monte_carlo",
-        mc_standard_error=se,
-        alpha=query.alpha,
-        num_scales=query.num_scales,
-        hurst=query.hurst,
-        base=query.base,
-        mc_reps=query.mc_reps,
-    )
+    return ThresholdResult(value=value, kind="monte_carlo", mc_standard_error=se)
 
 
-def compute_threshold(query: ThresholdQuery) -> ThresholdResult:
-    """Dispatch on ``query.kind``."""
-    if query.kind == "single_scale":
-        return single_scale_threshold(query.alpha)
-    if query.kind == "asymptotic":
-        return asymptotic_threshold(query.alpha, query.num_scales)
-    return improved_threshold(query)
+# The threshold kinds.  The functions are looked up by name at call time, so
+# rebinding a module attribute (a test double, a tracer) takes effect here.
+_THRESHOLD_BY_KIND = {
+    "single_scale": lambda query: single_scale_threshold(query.alpha),
+    "asymptotic": lambda query: asymptotic_threshold(query.alpha, query.num_scales),
+    "monte_carlo": lambda query: improved_threshold(query),
+}
+
+
+def compute_threshold(query: ThresholdQuery, kind: str) -> ThresholdResult:
+    """The ``kind`` critical value for ``query`` (kinds: see the module docstring)."""
+    if kind not in _THRESHOLD_BY_KIND:
+        raise ValueError(f"unknown threshold kind {kind!r}")
+    return _THRESHOLD_BY_KIND[kind](query)
 
 
 def two_scale_expansion(alpha: float, hurst: float, big_window: int) -> float:

@@ -224,7 +224,7 @@ def test_criterion_6_null_calibration():
     )
     config = DetectionConfig(
         scale_config=ScaleConfig(base=2, num_scales=m, hurst=hurst),
-        threshold=threshold,
+        threshold=threshold.value,
         method="swa",
     )
     biggest = config.scale_config.max_window
@@ -302,7 +302,7 @@ def test_criterion_8_stream_batch_equivalence():
         critical = asymptotic_threshold(0.05, num_scales).value
         detection = DetectionConfig(
             scale_config=config,
-            threshold=asymptotic_threshold(0.05, num_scales),
+            threshold=critical,
             method="swa",
         )
         batch = {int(i) for i in detect(path, detection).flags}
@@ -362,7 +362,7 @@ def test_criterion_10_method_alignment():
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=hurst)
         n = config.max_window * int(rng.integers(3, 8))
         path = synthesize_fgn(LrdModel(hurst), n, subseed(1802, fixture))
-        threshold = asymptotic_threshold(0.05, num_scales)
+        threshold = asymptotic_threshold(0.05, num_scales).value
         results = {
             method: detect(path, DetectionConfig(scale_config=config, threshold=threshold, method=method))
             for method in ("nowa", "swa")

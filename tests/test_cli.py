@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lrdshift import (
-    LrdModel, ScaleConfig, ThresholdResult, DetectionConfig, build_nowa, build_swa, detect,
+    LrdModel, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
     pvalue_map, synthesize_fgn,
 )
 from lrdshift.cli import _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv
@@ -27,7 +27,7 @@ def run(argv):
     return main(argv)
 
 
-def refuse_threshold(query):
+def refuse_threshold(*args):
     raise AssertionError("threshold computed before the usage check")
 
 
@@ -147,7 +147,7 @@ class TestDetectCommand:
 
         config = DetectionConfig(
             scale_config=ScaleConfig(base=2, num_scales=6, hurst=0.9),
-            threshold=asymptotic_threshold(0.05, 6),
+            threshold=asymptotic_threshold(0.05, 6).value,
             method="swa",
         )
         expected = detect(x, config).flags
@@ -169,7 +169,7 @@ class TestDetectCommand:
 
         config = DetectionConfig(
             scale_config=ScaleConfig(base=2, num_scales=6, hurst=0.9),
-            threshold=asymptotic_threshold(0.05, 6),
+            threshold=asymptotic_threshold(0.05, 6).value,
             method=method,
         )
         mean, std = (x.mean(), x.std(ddof=1)) if moments is None else moments
@@ -562,6 +562,15 @@ class TestThresholdCommand:
         assert run(["threshold", flag, value]) == 2
         assert f"{flag[2:]} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--in", "x.txt", "--out-flags", "f.json"],
+        ["stream", "--hurst", "0.9"],
+    ])
+    def test_single_is_offered_only_here(self, argv, capsys):
+        """The single-scale value is not family-wise for the max over scales."""
+        assert run([*argv, "--threshold", "single"]) == 2
+        assert "invalid choice: 'single'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("kind", ["improved", "asymptotic", "single"])
     def test_zero_scales_exits_2(self, kind, capsys):
         assert run(["threshold", "--scales", "0", "--kind", kind]) == 2
@@ -643,7 +652,7 @@ class TestStreamCommand:
         streamed = {int(line.split(",")[0]) for line in out.splitlines()}
         config = DetectionConfig(
             scale_config=ScaleConfig(base=2, num_scales=6, hurst=0.9),
-            threshold=ThresholdResult(value=2.8, kind="asymptotic"),
+            threshold=2.8,
             method="swa",
         )
         batch = {int(i) for i in detect(x, config).flags}

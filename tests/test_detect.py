@@ -12,7 +12,6 @@ from lrdshift import (
     DetectionResult,
     LrdModel,
     ScaleConfig,
-    ThresholdResult,
     asymptotic_threshold,
     build_nowa,
     build_swa,
@@ -32,7 +31,7 @@ from oracles import column_at, dense_detect, flags_to_intervals_per_flag
 def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, base=2):
     return DetectionConfig(
         scale_config=ScaleConfig(base=base, num_scales=num_scales, hurst=hurst),
-        threshold=ThresholdResult(value=threshold_value, kind="asymptotic"),
+        threshold=threshold_value,
         method=method,
     )
 
@@ -80,6 +79,13 @@ class TestDetect:
                              threshold_value=asymptotic_threshold(0.05, 15).value)
         result = detect(x, config)
         assert 201 in result.flags  # 1-based position
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0, -2.5])
+    def test_config_rejects_a_threshold_that_flags_nothing(self, value):
+        """A critical value that is not positive and finite is an error: an
+        infinite one would flag nothing, not even a 1e6 spike."""
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            make_config(threshold_value=value)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("method", ["nowa", "swa"])
@@ -193,7 +199,7 @@ class TestDetect:
         hurst, m, alpha, n, seeds = 0.9, 6, 0.05, 1024, 60
         threshold = improved_threshold(
             ThresholdQuery(alpha=alpha, num_scales=m, hurst=hurst, mc_reps=3 * 10**5, seed=201)
-        )
+        ).value
         config = DetectionConfig(
             scale_config=ScaleConfig(base=2, num_scales=m, hurst=hurst),
             threshold=threshold,

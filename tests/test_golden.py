@@ -37,6 +37,24 @@ def test_detect_swa_improved(workdir):
     assert digest(flags.read_bytes()) == "bf991ccb1a524b7c"
 
 
+def test_detect_nowa_asymptotic(workdir):
+    flags = workdir / "d_nowa_asy.json"
+    code = main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method", "nowa",
+                 "--scales", "12", "--threshold", "asymptotic", "--out-flags", str(flags)])
+    assert code == 0
+    assert digest(flags.read_bytes()) == "25212c31fe365713"
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--kind", "improved", "--scales", "12", "--hurst", "0.85", "--seed", "3"], "20f7f115f801e556"),
+    (["--kind", "asymptotic", "--scales", "12"], "6d05266d6e53714c"),
+    (["--kind", "single", "--scales", "12"], "58b09177c32090ca"),
+])
+def test_threshold(argv, expected, capsys):
+    assert main(["threshold", *argv]) == 0
+    assert digest(capsys.readouterr().out.encode()) == expected
+
+
 def test_stream_jsonl(workdir, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
     code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold-value", "2.2",

@@ -12,7 +12,6 @@ from lrdshift import (
     LrdModel,
     ScaleConfig,
     StreamState,
-    ThresholdResult,
     build_nowa,
     build_swa,
     detect,
@@ -284,8 +283,7 @@ class TestStreaming:
         x = synthesize_fgn(LrdModel(0.8), 2048, seed=57).values.copy()
         x[500:800] += 0.8  # sustained shift: coarse scales win
         x[1300] += 6.0  # spike: scale 1 wins
-        threshold = ThresholdResult(value=1.8, kind="asymptotic")
-        result = detect(x, DetectionConfig(scale_config=config, threshold=threshold, method="swa"))
+        result = detect(x, DetectionConfig(scale_config=config, threshold=1.8, method="swa"))
         state = StreamState(config)
         streamed = [state.push(v) for v in x]
         compared = set()
@@ -318,6 +316,21 @@ class TestStreaming:
         pushed = [state.push(v) for v in samples]
         assert pushed == [oracle.push(v) for v in samples]
         assert len({scale for _, scale in pushed}) >= 3
+
+    @pytest.mark.parametrize("lead", [0, 9])
+    def test_overflowing_sum_recovers(self, lead):
+        """Two samples of 1e308 give an infinite statistic only where a window
+        holds both, as the batch pyramid does, and an exact one once they
+        have left: with the overflow while scales 3 and 4 still fill up
+        (lead 0) and after every scale is warm (lead 9)."""
+        config = ScaleConfig(base=2, num_scales=4, hurst=0.9)
+        x = [0.0] * lead + [1e308, 1e308] + [0.0] * 11
+        with np.errstate(over="ignore"):
+            pyramid = build_swa(np.array(x), config)
+        batch = [max(abs(v) for _, v in column_at(pyramid, t)) for t in range(1, len(x) + 1)]
+        state = StreamState(config)
+        assert [state.push(v)[0] for v in x] == batch
+        assert np.inf in batch and batch[-1] == 0.0
 
     def test_ties_go_to_the_smallest_scale(self):
         """A constant at hurst 1 ties exactly at every warm scale."""

@@ -203,16 +203,19 @@ class TestImprovedThreshold:
         )
 
     def test_rejects_wrong_kind_and_small_reps(self):
-        with pytest.raises(ValueError, match="kind"):
-            improved_threshold(ThresholdQuery(alpha=0.05, num_scales=2, kind="asymptotic"))
         with pytest.raises(ValueError, match="mc_reps"):
             improved_threshold(ThresholdQuery(alpha=0.05, num_scales=2, mc_reps=100))
 
     def test_compute_threshold_dispatch(self):
-        assert compute_threshold(ThresholdQuery(alpha=0.05, num_scales=3, kind="single_scale")).kind == "single_scale"
-        assert compute_threshold(ThresholdQuery(alpha=0.05, num_scales=3, kind="asymptotic")).kind == "asymptotic"
-        mc = compute_threshold(ThresholdQuery(alpha=0.05, num_scales=3, hurst=0.7, mc_reps=10**4, seed=1))
+        query = ThresholdQuery(alpha=0.05, num_scales=3, hurst=0.7, mc_reps=10**4, seed=1)
+        assert compute_threshold(query, "single_scale") == single_scale_threshold(0.05)
+        assert compute_threshold(query, "asymptotic") == asymptotic_threshold(0.05, 3)
+        mc = compute_threshold(query, "monte_carlo")
+        assert mc == improved_threshold(query)
         assert mc.kind == "monte_carlo" and mc.mc_standard_error > 0.0
+        for unknown in ("improved", "given", ""):
+            with pytest.raises(ValueError, match=f"unknown threshold kind {unknown!r}"):
+                compute_threshold(query, unknown)
 
     def test_result_requires_positive_value(self):
         with pytest.raises(ValueError):
