@@ -16,7 +16,9 @@ Two window layouts are supported:
 
 Both builders aggregate level ``k`` from the level ``k-1`` sums with the
 earliest chunk added first, which makes the two layouts agree bit-for-bit at
-positions that are multiples of the largest window.
+positions that are multiples of the largest window.  :class:`StreamState`
+chains its windows the same way, so a stream equals the sliding layout bit
+for bit at every position.
 """
 
 from __future__ import annotations
@@ -151,27 +153,27 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
 class StreamState:
     """One-sample-at-a-time sliding aggregation over all scales.
 
-    Keeps a ring buffer of the last ``max_window`` raw samples and one
-    running sum per scale, all as Python floats: each push does
-    O(num_scales) float work and calls no numpy.  Running sums are
-    recomputed from the ring buffer with numpy every ``recompute_every``
-    pushes to keep accumulated floating-point drift below ~1e-9 over
-    arbitrarily long runs, and after each push that leaves a sum not finite,
-    which would otherwise stay so after the samples that overflowed it leave.
+    Each window is built as :func:`build_swa` builds it: the scale-``k``
+    window ending here is the chained sum of the ``base`` scale-``(k-1)``
+    windows ending ``(base-1)*L_{k-1}, ..., L_{k-1}, 0`` samples ago,
+    earliest first.  Scale ``k < num_scales`` keeps a ring of its last
+    ``(base-1)*L_k`` window sums (``max_window - 1`` slots in all) as Python
+    floats, so each push does O(num_scales * base) float work, calls no
+    numpy, and returns bit for bit the batch ``swa`` statistic and argmax.
     """
 
-    def __init__(self, config: ScaleConfig, recompute_every: int = 1 << 20):
-        if recompute_every < 1:
-            raise ValueError("recompute_every must be >= 1")
+    def __init__(self, config: ScaleConfig):
         self.config = config
         self.samples_seen = 0
-        self._windows = [config.window(k) for k in range(1, config.num_scales + 1)]
-        self._normalizers = _normalizers(config)
-        self._ring = [0.0] * config.max_window
-        self._pos = 0
-        self._sums = [0.0] * config.num_scales
-        self._warm = 0  # scales with L_k <= samples_seen; windows increase, so a prefix
-        self._recompute_every = recompute_every
+        # Per scale k >= 2: L_k, its normalizer, scale k-1's ring and its
+        # size, and the offsets from the earliest window of the chain to the
+        # middle ones (none at base 2).
+        self._scales = []
+        for k, norm in enumerate(_normalizers(config)[1:], start=2):
+            sub = config.window(k - 1)
+            size = (config.base - 1) * sub
+            offsets = tuple(m * sub - size for m in range(1, config.base - 1))
+            self._scales.append((k, config.window(k), norm, [0.0] * size, size, offsets))
 
     def push(self, sample: float) -> tuple[float, int]:
         """Ingest one sample; return ``(statistic, argmax_scale)`` ending here.
@@ -185,38 +187,22 @@ class StreamState:
         x = float(sample)
         if not math.isfinite(x):
             raise ValueError(f"sample must be finite, got {x!r}")
-        ring, sums, windows = self._ring, self._sums, self._windows
-        pos = self._pos
-        # ring[pos - L_k] is the sample leaving scale k (a negative index
-        # wraps, since L_k <= len(ring)).  A slot not yet written holds 0.0
-        # and (s + x) - 0.0 == s + x exactly, so scales still filling up
-        # need no separate case.
-        for i in range(len(sums)):
-            sums[i] = (sums[i] + x) - ring[pos - windows[i]]
-        ring[pos] = x
-        self._pos = (pos + 1) % len(ring)
-        self.samples_seen += 1
-        warm = self._warm
-        if warm < len(windows) and windows[warm] <= self.samples_seen:
-            self._warm = warm = warm + 1
-        if self.samples_seen % self._recompute_every == 0:
-            self._recompute_sums(warm)
-        elif not math.isfinite(sum(sums)):  # a sum overflowed, or the total did
-            self._recompute_sums(len(sums))
-        norms = self._normalizers
-        best = 0
-        top = abs(sums[0] / norms[0])
-        for k in range(1, warm):
-            magnitude = abs(sums[k] / norms[k])
-            if magnitude > top:
+        n = self.samples_seen
+        self.samples_seen = seen = n + 1
+        # ring[p] holds the window ending (base-1)*L_{k-1} samples ago, the
+        # earliest of the chain, and ring[p + offset] (a negative offset
+        # wraps) the later ones.  A slot not yet written holds 0.0 and feeds
+        # only windows that are not warm yet.
+        window = x
+        top, best = abs(x), 1
+        for k, length, norm, ring, size, offsets in self._scales:
+            p = n % size
+            chained = ring[p]
+            for offset in offsets:
+                chained += ring[p + offset]
+            ring[p] = window
+            window = chained + window
+            magnitude = abs(window / norm)
+            if magnitude > top and length <= seen:
                 top, best = magnitude, k
-        return top, best + 1
-
-    def _recompute_sums(self, num_scales: int) -> None:
-        # Chronological copy of the ring: oldest retained sample first.  A slot
-        # not yet written holds 0.0, so a scale still filling up sums right too.
-        size = len(self._ring)
-        history = np.array(self._ring[self._pos :] + self._ring[: self._pos])
-        with np.errstate(over="ignore"):  # a window whose sum overflows sums to inf, as in batch
-            for i in range(num_scales):
-                self._sums[i] = float(history[size - self._windows[i] :].sum())
+        return top, best

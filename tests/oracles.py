@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from lrdshift import LrdModel, Pyramid, ScaleConfig, TimeSeries, fgn_acf, substream
+from lrdshift import LrdModel, Pyramid, TimeSeries, fgn_acf, substream
 from lrdshift.detect import DetectionResult, Interval, expand_levels
 
 
@@ -84,52 +84,3 @@ def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
     values = factor @ substream(seed).standard_normal(n)
     return TimeSeries(values)
 
-
-class NumpyStreamState:
-    """The stream state with numpy arrays for the ring, sums and normalizers.
-
-    Same operation order as ``lrdshift.StreamState``: ``s + x`` for every
-    scale, then ``- leaving`` for the scales whose window is full, then
-    ``abs(s / norm)`` and the first max over the warm prefix; the periodic
-    recompute sums the chronological ring with numpy's pairwise ``.sum()``.
-    """
-
-    def __init__(self, config: ScaleConfig, recompute_every: int = 1 << 20):
-        if recompute_every < 1:
-            raise ValueError("recompute_every must be >= 1")
-        self.config = config
-        self.samples_seen = 0
-        self._windows = np.array([config.window(k) for k in range(1, config.num_scales + 1)])
-        self._normalizers = np.array(
-            [float(config.window(k)) ** config.hurst for k in range(1, config.num_scales + 1)]
-        )
-        self._ring = np.zeros(config.max_window)
-        self._pos = 0
-        self._sums = np.zeros(config.num_scales)
-        self._recompute_every = recompute_every
-
-    def push(self, sample: float) -> tuple[float, int]:
-        sample = float(sample)
-        size = len(self._ring)
-        full = self.samples_seen >= self._windows
-        leaving_idx = (self._pos - self._windows[full]) % size
-        self._sums += sample
-        self._sums[full] -= self._ring[leaving_idx]
-        self._ring[self._pos] = sample
-        self._pos = (self._pos + 1) % size
-        self.samples_seen += 1
-        if self.samples_seen % self._recompute_every == 0:
-            self._recompute_sums()
-        # Windows increase with the scale, so the warm scales are a prefix.
-        warm = int(np.searchsorted(self._windows, self.samples_seen, side="right"))
-        magnitudes = np.abs(self._sums[:warm] / self._normalizers[:warm])
-        best = int(magnitudes.argmax())
-        return float(magnitudes[best]), best + 1
-
-    def _recompute_sums(self) -> None:
-        # Chronological view of the ring: oldest retained sample first.
-        size = len(self._ring)
-        history = self._ring[(self._pos + np.arange(size)) % size]
-        for i, window in enumerate(self._windows):
-            if self.samples_seen >= window:
-                self._sums[i] = history[size - window :].sum()

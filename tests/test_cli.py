@@ -675,8 +675,40 @@ class TestStreamCommand:
         assert run(["detect", "--in", str(inp), "--method", "swa",
                     "--out-flags", str(flags_path), *common]) == 0
         batch = set(json.loads(flags_path.read_text())["flagged_indices"])
-        biggest = 32
-        assert {i for i in streamed if i >= biggest} == {i for i in batch if i >= biggest}
+        assert streamed == batch
+
+    @pytest.mark.parametrize("extra", [
+        ["--threshold-value", "2.2", "--format", "jsonl"],
+        ["--threshold", "asymptotic", "--mean", "0.1", "--std", "0.9"],
+    ], ids=["threshold-value-jsonl", "asymptotic-moments"])
+    def test_lines_equal_batch_swa(self, monkeypatch, capsys, tmp_path, extra):
+        """On the seeded trace every printed line holds the index, the repr of
+        batch swa's statistic there and its argmax scale, and the lines are
+        exactly the positions batch swa flags."""
+        from lrdshift import asymptotic_threshold, standardize
+
+        trace = tmp_path / "trace.txt"
+        assert run(["synth", "--hurst", "0.9", "--n", "8192", "--seed", "7", "--out", str(trace)]) == 0
+        code, out, _ = self.stream(monkeypatch, capsys, trace.read_text(),
+                                   ["--hurst", "0.9", "--scales", "10", *extra])
+        assert code == 0
+        x = read_series(trace)
+        if "--mean" in extra:
+            x = standardize(x, 0.1, 0.9)[0].values
+            critical = asymptotic_threshold(0.05, 10).value
+        else:
+            critical = 2.2
+        config = DetectionConfig(ScaleConfig(base=2, num_scales=10, hurst=0.9), critical, "swa")
+        result = detect(x, config)
+        expected = [(int(t), float(result.statistic[t - 1]), int(k))
+                    for t, k in zip(result.flags, result.argmax_scale)]
+        if "jsonl" in extra:  # json.dumps writes a float as its repr
+            lines = [json.dumps({"index": t, "statistic": s, "argmax_scale": k}, sort_keys=True)
+                     for t, s, k in expected]
+        else:
+            lines = [f"{t},{s!r},{k}" for t, s, k in expected]
+        assert out.splitlines() == lines
+        assert len(lines) > 100 and len({k for _, _, k in expected}) >= 3
 
     def test_jsonl_format(self, monkeypatch, capsys):
         code, out, _ = self.stream(

@@ -55,12 +55,19 @@ def test_threshold(argv, expected, capsys):
     assert digest(capsys.readouterr().out.encode()) == expected
 
 
+def test_stream_monte_carlo(workdir, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
+    code = main(["stream", "--hurst", "0.9", "--scales", "10", "--seed", "2"])
+    assert code == 0
+    assert digest(capsys.readouterr().out.encode()) == "004c64cb837b7e52"
+
+
 def test_stream_jsonl(workdir, monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
     code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold-value", "2.2",
                  "--format", "jsonl"])
     assert code == 0
-    assert digest(capsys.readouterr().out.encode()) == "11fe518e4cead2b6"
+    assert digest(capsys.readouterr().out.encode()) == "facaf86fc2e357d7"
 
 
 def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
@@ -68,7 +75,7 @@ def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
     code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold", "asymptotic",
                  "--mean", "0.1", "--std", "0.9"])
     assert code == 0
-    assert digest(capsys.readouterr().out.encode()) == "6c30c4d977c25c48"
+    assert digest(capsys.readouterr().out.encode()) == "0ff996caa7675884"
 
 
 def test_eval(tmp_path):
