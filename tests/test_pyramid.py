@@ -258,11 +258,12 @@ class TestStreaming:
             assert scale == largest_warm
             assert statistic == pytest.approx(config.window(largest_warm) ** 0.5)
 
-    def test_matches_batch_column_by_column(self):
+    @pytest.mark.parametrize("seed", [1 << 20, 17])
+    def test_matches_batch_column_by_column(self, seed):
         """After N pushes the emitted statistic and scale equal, exactly, the
         first max over the sliding pyramid's column of the whole series."""
         config = ScaleConfig(base=2, num_scales=5, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 600, seed=55).values
+        x = synthesize_fgn(LrdModel(0.8), 600, seed=seed).values
         pyramid = build_swa(x, config)
         state = StreamState(config)
         for t in range(1, len(x) + 1):
