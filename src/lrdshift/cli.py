@@ -22,7 +22,7 @@ import warnings
 
 import numpy as np
 
-from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_map, standardize
+from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_rows, standardize
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
 from .fgn import LrdModel, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
@@ -138,18 +138,21 @@ def write_series(path, values: np.ndarray) -> None:
             fh.write(repr(float(v)) + "\n")
 
 
-def write_pvalue_csv(path, pvalues: np.ndarray) -> None:
+def write_pvalue_csv(path, pvalues) -> None:
     """Map CSV: first column is the scale index, then one column per position.
 
-    A cell holds ``repr`` of its p-value, or nothing where the cell is absent
-    (NaN).  Rows are converted one at a time to bound the memory.
+    ``pvalues`` is the (M, n) map or any iterable of its rows as 1-D arrays,
+    scale 1 first, such as :func:`~lrdshift.detect.pvalue_rows`.  A cell holds
+    ``repr`` of its p-value, or nothing where the cell is absent (NaN).  Each
+    row is formatted and written before the next is read, so from an
+    iterable of rows the writer holds one row and its text at a time.
     """
-    num_scales, n = pvalues.shape
     with open(path, "w") as fh:
-        fh.write("scale," + ",".join(map(str, range(1, n + 1))) + "\n")
-        for k in range(1, num_scales + 1):
+        for k, row in enumerate(pvalues, start=1):
+            if k == 1:
+                fh.write("scale," + ",".join(map(str, range(1, len(row) + 1))) + "\n")
             # repr of a float contains "nan" only when it is NaN.
-            cells = ",".join(map(repr, pvalues[k - 1].tolist())).replace("nan", "")
+            cells = ",".join(map(repr, row.tolist())).replace("nan", "")
             fh.write(f"{k},{cells}\n")
 
 
@@ -249,7 +252,7 @@ def cmd_detect(args) -> int:
     with open(args.out_flags, "w") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if args.out_map:
-        write_pvalue_csv(args.out_map, pvalue_map(result.pyramid))
+        write_pvalue_csv(args.out_map, pvalue_rows(result.pyramid))
     return 0
 
 

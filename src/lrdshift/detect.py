@@ -28,6 +28,7 @@ __all__ = [
     "standardize",
     "detect",
     "expand_levels",
+    "pvalue_rows",
     "pvalue_map",
     "flags_to_intervals",
 ]
@@ -106,38 +107,64 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     return TimeSeries(values), float(mean), float(std)
 
 
+def _expand_level(pyramid: Pyramid, scale: int) -> np.ndarray:
+    """Row ``scale - 1`` of :func:`expand_levels`, as a fresh array."""
+    level = pyramid.levels[scale - 1]
+    window = pyramid.config.window(scale)
+    row = np.full(len(pyramid.levels[0]), np.nan)
+    if pyramid.method == "nowa":
+        row[: len(level) * window].reshape(len(level), window)[:] = level[:, None]
+    else:
+        row[window - 1 :] = level
+    return row
+
+
 def expand_levels(pyramid: Pyramid) -> np.ndarray:
     """Levels expanded onto scale-1 time coordinates as a (M, n) matrix.
 
     Row ``k-1`` holds the scale-``k`` value covering each position: the
     covering complete block (non-overlapping layout) or the backward window
     ending there (sliding layout).  NaN marks positions without a value.
-    This is the layout of :func:`pvalue_map`, its only caller; detection
-    itself never builds the matrix.
+    This is the layout of :func:`pvalue_map` and :func:`pvalue_rows`, which
+    expand one row at a time; detection itself never builds the matrix.
     """
-    config = pyramid.config
-    out = np.full((config.num_scales, len(pyramid.levels[0])), np.nan)
-    for k in range(1, config.num_scales + 1):
-        level = pyramid.levels[k - 1]
-        window = config.window(k)
-        if pyramid.method == "nowa":
-            out[k - 1, : len(level) * window] = np.repeat(level, window)
-        else:
-            out[k - 1, window - 1 :] = level
+    out = np.empty((pyramid.config.num_scales, len(pyramid.levels[0])))
+    for k, row in enumerate(out, start=1):
+        row[:] = _expand_level(pyramid, k)
     return out
+
+
+def pvalue_rows(pyramid: Pyramid):
+    """Yield the rows of :func:`pvalue_map` one scale at a time, scale 1 first.
+
+    Each row is a fresh length-n array made in place from
+    :func:`_expand_level`, so a caller that writes each row out before asking
+    for the next holds one row, never the (M, n) map.
+    """
+    from scipy.special import ndtr
+
+    for k in range(1, pyramid.config.num_scales + 1):
+        row = _expand_level(pyramid, k)
+        np.abs(row, out=row)
+        np.negative(row, out=row)
+        with np.errstate(invalid="ignore"):
+            ndtr(row, out=row)
+        row *= 2.0
+        yield row
 
 
 def pvalue_map(pyramid: Pyramid) -> np.ndarray:
     """Marginal two-sided p-values ``2(1 - Phi(|Y_k|))`` per valid cell.
 
-    Same (M, n) layout as :func:`expand_levels`; invalid cells stay NaN —
-    they are absent, never zero.
+    Same (M, n) layout as :func:`expand_levels`, built from
+    :func:`pvalue_rows`; invalid cells stay NaN — they are absent, never
+    zero.  A window whose sum overflowed to NaN (``inf - inf``) is absent
+    too.
     """
-    from scipy.special import ndtr
-
-    expanded = expand_levels(pyramid)
-    with np.errstate(invalid="ignore"):
-        return 2.0 * ndtr(-np.abs(expanded))
+    out = np.empty((pyramid.config.num_scales, len(pyramid.levels[0])))
+    for row, values in zip(out, pvalue_rows(pyramid)):
+        row[:] = values
+    return out
 
 
 def detect(series, config: DetectionConfig) -> DetectionResult:
@@ -154,6 +181,15 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     For ``nowa`` the fold runs from the coarsest level down, each level's
     running max pushed into the next finer level only, so each level is
     read once.
+
+    Huge finite samples can overflow a window's sum to ``inf`` or, as
+    ``inf - inf``, to NaN.  The folds use ``np.fmax``, so a NaN window is
+    skipped like an absent one and never hides the other scales; scale 1 is
+    the series itself, so the statistic is never NaN.  This is the rule
+    :meth:`~lrdshift.pyramid.StreamState.push` follows, so ``swa`` detection
+    equals the stream at every position.  The numpy overflow
+    ``RuntimeWarning``s of the pyramid functions are left to reach the
+    caller: they are the only report that a window overflowed.
     """
     build = build_nowa if config.method == "nowa" else build_swa
     pyramid = build(series, config.scale_config)
@@ -165,13 +201,13 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
         for level in reversed(levels[:-1]):
             finer = np.abs(level)
             covered = finer[: len(statistic) * base].reshape(len(statistic), base)
-            np.maximum(covered, statistic[:, None], out=covered)
+            np.fmax(covered, statistic[:, None], out=covered)
             statistic = finer
     else:
         statistic = np.abs(levels[0])
         for level, window in zip(levels[1:], windows[1:]):
             covered = statistic[window - 1 :]
-            np.maximum(covered, np.abs(level), out=covered)
+            np.fmax(covered, np.abs(level), out=covered)
     flagged = np.nonzero(statistic > config.threshold)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)

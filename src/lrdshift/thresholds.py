@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17  # replicates per substream chunk in Monte-Carlo loops
+_BLOCK = 1 << 12  # rows drawn at a time inside a chunk (0.5 MiB per buffer at m = 15)
 
 
 def _norm_pdf(x):
@@ -164,20 +165,37 @@ def _corr_factor(cov: np.ndarray) -> np.ndarray:
 def _max_abs_gaussian_samples(
     factor: np.ndarray, reps: int, seed: int | np.random.SeedSequence, shift: np.ndarray | None = None
 ) -> np.ndarray:
-    """``reps`` draws of ``max_k |Z_k|``, chunked over deterministic substreams."""
+    """``reps`` draws of ``max_k |Z_k|`` with ``Z = factor @ N(0, I)`` (plus ``shift``).
+
+    Replicates ``i * _CHUNK`` up to ``(i + 1) * _CHUNK`` come from
+    ``substream(seed, i)``, drawn ``_BLOCK`` rows at a time into two buffers
+    allocated once: the working set is the 8 bytes per replicate of the
+    result plus ``2 (_BLOCK + 1) m`` floats.  The samples do not depend on
+    the block size: a generator filling consecutive blocks yields the
+    normals one call over the chunk does, and a product of two or more rows
+    sums each row as the chunk's product does.  A chunk never ends in a
+    one-row block, since numpy computes a one-row product on its
+    vector-matrix path, whose sums can differ in the last bit.
+    """
     m = factor.shape[0]
     out = np.empty(reps)
-    done = 0
-    chunk_index = 0
-    while done < reps:
-        size = min(_CHUNK, reps - done)
-        g = substream(seed, chunk_index).standard_normal((size, m))
-        z = g @ factor.T
-        if shift is not None:
-            z += shift
-        out[done : done + size] = np.abs(z).max(axis=1)
-        done += size
-        chunk_index += 1
+    rows = min(_BLOCK + 1, reps)
+    g = np.empty((rows, m))
+    z = np.empty((rows, m))
+    for start in range(0, reps, _CHUNK):
+        rng = substream(seed, start // _CHUNK)
+        stop = min(start + _CHUNK, reps)
+        lo = start
+        while lo < stop:
+            hi = lo + _BLOCK if stop - lo > _BLOCK + 1 else stop
+            g_block, z_block = g[: hi - lo], z[: hi - lo]
+            rng.standard_normal(out=g_block)
+            np.matmul(g_block, factor.T, out=z_block)
+            if shift is not None:
+                z_block += shift
+            np.abs(z_block, out=z_block)
+            z_block.max(axis=1, out=out[lo:hi])
+            lo = hi
     return out
 
 
@@ -187,16 +205,15 @@ def _quantile_with_se(samples: np.ndarray, p: float) -> tuple[float, float]:
     The standard error comes from the order-statistic density approximation:
     the quantile's sampling sd is ``sqrt(p(1-p)/n) / f(q)``, with ``f(q)``
     replaced by the slope of the empirical quantile function over a
-    one-standard-error band.
+    one-standard-error band.  ``samples`` is reordered in place.
     """
     n = len(samples)
-    value = float(np.quantile(samples, p))
     h = np.sqrt(p * (1.0 - p) / n)
     lo = max(p - h, 0.0)
     hi = min(p + h, 1.0)
-    q_lo, q_hi = np.quantile(samples, [lo, hi])
+    value, q_lo, q_hi = np.quantile(samples, [p, lo, hi], overwrite_input=True)
     se = float((q_hi - q_lo) / 2.0) if hi > lo else 0.0
-    return value, se
+    return float(value), se
 
 
 def improved_threshold(query: ThresholdQuery) -> ThresholdResult:

@@ -4,6 +4,7 @@ import numpy as np
 
 from lrdshift import LrdModel, Pyramid, TimeSeries, fgn_acf, substream
 from lrdshift.detect import DetectionResult, Interval, expand_levels
+from lrdshift.thresholds import _CHUNK
 
 
 def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
@@ -59,6 +60,17 @@ def flags_to_intervals_per_flag(result: DetectionResult, gap_tolerance: int = 0)
     return intervals
 
 
+def pvalue_map_per_cell(pyramid: Pyramid) -> np.ndarray:
+    """The (M, n) map cell by cell from :func:`column_at`: ``2 ndtr(-|v|)``, NaN where absent."""
+    from scipy.special import ndtr
+
+    out = np.full((pyramid.config.num_scales, len(pyramid.levels[0])), np.nan)
+    for t in range(1, out.shape[1] + 1):
+        for k, value in column_at(pyramid, t):
+            out[k - 1, t - 1] = 2.0 * ndtr(-abs(value))
+    return out
+
+
 def write_pvalue_csv_per_cell(path, pvalues: np.ndarray) -> None:
     """The map CSV written cell by cell: ``repr(float(p))``, empty for NaN."""
     num_scales, n = pvalues.shape
@@ -84,3 +96,30 @@ def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
     values = factor @ substream(seed).standard_normal(n)
     return TimeSeries(values)
 
+
+def max_abs_gaussian_samples_per_chunk(factor: np.ndarray, reps: int, seed, shift=None) -> np.ndarray:
+    """``max_k |Z_k|`` drawn one whole ``_CHUNK`` of replicates per substream at a time."""
+    m = factor.shape[0]
+    out = np.empty(reps)
+    done = 0
+    chunk_index = 0
+    while done < reps:
+        size = min(_CHUNK, reps - done)
+        g = substream(seed, chunk_index).standard_normal((size, m))
+        z = g @ factor.T
+        if shift is not None:
+            z += shift
+        out[done : done + size] = np.abs(z).max(axis=1)
+        done += size
+        chunk_index += 1
+    return out
+
+
+def quantile_with_se_two_calls(samples: np.ndarray, p: float) -> tuple[float, float]:
+    """The quantile and its SE band from two copying ``np.quantile`` calls."""
+    value = float(np.quantile(samples, p))
+    h = np.sqrt(p * (1.0 - p) / len(samples))
+    lo = max(p - h, 0.0)
+    hi = min(p + h, 1.0)
+    q_lo, q_hi = np.quantile(samples, [lo, hi])
+    return value, float((q_hi - q_lo) / 2.0) if hi > lo else 0.0

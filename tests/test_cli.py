@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -17,10 +18,11 @@ from hypothesis import strategies as st
 
 from lrdshift import (
     LrdModel, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
-    pvalue_map, synthesize_fgn,
+    synthesize_fgn,
 )
+from lrdshift.detect import pvalue_rows
 from lrdshift.cli import _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv
-from oracles import write_pvalue_csv_per_cell
+from oracles import pvalue_map_per_cell, write_pvalue_csv_per_cell
 
 
 def run(argv):
@@ -233,9 +235,23 @@ class TestDetectCommand:
                     "--out-flags", str(tmp_path / "f.json"), "--out-map", str(map_path)]) == 0
         build = build_nowa if method == "nowa" else build_swa
         pyramid = build(x, ScaleConfig(base=int(base), num_scales=int(scales), hurst=0.9))
-        write_pvalue_csv_per_cell(expected, pvalue_map(pyramid))
+        write_pvalue_csv_per_cell(expected, pvalue_map_per_cell(pyramid))
         assert map_path.read_bytes() == expected.read_bytes()
         assert b",," in expected.read_bytes()  # the case includes absent cells
+
+    def test_map_is_written_in_bounded_memory(self, tmp_path):
+        """An M = 15, n = 2^16 map written row by row from its pyramid holds
+        one row and its text, not the (M, n) matrix (7.5 MiB) and its temporaries."""
+        import scipy.special  # noqa: F401  (its import is not the map's working set)
+
+        pyramid = build_swa(np.random.default_rng(0).standard_normal(1 << 16), ScaleConfig(2, 15, 0.9))
+        tracemalloc.start()
+        try:
+            write_pvalue_csv(tmp_path / "map.csv", pvalue_rows(pyramid))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     def test_missing_hurst_exits_2(self, tmp_path, spiked_series):
         inp, _ = spiked_series
@@ -285,15 +301,16 @@ class TestDetectCommand:
 
     def test_flags_only_run_never_builds_the_map(self, tmp_path, spiked_series, monkeypatch):
         def refuse(pyramid):
-            raise AssertionError("p-value map built without --out-map")
+            raise AssertionError("refused map function called")
 
         inp, _ = spiked_series
         # The package re-exports the function `detect`, which shadows the module name.
         detect_module = importlib.import_module("lrdshift.detect")
-        monkeypatch.setattr(detect_module, "pvalue_map", refuse)
-        monkeypatch.setattr("lrdshift.cli.pvalue_map", refuse)
+        monkeypatch.setattr(detect_module, "pvalue_rows", refuse)
+        monkeypatch.setattr("lrdshift.cli.pvalue_rows", refuse)
         assert run(self.detect_args(inp, tmp_path / "f.json")) == 0
         monkeypatch.undo()
+        # With --out-map the rows are written one at a time; the matrix form is never built.
         monkeypatch.setattr(detect_module, "pvalue_map", refuse)
         map_path = tmp_path / "map.csv"
         assert run(self.detect_args(inp, tmp_path / "f.json", extra=["--out-map", str(map_path)])) == 0

@@ -12,6 +12,7 @@ from lrdshift import (
     DetectionResult,
     LrdModel,
     ScaleConfig,
+    StreamState,
     asymptotic_threshold,
     build_nowa,
     build_swa,
@@ -25,7 +26,10 @@ from lrdshift import (
     ThresholdQuery,
 )
 from lrdshift.detect import Interval, expand_levels
-from oracles import column_at, dense_detect, flags_to_intervals_per_flag
+from oracles import column_at, dense_detect, flags_to_intervals_per_flag, pvalue_map_per_cell
+
+# Window sums of these overflow to inf, and to NaN where they meet (inf - inf).
+HUGE = [1e308, -1e308, 1.5e308, -1.5e308, 8e307, -8e307]
 
 
 def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, base=2):
@@ -214,7 +218,62 @@ class TestDetect:
         assert abs(np.mean(rates) - alpha) < 0.02, f"rate {np.mean(rates):.4f}"
 
 
+class TestOverflowingWindows:
+    """A window whose sum is ``inf - inf`` (NaN) is skipped like an absent one."""
+
+    X = np.array([1e308, 1e308, -1e308, -1e308] + [0.5] * 12)
+    CONFIG = ScaleConfig(base=2, num_scales=3, hurst=0.5)
+
+    def test_nan_window_hides_no_other_scale(self):
+        """swa flags 1-7 as the stream does, and nowa flags 1-4, where scale
+        1 holds 1e308.  The pyramid's overflow warnings reach the caller."""
+        stream = StreamState(self.CONFIG)
+        pushed = [stream.push(v) for v in self.X]
+        with pytest.warns(RuntimeWarning) as caught:
+            swa = detect(self.X, DetectionConfig(self.CONFIG, 2.5, "swa"))
+            nowa = detect(self.X, DetectionConfig(self.CONFIG, 2.5, "nowa"))
+        messages = " ".join(str(w.message) for w in caught)
+        assert "overflow" in messages and "invalid value" in messages
+        assert swa.flags.tolist() == [1, 2, 3, 4, 5, 6, 7]
+        assert swa.statistic.tolist() == [statistic for statistic, _ in pushed]
+        assert swa.argmax_scale.tolist() == [scale for _, scale in pushed[:7]]
+        assert nowa.flags.tolist() == [1, 2, 3, 4]
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(st.one_of(st.sampled_from(HUGE), st.floats(-3.0, 3.0)), min_size=27, max_size=60),
+        base=st.sampled_from([2, 3]),
+        num_scales=st.integers(1, 4),
+        hurst=st.sampled_from([0.5, 0.8, 1.0]),
+    )
+    def test_swa_equals_stream_and_nowa_flags_every_huge_sample(self, values, base, num_scales, hurst):
+        config = ScaleConfig(base=base, num_scales=num_scales, hurst=hurst)
+        x = np.array(values)
+        stream = StreamState(config)
+        pushed = [stream.push(v) for v in values]
+        swa = detect(x, DetectionConfig(config, 2.5, "swa"))
+        assert swa.statistic.tolist() == [statistic for statistic, _ in pushed]
+        assert swa.flags.tolist() == [i for i, (statistic, _) in enumerate(pushed, start=1) if statistic > 2.5]
+        assert swa.argmax_scale.tolist() == [pushed[i - 1][1] for i in swa.flags]
+        nowa = detect(x, DetectionConfig(config, 2.5, "nowa"))
+        assert set(np.flatnonzero(np.abs(x) > 2.5) + 1) <= set(nowa.flags.tolist())
+
+
 class TestPvalueMap:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base,num_scales,n", [(2, 6, 1000), (3, 5, 500)])
+    def test_matches_per_cell_oracle_exactly(self, method, base, num_scales, n):
+        """Bit for bit, with absent cells and an overflowed (NaN) window."""
+        x = synthesize_fgn(LrdModel(0.8), n, seed=8).values
+        x[100:104] = [1e308, 1e308, -1e308, -1e308]
+        build = build_nowa if method == "nowa" else build_swa
+        pyramid = build(x, ScaleConfig(base=base, num_scales=num_scales, hurst=0.8))
+        expected = pvalue_map_per_cell(pyramid)
+        assert np.isnan(expected[1:, 100:]).any() and not np.isnan(expected[0]).any()
+        assert np.array_equal(pvalue_map(pyramid), expected, equal_nan=True)
+
     def test_zero_cell_has_pvalue_one(self):
         pyramid = build_nowa(np.zeros(16), ScaleConfig(2, 3, 0.5))
         assert pvalue_map(pyramid)[0, 0] == pytest.approx(1.0)

@@ -5,6 +5,8 @@ and against brute-force enumeration oracles; Monte-Carlo outputs are
 checked against exact bivariate-normal quadrature where available.
 """
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -28,6 +30,14 @@ from lrdshift import (
     single_scale_threshold,
     two_scale_expansion,
 )
+from lrdshift.thresholds import (
+    _BLOCK,
+    _CHUNK,
+    _corr_factor,
+    _max_abs_gaussian_samples,
+    _quantile_with_se,
+)
+from oracles import max_abs_gaussian_samples_per_chunk, quantile_with_se_two_calls
 
 mp.mp.dps = 30
 
@@ -220,6 +230,41 @@ class TestImprovedThreshold:
     def test_result_requires_positive_value(self):
         with pytest.raises(ValueError):
             ThresholdResult(value=0.0, kind="asymptotic")
+
+
+class TestBlockedSampling:
+    """The row-blocked replicate loop against one product per substream chunk."""
+
+    # Neither a multiple of the chunk nor of the block; the second leaves a
+    # one-row remainder after the last full block of the second chunk.
+    @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + _BLOCK + 1])
+    @pytest.mark.parametrize("num_scales,hurst,shifted", [(15, 0.9, False), (2, 0.8, True), (6, 0.5, True)])
+    def test_equals_per_chunk_draws_bit_for_bit(self, reps, num_scales, hurst, shifted):
+        """Also with ``shift``, the ``power_two_scale`` path."""
+        factor = _corr_factor(scale_cov_matrix(hurst, 2, num_scales))
+        shift = np.linspace(0.5, 2.0, num_scales) if shifted else None
+        blocked = _max_abs_gaussian_samples(factor, reps, 11, shift=shift)
+        expected = max_abs_gaussian_samples_per_chunk(factor, reps, 11, shift=shift)
+        assert np.array_equal(blocked, expected)
+
+    @pytest.mark.parametrize("p", [0.95, 0.5, 0.999])
+    def test_one_quantile_call_equals_two(self, p):
+        factor = _corr_factor(scale_cov_matrix(0.9, 2, 15))
+        samples = max_abs_gaussian_samples_per_chunk(factor, 10**5 + 7, 12)
+        expected = quantile_with_se_two_calls(samples, p)
+        assert _quantile_with_se(samples, p) == expected
+
+    def test_threshold_working_set_is_bounded(self):
+        """The samples (8 B per replicate) and two fixed blocks, not
+        (chunk x m) temporaries or copies for the quantiles."""
+        query = ThresholdQuery(alpha=0.05, num_scales=15, hurst=0.9)
+        tracemalloc.start()
+        try:
+            improved_threshold(query)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestTwoScaleExpansion:
