@@ -15,6 +15,7 @@ same flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -35,6 +36,8 @@ __all__ = ["main"]
 # threshold for the max over scales, so only ``threshold`` offers it.
 _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single": "single_scale"}
 
+_SLICE = 1 << 12  # values the writers format at a time
+
 
 def read_series(path, column: int | None = None) -> np.ndarray:
     """Parse a series file: one value per line, or a CSV column.
@@ -44,13 +47,13 @@ def read_series(path, column: int | None = None) -> np.ndarray:
     is used; other fields (e.g. timestamps) are ignored.  A malformed or
     non-finite value is an error naming its line.
 
-    A seekable file is parsed in C by ``np.loadtxt`` first.  Its result is
-    used only when it is non-empty and all finite; otherwise, when loadtxt
-    rejects the text, or for a pipe, the file is parsed line by line with
-    ``float()``.  That per-line parser decides which text is accepted
-    (``float()`` also takes ``1_000`` and whitespace-only lines are
-    skipped) and words every error, so both paths return the same array
-    or raise the same message.
+    A seekable file is parsed in C by ``np.loadtxt`` first, without its
+    whitespace-only lines.  Its result is used only when it is non-empty
+    and all finite; otherwise, when loadtxt rejects the text, or for a
+    pipe, the file is parsed line by line with ``float()``.  That
+    per-line parser decides which text is accepted (``float()`` also takes
+    ``1_000`` and whitespace-only lines are skipped) and words every error,
+    so both paths return the same array or raise the same message.
     """
     if column is not None and column < 1:
         raise ValueError("--column is 1-based and must be >= 1")
@@ -81,23 +84,28 @@ def _load_series(fh, column: int | None) -> np.ndarray | None:
     """The values of a seekable text file as ``np.loadtxt`` parses them.
 
     Returns None unless loadtxt parses the file into one non-empty, all
-    finite column of values.
+    finite column of values.  loadtxt rejects a whitespace-only line, which
+    the per-line parser skips as blank, so a file it rejects is parsed once
+    more without those lines; a header is only ever line 1, which is not
+    blank.  A clean file is read once, straight from ``fh``.
     """
+    options = {"delimiter": ",", "comments": None, "ndmin": 2,
+               "usecols": None if column is None else column - 1}
     try:
-        header = _is_header(fh.readline().strip(), column)
-        fh.seek(0)
-        options = {"delimiter": ",", "comments": None, "skiprows": int(header)}
+        options["skiprows"] = int(_is_header(fh.readline().strip(), column))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            if column is not None:
-                series = np.loadtxt(fh, usecols=column - 1, ndmin=1, **options)
-            else:
-                table = np.loadtxt(fh, ndmin=2, **options)
-                if table.shape[1] != 1:
-                    return None  # a row like ``3,4`` is not one value
-                series = table[:, 0]
+            fh.seek(0)
+            try:
+                table = np.loadtxt(fh, **options)
+            except ValueError:
+                fh.seek(0)
+                table = np.loadtxt(itertools.filterfalse(str.isspace, fh), **options)
     except ValueError:  # UnicodeDecodeError included
         return None
+    if table.shape[1] != 1:
+        return None  # without a column, a row like ``3,4`` is not one value
+    series = table[:, 0]
     return series if len(series) and np.isfinite(series).all() else None
 
 
@@ -133,9 +141,10 @@ def _parse_lines(fh, path, column: int | None) -> np.ndarray:
 
 
 def write_series(path, values: np.ndarray) -> None:
+    """One ``repr`` of a float per line, formatted ``_SLICE`` values at a time."""
     with open(path, "w") as fh:
-        for v in values:
-            fh.write(repr(float(v)) + "\n")
+        for lo in range(0, len(values), _SLICE):
+            fh.write("\n".join(map(repr, values[lo:lo + _SLICE].tolist())) + "\n")
 
 
 def write_pvalue_csv(path, pvalues) -> None:
@@ -144,16 +153,23 @@ def write_pvalue_csv(path, pvalues) -> None:
     ``pvalues`` is the (M, n) map or any iterable of its rows as 1-D arrays,
     scale 1 first, such as :func:`~lrdshift.detect.pvalue_rows`.  A cell holds
     ``repr`` of its p-value, or nothing where the cell is absent (NaN).  Each
-    row is formatted and written before the next is read, so from an
-    iterable of rows the writer holds one row and its text at a time.
+    row is written before the next is read, ``_SLICE`` cells at a time, so
+    from an iterable of rows the writer holds one row and the text of one
+    slice.
     """
     with open(path, "w") as fh:
         for k, row in enumerate(pvalues, start=1):
+            n = len(row)
             if k == 1:
-                fh.write("scale," + ",".join(map(str, range(1, len(row) + 1))) + "\n")
-            # repr of a float contains "nan" only when it is NaN.
-            cells = ",".join(map(repr, row.tolist())).replace("nan", "")
-            fh.write(f"{k},{cells}\n")
+                fh.write("scale")
+                for lo in range(1, n + 1, _SLICE):
+                    fh.write("," + ",".join(map(str, range(lo, min(lo + _SLICE, n + 1)))))
+                fh.write("\n")
+            fh.write(str(k))
+            for lo in range(0, n, _SLICE):
+                # repr of a float contains "nan" only when it is NaN.
+                fh.write("," + ",".join(map(repr, row[lo:lo + _SLICE].tolist())).replace("nan", ""))
+            fh.write("\n")
 
 
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from .detect import DetectionConfig, detect
 from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
 from .pyramid import ScaleConfig
 from .seeding import subseed, substream
-from .thresholds import ThresholdQuery, improved_threshold, single_scale_threshold
+from .thresholds import ThresholdQuery, compute_threshold, single_scale_threshold
 
 __all__ = [
     "InjectionSpec",
@@ -271,7 +271,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     regardless of how the loop is scheduled.
     """
     scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
-    critical = improved_threshold(
+    critical = compute_threshold(
         ThresholdQuery(
             alpha=config.alpha,
             num_scales=config.num_scales,
@@ -279,7 +279,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             base=config.base,
             mc_reps=config.mc_reps,
             seed=subseed(config.seed, 0),
-        )
+        ),
+        "monte_carlo",
     ).value
     detection = DetectionConfig(scale_config=scale_config, threshold=critical, method=config.method)
     result = ExperimentResult(config=config, threshold_value=critical)

@@ -16,7 +16,9 @@ takes:
 * ``monte_carlo``: the empirical ``(1 - alpha)``-quantile of ``max_k |Z_k|``
   with ``Z`` drawn from the cross-scale correlation matrix.  The threshold
   does not depend on the time position, so one simulation calibrates every
-  location.
+  location.  :func:`compute_threshold` keeps each one it computes in an
+  on-disk cache (see :func:`_cached_improved_threshold`), so a query is
+  simulated once per cache directory.
 
 Normal CDF/quantile evaluations delegate to scipy's Cephes routines
 (``ndtr``/``ndtri``, rational approximations accurate to well below 1e-9
@@ -28,7 +30,12 @@ that computes no threshold never load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+import math
+import os
+import re
+import tempfile
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +59,7 @@ __all__ = [
 
 _CHUNK = 1 << 17  # replicates per substream chunk in Monte-Carlo loops
 _BLOCK = 1 << 12  # rows drawn at a time inside a chunk (0.5 MiB per buffer at m = 15)
+_CACHE_VERSION = 1  # bump when the Monte-Carlo samples or their quantile change
 
 
 def _norm_pdf(x):
@@ -232,12 +240,112 @@ def improved_threshold(query: ThresholdQuery) -> ThresholdResult:
     return ThresholdResult(value=value, kind="monte_carlo", mc_standard_error=se)
 
 
+def _cache_key(query: ThresholdQuery) -> dict:
+    """Everything the Monte-Carlo threshold of ``query`` depends on, as JSON values.
+
+    Every field of the query enters, read with :func:`dataclasses.fields`.
+    The seed is reduced to the ``(entropy, spawn_key)`` pair that
+    :func:`~lrdshift.seeding.subseed` builds each substream from, so an int
+    seed ``s`` and ``SeedSequence(s)`` share a key; for an int seed that
+    takes no import of ``numpy.random``, which a cache hit then never loads.
+    The numpy version enters because its normal stream and ``eigh`` factor
+    may change.
+    """
+    key = {"version": _CACHE_VERSION, "chunk": _CHUNK, "numpy": np.__version__}
+    for field in fields(query):
+        value = getattr(query, field.name)
+        if field.name == "seed":
+            if isinstance(value, (int, np.integer)) and value >= 0:
+                value = [int(value), []]  # subseed's pair, without loading numpy.random
+            else:
+                seq = subseed(value)
+                value = [np.asarray(seq.entropy).tolist(), [int(k) for k in seq.spawn_key]]
+        elif isinstance(value, np.generic):
+            value = value.item()
+        key[field.name] = value
+    return key
+
+
+def _cache_dir() -> str:
+    """``$XDG_CACHE_HOME/lrdshift``, or ``~/.cache/lrdshift`` when that is unset or relative."""
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):  # the XDG spec says to ignore a relative path
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(root, "lrdshift")
+
+
+def _read_entry(path: str, key: dict) -> ThresholdResult | None:
+    """The cached result at ``path`` if it was stored for ``key`` and is valid, else None."""
+    try:
+        with open(path) as fh:
+            entry = json.load(fh)
+        value, se = entry["value"], entry["se"]
+        if entry["key"] != key:
+            return None
+    except (OSError, ValueError, TypeError, KeyError):  # unreadable, not JSON, not an entry
+        return None
+    if not (isinstance(value, float) and math.isfinite(value) and value > 0.0):
+        return None
+    if not (isinstance(se, float) and math.isfinite(se) and se >= 0.0):
+        return None
+    return ThresholdResult(value=value, kind="monte_carlo", mc_standard_error=se)
+
+
+def _write_entry(path: str, key: dict, result: ThresholdResult) -> None:
+    """Store ``result`` at ``path``, or nothing if the directory cannot be written.
+
+    The entry is written to a temporary file beside it and renamed into
+    place, so a reader sees a whole entry or none, and concurrent writers of
+    one query race only to write the same bytes.
+    """
+    entry = {"key": key, "value": result.value, "se": result.mc_standard_error}
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
+    except OSError:
+        return
+    try:
+        with os.fdopen(fd, "w") as fh:
+            json.dump(entry, fh)  # floats as repr: they read back bit for bit
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _cached_improved_threshold(query: ThresholdQuery) -> ThresholdResult:
+    """:func:`improved_threshold`, computed once per query and cache directory.
+
+    The entry is one JSON file under :func:`_cache_dir` holding the key, the
+    value and its standard error; its name is spelled from the key's values,
+    and the stored key decides a hit.  A missing, unreadable or invalid
+    entry is a miss: the threshold is computed and the entry rewritten.  A
+    cache that cannot be read or written changes neither the result nor
+    what the run prints.
+    """
+    directory = _cache_dir()
+    if not os.path.isabs(directory):  # no home directory to resolve ``~`` against
+        return improved_threshold(query)
+    key = _cache_key(query)
+    # A readable name, e.g. ``version_1_chunk_131072_..._seed_0_``; two keys
+    # that share a name only overwrite each other's entry.
+    name = re.sub(r"[^A-Za-z0-9.+-]+", "_", json.dumps(key))[:200]
+    path = os.path.join(directory, f"monte_carlo{name}.json")
+    result = _read_entry(path, key)
+    if result is None:
+        result = improved_threshold(query)
+        _write_entry(path, key, result)
+    return result
+
+
 # The threshold kinds.  The functions are looked up by name at call time, so
 # rebinding a module attribute (a test double, a tracer) takes effect here.
 _THRESHOLD_BY_KIND = {
     "single_scale": lambda query: single_scale_threshold(query.alpha),
     "asymptotic": lambda query: asymptotic_threshold(query.alpha, query.num_scales),
-    "monte_carlo": lambda query: improved_threshold(query),
+    "monte_carlo": lambda query: _cached_improved_threshold(query),
 }
 
 

@@ -21,7 +21,10 @@ from lrdshift import (
     synthesize_fgn,
 )
 from lrdshift.detect import pvalue_rows
-from lrdshift.cli import _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv
+from lrdshift.cli import (
+    _SLICE, _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv,
+    write_series,
+)
 from oracles import pvalue_map_per_cell, write_pvalue_csv_per_cell
 
 
@@ -43,9 +46,9 @@ MOMENT_ERRORS = [
 ]
 
 
-# Imports the CLI, runs it on argv and stdin, and prints its exit code and
-# the scipy modules loaded after the import and after the run as the last
-# stdout line.
+# Imports the CLI, runs it on argv and stdin, and prints its exit code, the
+# scipy modules loaded after the import and after the run, and every module
+# loaded after the run, as the last stdout line.
 SCIPY_PROBE = """
 import json, sys
 def scipy_modules():
@@ -53,19 +56,23 @@ def scipy_modules():
 from lrdshift.cli import main
 after_import = scipy_modules()
 code = main(sys.argv[1:])
-print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy_modules()}))
+print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy_modules(),
+                  "modules": sorted(sys.modules)}))
 """
+
+
+def python_with_lrdshift(code, *argv, stdin=""):
+    """Runs ``python -c code *argv`` with lrdshift importable; returns the completed process."""
+    src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          input=stdin, capture_output=True, text=True, env=env, timeout=120)
 
 
 def run_probe(argv, stdin=""):
     """Runs SCIPY_PROBE in a fresh interpreter; returns (stdout lines before the probe, probe)."""
-    src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    completed = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
-    )
+    completed = python_with_lrdshift(SCIPY_PROBE, *argv, stdin=stdin)
     assert completed.returncode == 0, completed.stderr
     assert completed.stderr == ""
     *lines, probe = completed.stdout.splitlines()
@@ -349,6 +356,64 @@ class TestDetectCommand:
         assert [m for m in result["after_run"] if m in ("scipy.special", "scipy.linalg")] == loaded
         assert bool(result["after_run"]) == bool(loaded), result["after_run"]
 
+    def test_warm_run_loads_nothing_new_and_no_hashlib(self, tmp_path, spiked_series,
+                                                       threshold_cache):
+        """A run that reads its threshold from the cache loads no module the
+        run that wrote it did not, and neither numpy.random nor hashlib.  The
+        run that wrote it loads beyond that only what the simulation itself
+        does (numpy.random, which loads hashlib through ``secrets``, and
+        numpy.ma for the quantile).  Both write nothing to stderr
+        (``run_probe`` checks that)."""
+        inp, _ = spiked_series
+        argv = ["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--mc-reps", "10000",
+                "--out-flags", str(tmp_path / "f.json")]
+        _, cold = run_probe(argv)
+        assert len(list(threshold_cache.iterdir())) == 1
+        cold_flags = (tmp_path / "f.json").read_bytes()
+        _, warm = run_probe(argv)
+        assert (tmp_path / "f.json").read_bytes() == cold_flags
+        assert cold["code"] == warm["code"] == 0
+        assert "hashlib" not in warm["modules"] and "numpy.random" not in warm["modules"]
+        assert set(warm["modules"]) <= set(cold["modules"])
+        simulation = python_with_lrdshift(
+            "import json, sys, lrdshift.cli\n"
+            "from lrdshift.thresholds import ThresholdQuery, improved_threshold\n"
+            "improved_threshold(ThresholdQuery(0.05, 6, 0.9, mc_reps=10**4))\n"
+            "print(json.dumps(sorted(sys.modules)))")
+        assert set(cold["modules"]) - set(warm["modules"]) <= set(json.loads(simulation.stdout))
+
+    @pytest.mark.parametrize("broken", ["regular-file", "read-only-directory"])
+    def test_unusable_cache_changes_nothing(self, tmp_path, spiked_series, monkeypatch, capfd,
+                                            broken):
+        """A cache directory that cannot be created or written is skipped:
+        the run exits 0 with the same bytes and writes nothing to stderr."""
+        inp, _ = spiked_series
+        argv = ["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--mc-reps", "10000",
+                "--method", "swa"]
+        expected = tmp_path / "expected.json"
+        assert run([*argv, "--out-flags", str(expected)]) == 0
+        cache_home = tmp_path / "broken-cache"
+        if broken == "regular-file":
+            cache_home.write_text("not a directory\n")
+        else:
+            (cache_home / "lrdshift").mkdir(parents=True)
+            (cache_home / "lrdshift").chmod(0o555)
+            if os.geteuid() == 0:  # root writes through the mode bits: fail the write itself
+
+                def refuse(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+
+                monkeypatch.setattr("lrdshift.thresholds.tempfile.mkstemp", refuse)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache_home))
+        capfd.readouterr()
+        for attempt in range(2):
+            got = tmp_path / f"got{attempt}.json"
+            assert run([*argv, "--out-flags", str(got)]) == 0
+            assert got.read_bytes() == expected.read_bytes()
+        assert capfd.readouterr().err == ""
+        if broken == "read-only-directory":
+            assert list((cache_home / "lrdshift").iterdir()) == []
+
     def test_null_flag_rate_over_scripted_loop(self, tmp_path):
         """Flag count / n on clean background fixtures stays in the
         Monte-Carlo band around alpha across a seeded loop of runs."""
@@ -384,7 +449,7 @@ READ_SERIES_FIXTURES = [
     ("extra-fields", b"1,2,3\n4,5\n", 2, True),
     ("hash-header", b"#value\n1\n2\n", None, True),
     ("short-header", b"value\n1,2\n3,4\n", 2, True),
-    ("whitespace-only-line", b"1\n   \n2\n", None, False),
+    ("whitespace-only-line", b"1\n   \n2\n", None, True),
     ("underscore", b"1_000\n2\n", None, False),
     ("underscore-in-column", b"t,v\n1,1_000\n2,3\n", 2, False),
     ("hash", b"1\n#2\n3\n", None, False),
@@ -461,6 +526,24 @@ class TestReadSeries:
         path = tmp_path / "fuzz.csv"
         path.write_text("\n".join(lines))
         assert outcome(read_series, path, column) == outcome(parse_lines, path, column)
+
+    @pytest.mark.parametrize("text,column", [
+        (" \n\t\n1.5\n-2\n \n\n3e-3\n\r\n4\n \n", None),
+        ("t,bytes\n \n1,10\n2,20\n\t\n3,30\n4,40\n  \n", 2),
+    ], ids=["plain", "header-and-column"])
+    def test_blank_lines_stay_on_the_c_path(self, tmp_path, monkeypatch, text, column):
+        """Whitespace-only lines at the start, in the middle and at the end
+        are dropped before loadtxt, which then parses the file: the per-line
+        parser is never called and its values are returned."""
+        path = tmp_path / "blanks.csv"
+        path.write_text(text)
+        expected = parse_lines(path, column).tolist()
+
+        def refuse(*args):
+            raise AssertionError("the per-line parser was used")
+
+        monkeypatch.setattr("lrdshift.cli._parse_lines", refuse)
+        assert read_series(path, column).tolist() == expected
 
     def test_reads_a_pipe_once(self, tmp_path):
         """A FIFO cannot be rewound, so it goes to the per-line parser unread."""
@@ -542,6 +625,39 @@ class TestMapCsvWriter:
         write_pvalue_csv_per_cell(slow, pvalues)
         assert fast.read_bytes() == slow.read_bytes()
         assert fast.read_text().splitlines()[1] == "1,,0.0,1.0,5e-324,1e-300,1e-05,0.1,0.30000000000000004"
+
+
+    def test_rows_longer_than_a_slice(self, tmp_path):
+        """Rows are written in slices of cells: the bytes equal the per-cell
+        writer's, with absent cells on both sides of each slice boundary."""
+        n = 2 * _SLICE + 3
+        row = np.random.default_rng(5).uniform(size=n)
+        row[[0, _SLICE - 1, _SLICE, 2 * _SLICE, n - 1]] = np.nan
+        pvalues = np.array([row, row[::-1]])
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_pvalue_csv(fast, pvalues)
+        write_pvalue_csv_per_cell(slow, pvalues)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    def test_one_long_row_is_written_in_bounded_memory(self, tmp_path):
+        """A 2^18-cell row peaks below 2 MiB above the row itself (the
+        whole row's text took 27 MiB)."""
+        row = np.random.default_rng(6).uniform(size=1 << 18)
+        tracemalloc.start()
+        try:
+            write_pvalue_csv(tmp_path / "row.csv", [row])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+class TestWriteSeries:
+    def test_bytes_match_one_repr_per_line(self, tmp_path):
+        values = np.random.default_rng(7).standard_normal(_SLICE + 3)
+        path = tmp_path / "series.txt"
+        write_series(path, values)
+        assert path.read_text() == "".join(repr(float(v)) + "\n" for v in values)
 
 
 class TestThresholdCommand:

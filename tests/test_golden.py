@@ -2,6 +2,9 @@
 
 Each expected value is the first 16 hex digits of the output file's sha256.
 A change that alters one of them changes a seeded result and must say so.
+Each command that computes a Monte-Carlo threshold runs twice in one cache
+directory: first cold, then from the cached threshold, with the simulation
+refused.  Both runs must give the pinned bytes.
 """
 
 import hashlib
@@ -14,6 +17,17 @@ from lrdshift.cli import main
 
 def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
+
+
+def refuse_improved_threshold(query):
+    raise AssertionError("the second run computed the Monte-Carlo threshold again")
+
+
+def cold_and_warm(monkeypatch, run):
+    """The result of ``run()`` without a cached threshold, then with one."""
+    cold = run()
+    monkeypatch.setattr("lrdshift.thresholds.improved_threshold", refuse_improved_threshold)
+    return cold, run()
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +43,15 @@ def test_synth(workdir):
     assert digest((workdir / "trace.txt").read_bytes()) == "b49a884a638b69a4"
 
 
-def test_detect_swa_improved(workdir):
+def test_detect_swa_improved(workdir, monkeypatch):
     flags = workdir / "d_swa_imp.json"
-    code = main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method", "swa",
-                 "--scales", "12", "--seed", "1", "--out-flags", str(flags)])
-    assert code == 0
-    assert digest(flags.read_bytes()) == "bf991ccb1a524b7c"
+
+    def run():
+        code = main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method",
+                     "swa", "--scales", "12", "--seed", "1", "--out-flags", str(flags)])
+        return code, digest(flags.read_bytes())
+
+    assert cold_and_warm(monkeypatch, run) == ((0, "bf991ccb1a524b7c"),) * 2
 
 
 def test_detect_nowa_asymptotic(workdir):
@@ -50,16 +67,20 @@ def test_detect_nowa_asymptotic(workdir):
     (["--kind", "asymptotic", "--scales", "12"], "6d05266d6e53714c"),
     (["--kind", "single", "--scales", "12"], "58b09177c32090ca"),
 ])
-def test_threshold(argv, expected, capsys):
-    assert main(["threshold", *argv]) == 0
-    assert digest(capsys.readouterr().out.encode()) == expected
+def test_threshold(argv, expected, capsys, monkeypatch):
+    def run():
+        return main(["threshold", *argv]), digest(capsys.readouterr().out.encode())
+
+    assert cold_and_warm(monkeypatch, run) == ((0, expected),) * 2
 
 
 def test_stream_monte_carlo(workdir, monkeypatch, capsys):
-    monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
-    code = main(["stream", "--hurst", "0.9", "--scales", "10", "--seed", "2"])
-    assert code == 0
-    assert digest(capsys.readouterr().out.encode()) == "004c64cb837b7e52"
+    def run():
+        monkeypatch.setattr("sys.stdin", io.StringIO((workdir / "trace.txt").read_text()))
+        code = main(["stream", "--hurst", "0.9", "--scales", "10", "--seed", "2"])
+        return code, digest(capsys.readouterr().out.encode())
+
+    assert cold_and_warm(monkeypatch, run) == ((0, "004c64cb837b7e52"),) * 2
 
 
 def test_stream_jsonl(workdir, monkeypatch, capsys):
@@ -78,11 +99,14 @@ def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
     assert digest(capsys.readouterr().out.encode()) == "0ff996caa7675884"
 
 
-def test_eval(tmp_path):
+def test_eval(tmp_path, monkeypatch):
     prefix = tmp_path / "ev"
-    code = main(["eval", "--sets", "2", "--sims", "3", "--n", "2048", "--hurst", "0.8",
-                 "--scales", "8", "--mc-reps", "20000", "--start-range", "1024",
-                 "--duration-mean", "100", "--seed", "4", "--out", str(prefix)])
-    assert code == 0
-    assert digest(prefix.with_suffix(".csv").read_bytes()) == "f0d1b6108aef6421"
-    assert digest(prefix.with_suffix(".json").read_bytes()) == "f07d0eeae4a252a0"
+
+    def run():
+        code = main(["eval", "--sets", "2", "--sims", "3", "--n", "2048", "--hurst", "0.8",
+                     "--scales", "8", "--mc-reps", "20000", "--start-range", "1024",
+                     "--duration-mean", "100", "--seed", "4", "--out", str(prefix)])
+        return (code, digest(prefix.with_suffix(".csv").read_bytes()),
+                digest(prefix.with_suffix(".json").read_bytes()))
+
+    assert cold_and_warm(monkeypatch, run) == ((0, "f0d1b6108aef6421", "f07d0eeae4a252a0"),) * 2

@@ -5,6 +5,8 @@ and against brute-force enumeration oracles; Monte-Carlo outputs are
 checked against exact bivariate-normal quadrature where available.
 """
 
+import dataclasses
+import json
 import tracemalloc
 
 import mpmath as mp
@@ -30,6 +32,7 @@ from lrdshift import (
     single_scale_threshold,
     two_scale_expansion,
 )
+from lrdshift.seeding import subseed
 from lrdshift.thresholds import (
     _BLOCK,
     _CHUNK,
@@ -265,6 +268,103 @@ class TestBlockedSampling:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def count_calls(monkeypatch):
+    """Counts the calls of ``improved_threshold`` behind ``compute_threshold``."""
+    calls = []
+    original = improved_threshold
+
+    def counted(query):
+        calls.append(query)
+        return original(query)
+
+    monkeypatch.setattr("lrdshift.thresholds.improved_threshold", counted)
+    return calls
+
+
+def refuse_improved_threshold(query):
+    raise AssertionError("the Monte-Carlo threshold was computed again")
+
+
+# A different value for each field of ThresholdQuery; a new field needs one.
+CHANGED_FIELD = {"alpha": 0.1, "num_scales": 4, "hurst": 0.8, "base": 3, "mc_reps": 10**4 + 1,
+                 "seed": subseed(0, 1)}
+
+
+class TestThresholdCache:
+    """compute_threshold's on-disk cache of the Monte-Carlo kind."""
+
+    QUERY = ThresholdQuery(alpha=0.05, num_scales=3, hurst=0.7, mc_reps=10**4, seed=0)
+
+    @pytest.mark.parametrize("seed", [5, subseed(4, 0)], ids=["int", "subseed"])
+    def test_warm_equals_cold_bit_for_bit(self, seed, monkeypatch, threshold_cache):
+        query = dataclasses.replace(self.QUERY, seed=seed)
+        cold = compute_threshold(query, "monte_carlo")
+        assert cold == improved_threshold(query)
+        assert len(list(threshold_cache.iterdir())) == 1
+        monkeypatch.setattr("lrdshift.thresholds.improved_threshold", refuse_improved_threshold)
+        warm = compute_threshold(query, "monte_carlo")
+        assert warm.value.hex() == cold.value.hex() and warm.kind == "monte_carlo"
+        assert warm.mc_standard_error.hex() == cold.mc_standard_error.hex()
+
+    def test_int_seed_and_its_seed_sequence_share_an_entry(self, monkeypatch):
+        cold = compute_threshold(dataclasses.replace(self.QUERY, seed=9), "monte_carlo")
+        monkeypatch.setattr("lrdshift.thresholds.improved_threshold", refuse_improved_threshold)
+        same = dataclasses.replace(self.QUERY, seed=np.random.SeedSequence(9))
+        assert compute_threshold(same, "monte_carlo") == cold
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ThresholdQuery)])
+    def test_changing_one_field_is_a_miss(self, name, monkeypatch):
+        compute_threshold(self.QUERY, "monte_carlo")
+        calls = count_calls(monkeypatch)
+        changed = dataclasses.replace(self.QUERY, **{name: CHANGED_FIELD[name]})
+        assert compute_threshold(changed, "monte_carlo") == improved_threshold(changed)
+        assert calls == [changed]
+        compute_threshold(self.QUERY, "monte_carlo")
+        assert calls == [changed]  # the first entry is still there
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda text, entry: text[: len(text) // 2],
+        lambda text, entry: "not json",
+        lambda text, entry: "[]",
+        lambda text, entry: json.dumps({**entry, "key": {**entry["key"], "num_scales": 4}}),
+        lambda text, entry: json.dumps({**entry, "value": float("nan")}),
+        lambda text, entry: json.dumps({**entry, "value": float("inf")}),
+        lambda text, entry: json.dumps({**entry, "value": 0.0}),
+        lambda text, entry: json.dumps({**entry, "value": -entry["value"]}),
+        lambda text, entry: json.dumps({**entry, "value": str(entry["value"])}),
+        lambda text, entry: json.dumps({**entry, "se": -1e-3}),
+        lambda text, entry: json.dumps({**entry, "se": float("nan")}),
+        lambda text, entry: json.dumps({key: v for key, v in entry.items() if key != "se"}),
+    ], ids=["truncated", "not-json", "not-an-object", "wrong-key", "value-nan", "value-inf",
+            "value-zero", "value-negative", "value-string", "se-negative", "se-nan", "no-se"])
+    def test_invalid_entry_is_recomputed_and_rewritten(self, corrupt, monkeypatch, threshold_cache):
+        cold = compute_threshold(self.QUERY, "monte_carlo")
+        (path,) = threshold_cache.iterdir()
+        good = path.read_text()
+        path.write_text(corrupt(good, json.loads(good)))
+        calls = count_calls(monkeypatch)
+        assert compute_threshold(self.QUERY, "monte_carlo") == cold
+        assert len(calls) == 1
+        assert path.read_text() == good
+        assert [p.name for p in threshold_cache.iterdir()] == [path.name]  # no temporary left
+
+    def test_relative_cache_home_falls_back_to_home(self, tmp_path, monkeypatch):
+        """The XDG spec says a relative ``XDG_CACHE_HOME`` is ignored."""
+        monkeypatch.chdir(tmp_path)
+        for value in ("relative/cache", ""):
+            monkeypatch.setenv("XDG_CACHE_HOME", value)
+            compute_threshold(self.QUERY, "monte_carlo")
+        monkeypatch.delenv("XDG_CACHE_HOME")
+        compute_threshold(self.QUERY, "monte_carlo")
+        assert not (tmp_path / "relative").exists()
+        assert len(list((tmp_path / "home" / ".cache" / "lrdshift").iterdir())) == 1
+
+    def test_closed_forms_are_not_cached(self, threshold_cache):
+        compute_threshold(self.QUERY, "asymptotic")
+        compute_threshold(self.QUERY, "single_scale")
+        assert not threshold_cache.exists()
 
 
 class TestTwoScaleExpansion:
