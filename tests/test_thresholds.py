@@ -314,6 +314,13 @@ class TestThresholdCache:
         same = dataclasses.replace(self.QUERY, seed=np.random.SeedSequence(9))
         assert compute_threshold(same, "monte_carlo") == cold
 
+    def test_numpy_scalars_share_the_entry_of_python_numbers(self, monkeypatch):
+        cold = compute_threshold(self.QUERY, "monte_carlo")
+        monkeypatch.setattr("lrdshift.thresholds.improved_threshold", refuse_improved_threshold)
+        same = dataclasses.replace(self.QUERY, num_scales=np.int64(3), hurst=np.float64(0.7),
+                                   mc_reps=np.int32(10**4), seed=np.uint8(0))
+        assert compute_threshold(same, "monte_carlo") == cold
+
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(ThresholdQuery)])
     def test_changing_one_field_is_a_miss(self, name, monkeypatch):
         compute_threshold(self.QUERY, "monte_carlo")
