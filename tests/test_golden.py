@@ -110,3 +110,22 @@ def test_eval(tmp_path, monkeypatch):
                 digest(prefix.with_suffix(".json").read_bytes()))
 
     assert cold_and_warm(monkeypatch, run) == ((0, "f0d1b6108aef6421", "f07d0eeae4a252a0"),) * 2
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["--scales", "8", "--method", "nowa", "--seed", "4"],
+     ("7a4c47d34de13e62", "8ad2ebb2a61c46db")),
+    (["--scales", "6", "--base", "3", "--seed", "5"],
+     ("cd3d54f37d6bc7fe", "f79054760aa1e720")),
+])
+def test_eval_layout(argv, expected, tmp_path, monkeypatch):
+    prefix = tmp_path / "ev"
+
+    def run():
+        code = main(["eval", "--sets", "2", "--sims", "3", "--n", "2048", "--hurst", "0.8",
+                     "--mc-reps", "20000", "--start-range", "1024", "--duration-mean", "100",
+                     *argv, "--out", str(prefix)])
+        return (code, digest(prefix.with_suffix(".csv").read_bytes()),
+                digest(prefix.with_suffix(".json").read_bytes()))
+
+    assert cold_and_warm(monkeypatch, run) == ((0, *expected),) * 2
