@@ -167,6 +167,42 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
     return out
 
 
+def _fold_buffers(method: str, lengths: list[int]) -> list[np.ndarray]:
+    """Arrays for :func:`_max_over_scales` over levels of the given lengths.
+
+    ``nowa`` holds the magnitudes of two adjacent levels at once, so each
+    level gets its own array; ``swa`` folds one level at a time, so every
+    level above scale 1 shares one array.
+    """
+    if method == "nowa":
+        return [np.empty(m) for m in lengths]
+    shared = np.empty(max(lengths[1:], default=0))
+    return [np.empty(lengths[0]), *(shared[:m] for m in lengths[1:])]
+
+
+def _max_over_scales(pyramid: Pyramid, out: list) -> np.ndarray:
+    """The max over scales of the levels' magnitudes at every position.
+
+    ``out[k-1]`` receives ``|level k|`` (``None`` makes a fresh array), and
+    ``out[0]``, folded in place, is returned as the length-n statistic.
+    """
+    levels = pyramid.levels
+    if pyramid.method == "nowa":
+        base = pyramid.config.base
+        statistic = np.abs(levels[-1], out=out[-1])
+        for level, finer in zip(reversed(levels[:-1]), reversed(out[:-1])):
+            finer = np.abs(level, out=finer)
+            covered = finer[: len(statistic) * base].reshape(len(statistic), base)
+            np.fmax(covered, statistic[:, None], out=covered)
+            statistic = finer
+    else:
+        statistic = np.abs(levels[0], out=out[0])
+        for k, (level, magnitude) in enumerate(zip(levels[1:], out[1:]), start=2):
+            covered = statistic[pyramid.config.window(k) - 1 :]
+            np.fmax(covered, np.abs(level, out=magnitude), out=covered)
+    return statistic
+
+
 def detect(series, config: DetectionConfig) -> DetectionResult:
     """Run the max-over-scales test at every position of ``series``.
 
@@ -195,19 +231,7 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     pyramid = build(series, config.scale_config)
     levels = pyramid.levels
     windows = [config.scale_config.window(k) for k in range(1, len(levels) + 1)]
-    if config.method == "nowa":
-        base = config.scale_config.base
-        statistic = np.abs(levels[-1])
-        for level in reversed(levels[:-1]):
-            finer = np.abs(level)
-            covered = finer[: len(statistic) * base].reshape(len(statistic), base)
-            np.fmax(covered, statistic[:, None], out=covered)
-            statistic = finer
-    else:
-        statistic = np.abs(levels[0])
-        for level, window in zip(levels[1:], windows[1:]):
-            covered = statistic[window - 1 :]
-            np.fmax(covered, np.abs(level), out=covered)
+    statistic = _max_over_scales(pyramid, [None] * len(levels))
     flagged = np.nonzero(statistic > config.threshold)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)

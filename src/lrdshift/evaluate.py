@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detect import DetectionConfig, detect
+from .detect import _fold_buffers, _max_over_scales
 from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
-from .pyramid import ScaleConfig
+from .pyramid import Pyramid, ScaleConfig, _aggregate, _level_lengths
 from .seeding import subseed, substream
 from .thresholds import ThresholdQuery, compute_threshold, single_scale_threshold
 
@@ -85,6 +85,17 @@ class InjectionSpec:
         return start, duration
 
 
+def _shift(values: np.ndarray, spec: InjectionSpec, rng: np.random.Generator | None) -> slice:
+    """Add the level shift to ``values`` in place; return the shifted 0-based slice."""
+    n = len(values)
+    start, duration = spec.resolve(rng)
+    if start > n:
+        raise ValueError(f"injection start {start} is beyond the series end {n}")
+    shifted = slice(start - 1, min(start + duration - 1, n))
+    values[shifted] += spec.delta
+    return shifted
+
+
 def inject(series, spec: InjectionSpec, rng: np.random.Generator | None = None):
     """Add the level shift; return ``(shifted_series, truth_mask)``.
 
@@ -94,17 +105,11 @@ def inject(series, spec: InjectionSpec, rng: np.random.Generator | None = None):
     ``spec.seed`` (or the supplied generator).
     """
     ts = as_series(series)
-    n = len(ts)
-    if n == 0:
+    if len(ts) == 0:
         raise ValueError("series must be non-empty")
-    start, duration = spec.resolve(rng)
-    if start > n:
-        raise ValueError(f"injection start {start} is beyond the series end {n}")
-    end = min(start + duration - 1, n)
-    truth = np.zeros(n, dtype=bool)
-    truth[start - 1 : end] = True
     values = ts.values.copy()
-    values[start - 1 : end] += spec.delta
+    truth = np.zeros(len(values), dtype=bool)
+    truth[_shift(values, spec, rng)] = True
     return TimeSeries(values), truth
 
 
@@ -204,6 +209,18 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sets < 1 or self.sims_per_set < 1:
             raise ValueError("sets and sims_per_set must be >= 1")
+        if self.method not in ("nowa", "swa"):
+            raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
+        largest = ScaleConfig(self.base, self.num_scales, self.hurst).max_window
+        if self.n < largest:
+            raise ValueError(
+                f"n {self.n} is shorter than the largest window {largest} "
+                f"(base {self.base}, {self.num_scales} scales)"
+            )
+        for name in ("start", "start_range"):
+            value = getattr(self.injection, name)
+            if value is not None and value > self.n:
+                raise ValueError(f"injection {name} {value} is beyond the series end {self.n}")
 
 
 @dataclass
@@ -262,7 +279,8 @@ def _mean_or_none(values: list[float | None]) -> float | None:
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full synthesize/inject/detect/score study.
 
-    One ``FgnSampler`` serves the study, so the embedding is computed once.
+    One ``FgnSampler`` serves the study, so the embedding is computed once,
+    and one set of pyramid levels and fold arrays serves every simulation.
     Each simulation draws a fresh background from its own substream, injects
     one level shift, and scores both detectors per observation.  A shift of
     ``delta = 0`` leaves the series untouched, so the truth set is empty and
@@ -282,19 +300,22 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         ),
         "monte_carlo",
     ).value
-    detection = DetectionConfig(scale_config=scale_config, threshold=critical, method=config.method)
     result = ExperimentResult(config=config, threshold_value=critical)
     sampler = FgnSampler(LrdModel(hurst=config.hurst), config.n)
+    lengths = _level_lengths(config.method, config.n, scale_config)
+    levels = [np.empty(m) for m in lengths]
+    folds = _fold_buffers(config.method, [config.n, *lengths])
+    has_shift = config.injection.delta != 0.0
     for set_id in range(1, config.sets + 1):
         per_sim: dict[str, list[MetricSummary]] = {"multiscale": [], "naive": []}
         for sim in range(config.sims_per_set):
-            background = sampler.sample(subseed(config.seed, 1, set_id, sim, 0))
-            shifted, truth_mask = inject(
-                background, config.injection, substream(config.seed, 1, set_id, sim, 1)
-            )
-            truth = np.nonzero(truth_mask)[0] + 1 if config.injection.delta != 0.0 else []
-            multiscale_flags = detect(shifted, detection).flags
-            naive_flags = naive_baseline(shifted, config.alpha)
+            series = sampler.sample(subseed(config.seed, 1, set_id, sim, 0)).values
+            shifted = _shift(series, config.injection, substream(config.seed, 1, set_id, sim, 1))
+            truth = np.arange(shifted.start + 1, shifted.stop + 1) if has_shift else []
+            _aggregate(config.method, series, scale_config, levels)
+            pyramid = Pyramid(config.method, scale_config, [series, *levels])
+            multiscale_flags = np.nonzero(_max_over_scales(pyramid, folds) > critical)[0] + 1
+            naive_flags = naive_baseline(series, config.alpha)
             for name, flags in (("multiscale", multiscale_flags), ("naive", naive_flags)):
                 per_sim[name].append(metrics(confusion(flags, truth, config.n)))
         for name, summaries in per_sim.items():

@@ -120,35 +120,43 @@ def _embedding_eigenvalues(model: LrdModel, n: int) -> np.ndarray:
     return np.clip(eigenvalues, 0.0, None)
 
 
-def _sample_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    # One length-n path from 2n standard normals; exact for the target law.
-    z = rng.standard_normal(2 * n)
-    w = np.zeros(2 * n, dtype=complex)
-    w[0] = z[0]
-    w[n] = z[1]
-    half = (z[2 : n + 1] + 1j * z[n + 1 :]) / np.sqrt(2.0)
-    w[1:n] = half
-    w[n + 1 :] = np.conj(half[::-1])
-    spectrum = np.sqrt(eigenvalues) * w
-    return np.fft.fft(spectrum)[:n].real / np.sqrt(2 * n)
-
-
 class FgnSampler:
     """Exact length-``n`` sample paths of one background law.
 
     The circulant-embedding eigenvalues depend only on ``(model, n)``, so
-    they are computed once here and shared by every ``sample`` call.
+    their square roots are computed once here and shared by every
+    ``sample`` call, which also reuses the sampler's 2n normals and 2n-point
+    spectrum.  A sampler is therefore not safe to share between threads.
     """
 
     def __init__(self, model: LrdModel, n: int) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
-        self._eigenvalues = _embedding_eigenvalues(model, n)
+        self._root = np.sqrt(_embedding_eigenvalues(model, n))
+        self._normals = np.empty(2 * n)
+        self._spectrum = np.empty(2 * n, dtype=complex)
 
     def sample(self, seed: int | np.random.SeedSequence) -> TimeSeries:
-        """Draw the path for ``seed``; the same seed gives the same bits."""
-        return TimeSeries(_sample_path(self._eigenvalues, self.n, substream(seed)))
+        """Draw the path for ``seed``; the same seed gives the same bits.
+
+        One path costs 2n standard normals: two real end points and n - 1
+        complex ones, mirrored into a Hermitian spectrum that is scaled by
+        the root eigenvalues, transformed, and cut to its first n points.
+        The returned path is a fresh array.
+        """
+        n = self.n
+        z = substream(seed).standard_normal(out=self._normals)
+        w = self._spectrum
+        w[0] = z[0]
+        w[n] = z[1]
+        half = w[1:n]
+        np.multiply(1j, z[n + 1 :], out=half)
+        np.add(z[2 : n + 1], half, out=half)
+        np.divide(half, np.sqrt(2.0), out=half)
+        np.conjugate(half[::-1], out=w[n + 1 :])
+        np.multiply(self._root, w, out=w)
+        return TimeSeries(np.fft.fft(w)[:n].real / np.sqrt(2 * n))
 
 
 def synthesize_fgn(

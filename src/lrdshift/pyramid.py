@@ -101,6 +101,48 @@ def _normalizers(config: ScaleConfig) -> list[float]:
     return [float(config.window(k)) ** config.hurst for k in range(1, config.num_scales + 1)]
 
 
+def _level_lengths(method: str, n: int, config: ScaleConfig) -> list[int]:
+    """Lengths of the scale-2..M levels of a length-``n`` pyramid."""
+    windows = [config.window(k) for k in range(2, config.num_scales + 1)]
+    return [n // w if method == "nowa" else n - w + 1 for w in windows]
+
+
+def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.ndarray]) -> None:
+    """Write the scale-2..M levels of ``x``'s pyramid into ``levels``.
+
+    ``levels`` holds one array per scale, of the lengths
+    :func:`_level_lengths` gives; each is overwritten.  Level ``k`` is
+    summed from the unnormalized level ``k-1``, its earliest chunk first,
+    and the levels are normalized once all sums are built.
+    """
+    b = config.base
+    prev = x
+    for k, cur in enumerate(levels, start=2):
+        m = len(cur)
+        if method == "nowa":
+            cur[:] = prev[0 : m * b : b]
+            for r in range(1, b):
+                cur += prev[r : m * b : b]
+        else:
+            # Window of b*sub samples = b chained sub-windows, earliest first.
+            sub = config.window(k - 1)
+            cur[:] = prev[0:m]
+            for r in range(b - 2, -1, -1):
+                i0 = (b - 1 - r) * sub
+                cur += prev[i0 : i0 + m]
+        prev = cur
+    for level, norm in zip(levels, _normalizers(config)[1:]):
+        level /= norm
+
+
+def _build(method: str, series, config: ScaleConfig) -> Pyramid:
+    x = as_series(series).values
+    _check_length(x, config)
+    levels = [np.empty(m) for m in _level_lengths(method, len(x), config)]
+    _aggregate(method, x, config, levels)
+    return Pyramid(method, config, [x, *levels])
+
+
 def build_nowa(series, config: ScaleConfig) -> Pyramid:
     """Non-overlapping aggregation pyramid of ``series``.
 
@@ -108,20 +150,7 @@ def build_nowa(series, config: ScaleConfig) -> Pyramid:
     ``(j-1)*L_k + 1 .. j*L_k`` divided by ``L_k**hurst``; the trailing
     partial block is dropped rather than padded.
     """
-    x = as_series(series).values
-    _check_length(x, config)
-    b = config.base
-    sums = [x]
-    for _ in range(config.num_scales - 1):
-        prev = sums[-1]
-        nblocks = len(prev) // b
-        cur = prev[0 : nblocks * b : b].copy()
-        for r in range(1, b):
-            cur += prev[r : nblocks * b : b]
-        sums.append(cur)
-    for level, norm in zip(sums[1:], _normalizers(config)[1:]):
-        level /= norm  # in place: these sums are fresh, unlike level 1 (the input)
-    return Pyramid("nowa", config, sums)
+    return _build("nowa", series, config)
 
 
 def build_swa(series, config: ScaleConfig) -> Pyramid:
@@ -130,24 +159,7 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
     Scale-``k`` entry at position ``i >= L_k`` equals the sum of the
     ``L_k`` samples ending at ``i`` divided by ``L_k**hurst``.
     """
-    x = as_series(series).values
-    _check_length(x, config)
-    b = config.base
-    n = len(x)
-    sums = [x]
-    for k in range(2, config.num_scales + 1):
-        prev = sums[-1]
-        sub = config.window(k - 1)
-        m = n - config.window(k) + 1
-        # Window of b*sub samples = b chained sub-windows, earliest first.
-        cur = prev[0:m].copy()
-        for r in range(b - 2, -1, -1):
-            i0 = (b - 1 - r) * sub
-            cur += prev[i0 : i0 + m]
-        sums.append(cur)
-    for level, norm in zip(sums[1:], _normalizers(config)[1:]):
-        level /= norm  # in place: these sums are fresh, unlike level 1 (the input)
-    return Pyramid("swa", config, sums)
+    return _build("swa", series, config)
 
 
 class StreamState:

@@ -20,12 +20,11 @@ takes:
   on-disk cache (see :func:`_cached_improved_threshold`), so a query is
   simulated once per cache directory.
 
-Normal CDF/quantile evaluations delegate to scipy's Cephes routines
-(``ndtr``/``ndtri``, rational approximations accurate to well below 1e-9
-over the range used here); the accuracy contract is pinned by tests against
-an arbitrary-precision oracle.  scipy is imported inside the functions that
-call it, so the Monte-Carlo threshold, which needs no normal CDF, and a run
-that computes no threshold never load it.
+The normal quantile is :func:`_ndtri`, a scalar port of Cephes' ``ndtri``
+(Moshier's rational approximations, the routine scipy.special.ndtri runs);
+tests pin it to scipy bit for bit and to an arbitrary-precision oracle, so
+the closed-form thresholds load no scipy module.  The normal CDF is still
+scipy's ``ndtr``, imported inside the ``power_*`` helpers that call it.
 """
 
 from __future__ import annotations
@@ -60,6 +59,78 @@ __all__ = [
 _CHUNK = 1 << 17  # replicates per substream chunk in Monte-Carlo loops
 _BLOCK = 1 << 12  # rows drawn at a time inside a chunk (0.5 MiB per buffer at m = 15)
 _CACHE_VERSION = 1  # bump when the Monte-Carlo samples or their quantile change
+
+
+# Cephes ndtri: sqrt(2 pi), then the rational forms P/Q in y^2 for
+# |y - 1/2| <= 1/2 - e^-2 and, in z = 1/sqrt(-2 log y), for
+# sqrt(-2 log y) < 8 and >= 8.
+_S2PI = 2.50662827463100050242e0
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+_EXP_M2 = 0.13533528323661269189  # e^-2
+
+
+def _polevl(x: float, coef: tuple) -> float:
+    """Horner evaluation of ``coef[0] x^N + ... + coef[N]``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: float, coef: tuple) -> float:
+    """:func:`_polevl` with an implicit leading coefficient 1."""
+    ans = x + coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(y0: float) -> float:
+    """The standard normal quantile ``Phi^{-1}(y0)``, as Cephes computes it.
+
+    Returns -inf at 0, inf at 1 and NaN outside [0, 1].
+    """
+    if y0 == 0.0:
+        return -math.inf
+    if y0 == 1.0:
+        return math.inf
+    if not 0.0 < y0 < 1.0:
+        return math.nan
+    negate = True
+    y = y0
+    if y > 1.0 - _EXP_M2:
+        y = 1.0 - y
+        negate = False
+    if y > _EXP_M2:
+        y = y - 0.5
+        y2 = y * y
+        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        return x * _S2PI
+    x = math.sqrt(-2.0 * math.log(y))
+    x0 = x - math.log(x) / x
+    z = 1.0 / x
+    if x < 8.0:
+        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    else:
+        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x = x0 - x1
+    return -x if negate else x
 
 
 def _norm_pdf(x):
@@ -138,22 +209,18 @@ def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
 
 def single_scale_threshold(alpha: float) -> ThresholdResult:
     """Two-sided critical value ``Phi^{-1}(1 - alpha/2)`` for one scale."""
-    from scipy.special import ndtri
-
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    return ThresholdResult(value=float(ndtri(1.0 - alpha / 2.0)), kind="single_scale")
+    return ThresholdResult(value=_ndtri(1.0 - alpha / 2.0), kind="single_scale")
 
 
 def asymptotic_threshold(alpha: float, m: int) -> ThresholdResult:
     """Many-scales threshold ``Phi^{-1}((1 - alpha)^{1/(2m)})`` for ``m`` scales."""
-    from scipy.special import ndtri
-
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    value = float(ndtri((1.0 - alpha) ** (1.0 / (2.0 * m))))
+    value = _ndtri((1.0 - alpha) ** (1.0 / (2.0 * m)))
     return ThresholdResult(value=value, kind="asymptotic")
 
 
@@ -363,14 +430,12 @@ def two_scale_expansion(alpha: float, hurst: float, big_window: int) -> float:
     ``C0 = Phi^{-1}((1 + sqrt(1-alpha))/2)`` as ``L`` grows, with leading
     correction ``phi(C0) C0^2 H^2 L^{2(H-1)} / (2 sqrt(1-alpha))``.
     """
-    from scipy.special import ndtri
-
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
     if big_window < 2:
         raise ValueError(f"big_window must be >= 2, got {big_window}")
     root = np.sqrt(1.0 - alpha)
-    c0 = ndtri((1.0 + root) / 2.0)
+    c0 = _ndtri((1.0 + root) / 2.0)
     correction = (
         _norm_pdf(c0) * c0**2 * hurst**2 * float(big_window) ** (2.0 * (hurst - 1.0)) / (2.0 * root)
     )
@@ -435,15 +500,15 @@ def power_gap(alpha: float, delta: float) -> float:
     Positive values mean the two-scale max test beats the average of the two
     single-scale tests.  Exactly zero at ``alpha = 0``.
     """
-    from scipy.special import ndtr, ndtri
+    from scipy.special import ndtr
 
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
-    c_single = ndtri(1.0 - alpha / 2.0)
+    c_single = _ndtri(1.0 - alpha / 2.0)
     root = np.sqrt(1.0 - alpha)
-    c0 = ndtri((1.0 + root) / 2.0)
+    c0 = _ndtri((1.0 + root) / 2.0)
     single_term = ndtr(c_single - delta) - ndtr(-c_single - delta)
     pair_term = ndtr(c0 - delta) - ndtr(-c0 - delta)
     return float(single_term + (1.0 - alpha) - 2.0 * root * pair_term)

@@ -2,7 +2,26 @@
 
 import numpy as np
 
-from lrdshift import LrdModel, Pyramid, TimeSeries, fgn_acf, substream
+from lrdshift import (
+    DetectionConfig,
+    ExperimentResult,
+    FgnSampler,
+    LrdModel,
+    MetricSummary,
+    Pyramid,
+    ScaleConfig,
+    ThresholdQuery,
+    TimeSeries,
+    compute_threshold,
+    confusion,
+    detect,
+    fgn_acf,
+    inject,
+    metrics,
+    naive_baseline,
+    subseed,
+    substream,
+)
 from lrdshift.detect import DetectionResult, Interval, expand_levels
 from lrdshift.thresholds import _CHUNK
 
@@ -95,6 +114,59 @@ def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
     factor = np.linalg.cholesky(cov)
     values = factor @ substream(seed).standard_normal(n)
     return TimeSeries(values)
+
+
+def sample_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One length-n circulant-embedding path built from fresh arrays at every step."""
+    z = rng.standard_normal(2 * n)
+    w = np.zeros(2 * n, dtype=complex)
+    w[0] = z[0]
+    w[n] = z[1]
+    half = (z[2 : n + 1] + 1j * z[n + 1 :]) / np.sqrt(2.0)
+    w[1:n] = half
+    w[n + 1 :] = np.conj(half[::-1])
+    spectrum = np.sqrt(eigenvalues) * w
+    return np.fft.fft(spectrum)[:n].real / np.sqrt(2 * n)
+
+
+def run_experiment_per_call(config) -> ExperimentResult:
+    """The simulation study through the public per-call functions.
+
+    Each simulation calls ``sample``, ``inject``, ``detect``,
+    ``naive_baseline`` and ``confusion``, each on fresh arrays.
+    """
+    def mean_or_none(values):
+        defined = [v for v in values if v is not None]
+        return float(np.mean(defined)) if defined else None
+
+    scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
+    critical = compute_threshold(
+        ThresholdQuery(alpha=config.alpha, num_scales=config.num_scales, hurst=config.hurst,
+                       base=config.base, mc_reps=config.mc_reps, seed=subseed(config.seed, 0)),
+        "monte_carlo",
+    ).value
+    detection = DetectionConfig(scale_config=scale_config, threshold=critical, method=config.method)
+    result = ExperimentResult(config=config, threshold_value=critical)
+    sampler = FgnSampler(LrdModel(hurst=config.hurst), config.n)
+    for set_id in range(1, config.sets + 1):
+        per_sim = {"multiscale": [], "naive": []}
+        for sim in range(config.sims_per_set):
+            background = sampler.sample(subseed(config.seed, 1, set_id, sim, 0))
+            shifted, truth_mask = inject(
+                background, config.injection, substream(config.seed, 1, set_id, sim, 1)
+            )
+            truth = np.nonzero(truth_mask)[0] + 1 if config.injection.delta != 0.0 else []
+            multiscale_flags = detect(shifted, detection).flags
+            naive_flags = naive_baseline(shifted, config.alpha)
+            for name, flags in (("multiscale", multiscale_flags), ("naive", naive_flags)):
+                per_sim[name].append(metrics(confusion(flags, truth, config.n)))
+        for name, summaries in per_sim.items():
+            result.rows.append((set_id, name, MetricSummary(
+                tdr=mean_or_none([s.tdr for s in summaries]),
+                fdr=mean_or_none([s.fdr for s in summaries]),
+                fnr=mean_or_none([s.fnr for s in summaries]),
+            )))
+    return result
 
 
 def max_abs_gaussian_samples_per_chunk(factor: np.ndarray, reps: int, seed, shift=None) -> np.ndarray:

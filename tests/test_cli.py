@@ -725,6 +725,29 @@ class TestEvalCommand:
         summary = json.loads((prefix.parent / "study.json").read_text())
         assert set(summary["detectors"]) == {"multiscale", "naive"}
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "100", "--scales", "15"], "n 100 is shorter than the largest window 16384"),
+        (["--n", "32768", "--start-range", "40000"],
+         "injection start_range 40000 is beyond the series end 32768"),
+        (["--n", "0"], "n 0 is shorter than the largest window"),
+    ])
+    def test_a_study_that_cannot_run_exits_2_before_the_threshold(self, tmp_path, monkeypatch,
+                                                                   capsys, argv, message):
+        monkeypatch.setattr("lrdshift.evaluate.compute_threshold", refuse_threshold)
+        prefix = tmp_path / "study"
+        assert run(["eval", "--sets", "1", "--sims", "1", *argv, "--out", str(prefix)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_loads_no_scipy(self, tmp_path):
+        """The study's thresholds, sampler and detectors need no scipy."""
+        prefix = tmp_path / "study"
+        _, result = run_probe(["eval", "--sets", "1", "--sims", "2", "--n", "1024", "--hurst", "0.8",
+                               "--scales", "5", "--mc-reps", "10000", "--duration-mean", "100",
+                               "--start-range", "512", "--out", str(prefix)])
+        assert result["code"] == 0
+        assert result["after_run"] == []
+
 
 class TestStreamCommand:
     def stream(self, monkeypatch, capsys, lines, args):
@@ -868,11 +891,12 @@ class TestStreamCommand:
 
     @pytest.mark.parametrize("threshold,loads_scipy", [
         (["--threshold-value", "2.2"], False),
-        (["--threshold", "asymptotic"], True),
+        (["--threshold", "asymptotic"], False),
     ])
     def test_scipy_is_loaded_only_for_a_threshold(self, threshold, loads_scipy):
         """Importing the CLI loads no scipy module, and neither does a
-        stream run with a given critical value; the asymptotic one needs it."""
+        stream run with a given critical value or the asymptotic one,
+        whose normal quantile is the package's own."""
         flags, result = run_probe(
             ["stream", "--hurst", "0.9", "--scales", "2", *threshold], stdin="0\n0\n100\n"
         )

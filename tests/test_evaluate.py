@@ -20,6 +20,7 @@ from lrdshift import (
     run_experiment,
     substream,
 )
+from oracles import run_experiment_per_call
 
 
 class TestInjectionSpec:
@@ -186,6 +187,41 @@ class TestRunExperiment:
         )
         defaults.update(overrides)
         return ExperimentConfig(**defaults)
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0])
+    @pytest.mark.parametrize("base", [2, 3])
+    @pytest.mark.parametrize("method", ["swa", "nowa"])
+    def test_rows_equal_the_per_call_study(self, method, base, delta):
+        """One set of study arrays gives the rows of fresh per-call
+        ``sample``, ``inject``, ``detect``, ``naive_baseline`` and
+        ``confusion`` calls."""
+        config = self.small_config(
+            injection=InjectionSpec(delta=delta, start_range=2**9, duration_mean=200.0),
+            method=method, base=base,
+        )
+        result = run_experiment(config)
+        expected = run_experiment_per_call(config)
+        assert result.threshold_value == expected.threshold_value
+        assert result.rows == expected.rows
+
+    @pytest.mark.parametrize("overrides,message", [
+        (dict(n=100, num_scales=15), "n 100 is shorter than the largest window 16384"),
+        (dict(n=0), "n 0 is shorter than the largest window 16"),
+        (dict(n=80, base=3), "n 80 is shorter than the largest window 81"),
+        (dict(injection=InjectionSpec(start_range=2**10 + 1, duration_mean=10.0)),
+         "injection start_range 1025 is beyond the series end 1024"),
+        (dict(injection=InjectionSpec(start=2**10 + 1, duration=10)),
+         "injection start 1025 is beyond the series end 1024"),
+        (dict(method="dense"), "method must be 'nowa' or 'swa'"),
+    ])
+    def test_config_rejects_a_study_that_cannot_run(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            self.small_config(**overrides)
+
+    def test_config_accepts_the_boundary(self):
+        injection = InjectionSpec(start=2**10, duration=10)
+        config = self.small_config(n=2**10, num_scales=11, injection=injection)
+        assert config.n == config.base ** (config.num_scales - 1)
 
     def test_reproducible(self):
         a = run_experiment(self.small_config())

@@ -5,6 +5,8 @@ mpmath; Monte-Carlo checks use pinned seeds and standard-error bands
 estimated from the replicates themselves.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,9 +21,10 @@ from lrdshift import (
     fbm_cov,
     fgn_acf,
     subseed,
+    substream,
     synthesize_fgn,
 )
-from oracles import synthesize_fgn_cholesky
+from oracles import sample_path, synthesize_fgn_cholesky
 
 # 0.5 * (2**1.8 - 2), the lag-1 autocovariance at H = 0.9
 LAG1_H09 = 0.7411011265922483
@@ -194,6 +197,50 @@ class TestSynthesis:
         monkeypatch.setattr(fgn_module, "fgn_acf", not_a_valid_acf)
         with pytest.raises(RuntimeError, match="eigenvalue"):
             fgn_module.synthesize_fgn(LrdModel(0.5), 8, seed=1)
+
+
+class TestSamplerBuffers:
+    """The sampler draws into buffers it owns and returns a fresh path."""
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**15])
+    def test_equals_the_fresh_array_path_bit_for_bit(self, n, hurst):
+        model = LrdModel(hurst)
+        sampler = FgnSampler(model, n)
+        eigenvalues = fgn_module._embedding_eigenvalues(model, n)
+        for seed in (subseed(3, 0), subseed(3, 1), 11):
+            expected = sample_path(eigenvalues, n, substream(seed))
+            assert np.array_equal(sampler.sample(seed).values, expected)
+
+    def test_paths_share_no_memory(self):
+        sampler = FgnSampler(LrdModel(0.9), 64)
+        first, second = (sampler.sample(seed).values for seed in (1, 2))
+        kept = first.copy()
+        owned = [value for value in vars(sampler).values() if isinstance(value, np.ndarray)]
+        assert owned
+        for path in (first, second):
+            assert path.flags.owndata
+            for array in [*owned, *(other for other in (first, second) if other is not path)]:
+                assert not np.shares_memory(path, array)
+        sampler.sample(3)
+        assert np.array_equal(first, kept)
+
+    def test_one_sample_is_bounded_in_memory(self):
+        """Besides the 2n-point complex array numpy's FFT returns (32n
+        bytes), one ``sample`` call at n = 2^15 allocates below 2 * 8n
+        bytes at its peak: the returned path and no per-call copy of the
+        normals, the spectrum or the eigenvalues (the fresh-array path
+        peaks at 4.25 MiB)."""
+        n = 2**15
+        sampler = FgnSampler(LrdModel(0.9), n)
+        sampler.sample(1)
+        tracemalloc.start()
+        try:
+            sampler.sample(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * n + 32 * n, f"peak {peak} bytes"
 
 
 class TestHurstEstimator:

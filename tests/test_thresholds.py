@@ -38,6 +38,7 @@ from lrdshift.thresholds import (
     _CHUNK,
     _corr_factor,
     _max_abs_gaussian_samples,
+    _ndtri,
     _quantile_with_se,
 )
 from oracles import max_abs_gaussian_samples_per_chunk, quantile_with_se_two_calls
@@ -76,12 +77,41 @@ def exact_two_scale_threshold(alpha: float, rho: float) -> float:
 
 class TestNormalQuantileAccuracy:
     def test_against_arbitrary_precision(self):
-        """The inverse normal CDF we rely on must be accurate to 1e-9
-        absolute across (1e-12, 1 - 1e-12)."""
+        """The inverse normal CDF we rely on, scipy's and the package's
+        port of it, must be accurate to 1e-9 absolute across
+        (1e-12, 1 - 1e-12)."""
         grid = [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
         grid += [1 - p for p in (1e-3, 1e-6, 1e-9, 1e-12)]
-        for p in grid:
-            assert abs(float(ndtri(p)) - mp_phi_inv(p)) < 1e-9, f"p={p}"
+        for quantile in (ndtri, _ndtri):
+            for p in grid:
+                assert abs(float(quantile(p)) - mp_phi_inv(p)) < 1e-9, f"{quantile.__name__} p={p}"
+
+
+class TestNdtriPort:
+    """``_ndtri`` is scipy's Cephes ``ndtri``, bit for bit."""
+
+    def test_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(20081281)
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 60_000),  # mostly the central form
+            10.0 ** rng.uniform(-300.0, 0.0, 30_000),  # both tail forms, x < 8 and x >= 8
+            1.0 - rng.uniform(0.0, 1e-16, 5_000),  # within 1e-16 of 1
+            1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 5_000),  # the upper tail
+            [np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0), 0.5, 5e-324, 1.0 - 2.0**-53],
+        ])
+        ported = np.array([_ndtri(float(v)) for v in p])
+        mismatched = np.flatnonzero(ported != ndtri(p))
+        assert len(p) > 10**5
+        assert len(mismatched) == 0, p[mismatched[:5]]
+
+    def test_edges(self):
+        assert _ndtri(0.0) == -np.inf
+        assert _ndtri(1.0) == np.inf
+        for p in (-0.0, 0.0, 1.0, -1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan):
+            ported = _ndtri(p)
+            assert ported == ndtri(p) or (np.isnan(ported) and np.isnan(ndtri(p))), p
+        for p in (-1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan):
+            assert np.isnan(_ndtri(p)), p
 
 
 class TestCrossScaleCorr:
