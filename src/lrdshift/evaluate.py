@@ -211,6 +211,7 @@ class ExperimentConfig:
             raise ValueError("sets and sims_per_set must be >= 1")
         if self.method not in ("nowa", "swa"):
             raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
+        LrdModel(self.hurst)  # checks hurst, which the sampler needs inside (0, 1)
         largest = ScaleConfig(self.base, self.num_scales, self.hurst).max_window
         if self.n < largest:
             raise ValueError(

@@ -730,6 +730,7 @@ class TestEvalCommand:
         (["--n", "32768", "--start-range", "40000"],
          "injection start_range 40000 is beyond the series end 32768"),
         (["--n", "0"], "n 0 is shorter than the largest window"),
+        (["--hurst", "1"], "hurst must be in the open interval (0, 1), got 1.0"),
     ])
     def test_a_study_that_cannot_run_exits_2_before_the_threshold(self, tmp_path, monkeypatch,
                                                                    capsys, argv, message):

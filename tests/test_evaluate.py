@@ -213,6 +213,7 @@ class TestRunExperiment:
         (dict(injection=InjectionSpec(start=2**10 + 1, duration=10)),
          "injection start 1025 is beyond the series end 1024"),
         (dict(method="dense"), "method must be 'nowa' or 'swa'"),
+        (dict(hurst=1.0), "hurst must be in the open interval"),
     ])
     def test_config_rejects_a_study_that_cannot_run(self, overrides, message):
         with pytest.raises(ValueError, match=message):
