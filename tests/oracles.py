@@ -23,6 +23,7 @@ from lrdshift import (
     substream,
 )
 from lrdshift.detect import DetectionResult, Interval, expand_levels
+from lrdshift.evaluate import _mean_or_none
 from lrdshift.thresholds import _CHUNK
 
 
@@ -135,10 +136,6 @@ def run_experiment_per_call(config) -> ExperimentResult:
     Each simulation calls ``sample``, ``inject``, ``detect``,
     ``naive_baseline`` and ``confusion``, each on fresh arrays.
     """
-    def mean_or_none(values):
-        defined = [v for v in values if v is not None]
-        return float(np.mean(defined)) if defined else None
-
     scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
     critical = compute_threshold(
         ThresholdQuery(alpha=config.alpha, num_scales=config.num_scales, hurst=config.hurst,
@@ -162,9 +159,9 @@ def run_experiment_per_call(config) -> ExperimentResult:
                 per_sim[name].append(metrics(confusion(flags, truth, config.n)))
         for name, summaries in per_sim.items():
             result.rows.append((set_id, name, MetricSummary(
-                tdr=mean_or_none([s.tdr for s in summaries]),
-                fdr=mean_or_none([s.fdr for s in summaries]),
-                fnr=mean_or_none([s.fnr for s in summaries]),
+                tdr=_mean_or_none([s.tdr for s in summaries]),
+                fdr=_mean_or_none([s.fdr for s in summaries]),
+                fnr=_mean_or_none([s.fnr for s in summaries]),
             )))
     return result
 
