@@ -3,8 +3,8 @@
 Subcommands wire the library end to end: ``synth`` (sample a background
 trace), ``detect`` (batch multiscale test over a file), ``map`` (SVG export
 of a p-value map window), ``threshold`` (print a calibrated critical
-value), ``eval`` (simulation study), ``stream`` (line-by-line detection on
-stdin).
+value), ``eval`` (simulation study), ``stream`` (online detection on the
+lines of stdin).
 
 Exit codes: 0 success, 2 usage or input-validation error, 1 runtime error
 (I/O and similar).  Diagnostics go to stderr; data goes to stdout or the
@@ -15,6 +15,7 @@ same flags produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import codecs
 import itertools
 import json
 import math
@@ -37,6 +38,7 @@ __all__ = ["main"]
 _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single": "single_scale"}
 
 _SLICE = 1 << 12  # values the writers format at a time
+_STREAM_READ = 1 << 14  # most bytes ``stream`` takes from stdin at a time
 
 
 def read_series(path, column: int | None = None) -> np.ndarray:
@@ -322,40 +324,85 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _stdin_text(stdin):
+    """The text of ``stdin`` as it arrives, one read of at most ``_STREAM_READ`` at a time.
+
+    Bytes are read with ``read1``, which returns as soon as any have
+    arrived, and decoded incrementally with the stream's encoding and error
+    handler.  Newlines are not translated: CPython opens stdin on POSIX with
+    ``newline="\\n"``, so a lone ``\\r`` is part of a line.  A text stream
+    without ``.buffer`` is read with ``.read``.  Without stdin (``<&-``),
+    ``sys.stdin`` is None.
+    """
+    if stdin is None:
+        raise ValueError("stdin is closed")
+    raw = getattr(stdin, "buffer", None)
+    if raw is None:
+        yield from iter(lambda: stdin.read(_STREAM_READ), "")
+        return
+    decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
+    while chunk := raw.read1(_STREAM_READ):
+        yield decoder.decode(chunk)
+    yield decoder.decode(b"", final=True)
+
+
+def _stdin_lines(stdin):
+    """The lines of ``stdin``, newlines dropped: one list per read, of the lines it completed.
+
+    The text after the last newline is carried into the next read; at the
+    end of input it is the last line.
+    """
+    partial = ""
+    for text in _stdin_text(stdin):
+        *lines, partial = (partial + text).split("\n")
+        yield lines
+    if partial:
+        yield [partial]
+
+
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
     critical = _detection_threshold(args).value
     state = StreamState(scale_config)
-    index = 0
-    for lineno, raw in enumerate(sys.stdin, start=1):
-        line = raw.strip()
-        if not line:
-            print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
-            continue
-        try:
-            sample = float(line)
-        except ValueError:
-            print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
-            continue
-        if not math.isfinite(sample):
-            print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
-            continue
-        if args.mean is not None:
-            sample = (sample - args.mean) / args.std
-        statistic, argmax_scale = state.push(sample)
-        index += 1
-        if statistic > critical:
+    mean, std = args.mean, args.std
+    index = lineno = 0
+    for lines in _stdin_lines(sys.stdin):
+        # Parse what this read delivered, then run one extend over it.
+        samples = []
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.strip()
+            if not line:
+                print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
+                continue
+            try:
+                sample = float(line)
+            except ValueError:
+                print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
+                continue
+            if not math.isfinite(sample):
+                print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
+                continue
+            if mean is not None:
+                sample = (sample - mean) / std
+                if not math.isfinite(sample):
+                    print(f"warning: line {lineno}: value {line!r} is not finite after "
+                          "--mean/--std, skipped", file=sys.stderr)
+                    continue
+            samples.append(sample)
+        statistics, argmax_scales = state.extend(samples)
+        flagged = np.flatnonzero(statistics > critical)
+        if len(flagged):
+            rows = zip((index + 1 + flagged).tolist(), statistics[flagged].tolist(),
+                       argmax_scales[flagged].tolist())
             if args.format == "jsonl":
-                print(
-                    json.dumps(
-                        {"index": index, "statistic": statistic, "argmax_scale": argmax_scale},
-                        sort_keys=True,
-                    ),
-                    flush=True,
-                )
+                out = "".join(json.dumps({"index": i, "statistic": s, "argmax_scale": k},
+                                         sort_keys=True) + "\n" for i, s, k in rows)
             else:
-                print(f"{index},{statistic!r},{argmax_scale}", flush=True)
+                out = "".join(f"{i},{s!r},{k}\n" for i, s, k in rows)
+            sys.stdout.write(out)
+            sys.stdout.flush()
+        index += len(samples)
     return 0
 
 

@@ -11,14 +11,15 @@ Two window layouts are supported:
   trailing partial block is dropped.
 * ``swa`` — sliding window aggregation: the backward window of length
   ``L_k`` ending at position ``i``, defined for ``i >= L_k``.  Sliding
-  aggregation uses only up-to-now samples, so it also runs one sample at a
-  time via :class:`StreamState`.
+  aggregation uses only up-to-now samples, so it also runs online via
+  :class:`StreamState`: one sample at a time with ``push``, or a block of
+  samples at a time with ``extend``.
 
 Both builders aggregate level ``k`` from the level ``k-1`` sums with the
 earliest chunk added first, which makes the two layouts agree bit-for-bit at
 positions that are multiples of the largest window.  :class:`StreamState`
-chains its windows the same way, so a stream equals the sliding layout bit
-for bit at every position.
+chains its windows the same way, in both of its forms, so a stream equals
+the sliding layout bit for bit at every position.
 """
 
 from __future__ import annotations
@@ -163,15 +164,18 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
 
 
 class StreamState:
-    """One-sample-at-a-time sliding aggregation over all scales.
+    """Online sliding aggregation over all scales, per sample or per block.
 
     Each window is built as :func:`build_swa` builds it: the scale-``k``
     window ending here is the chained sum of the ``base`` scale-``(k-1)``
     windows ending ``(base-1)*L_{k-1}, ..., L_{k-1}, 0`` samples ago,
     earliest first.  Scale ``k < num_scales`` keeps a ring of its last
-    ``(base-1)*L_k`` window sums (``max_window - 1`` slots in all) as Python
-    floats, so each push does O(num_scales * base) float work, calls no
-    numpy, and returns bit for bit the batch ``swa`` statistic and argmax.
+    ``(base-1)*L_k`` window sums (``max_window - 1`` slots in all) as C
+    doubles.  :meth:`push` is the per-sample form: O(num_scales * base)
+    scalar float work on the rings, no numpy call.  :meth:`extend` is the
+    block form: the same chain over a whole block in numpy, the rings seen
+    through ``np.frombuffer`` with no copy.  Both return bit for bit the
+    batch ``swa`` statistic and argmax, and they may be mixed on one state.
     """
 
     def __init__(self, config: ScaleConfig):
@@ -185,7 +189,8 @@ class StreamState:
             sub = config.window(k - 1)
             size = (config.base - 1) * sub
             offsets = tuple(m * sub - size for m in range(1, config.base - 1))
-            self._scales.append((k, config.window(k), norm, [0.0] * size, size, offsets))
+            ring = memoryview(bytearray(8 * size)).cast("d")
+            self._scales.append((k, config.window(k), norm, ring, size, offsets))
 
     def push(self, sample: float) -> tuple[float, int]:
         """Ingest one sample; return ``(statistic, argmax_scale)`` ending here.
@@ -217,4 +222,46 @@ class StreamState:
             magnitude = abs(window / norm)
             if magnitude > top and length <= seen:
                 top, best = magnitude, k
+        return top, best
+
+    def extend(self, samples) -> tuple[np.ndarray, np.ndarray]:
+        """Ingest a block of samples; return ``(statistics, argmax_scales)``.
+
+        Element ``i`` of each array is what ``push(samples[i])`` would
+        return, bit for bit.  A non-finite sample raises the ``ValueError``
+        that ``push`` raises for it, naming the first one, and leaves the
+        state as it was.
+        """
+        x = np.asarray(samples, dtype=float)
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"sample must be finite, got {float(x[np.argmin(finite)])!r}")
+        n, count = self.samples_seen, len(x)
+        self.samples_seen = n + count
+        top = np.abs(x)
+        best = np.ones(count, dtype=int)
+        window = x  # scale k-1's unnormalized windows ending at each sample
+        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
+            for k, length, norm, ring, size, offsets in self._scales:
+                # The ring in time order, then this block: ``chain[size + i]`` is
+                # the window ending at sample i, ``chain[i]`` the one ending
+                # ``size`` samples before it.
+                slots = np.frombuffer(ring)
+                p = n % size
+                chain = np.concatenate((slots[p:], slots[:p], window))
+                window = chain[:count].copy()
+                for offset in offsets:
+                    window += chain[size + offset : size + offset + count]
+                window += chain[size:]
+                # Keep the newest size sums, the one ending at sample t in slot t % size.
+                newest, q = chain[count:], (n + count) % size
+                slots[q:] = newest[: size - q]
+                slots[:q] = newest[size - q :]
+                # Sample i is the (n + i + 1)-th seen, so scale k is warm from
+                # i = length - n - 1 on.  A NaN magnitude never compares greater.
+                warm = slice(max(length - n - 1, 0), None)
+                magnitude = np.abs(window[warm] / norm)
+                greater = magnitude > top[warm]
+                top[warm][greater] = magnitude[greater]
+                best[warm][greater] = k
         return top, best

@@ -1,5 +1,9 @@
 """Per-position and per-cell reference code that tests compare the vectorized code against."""
 
+import io
+import json
+import math
+
 import numpy as np
 
 from lrdshift import (
@@ -10,6 +14,7 @@ from lrdshift import (
     MetricSummary,
     Pyramid,
     ScaleConfig,
+    StreamState,
     ThresholdQuery,
     TimeSeries,
     compute_threshold,
@@ -62,6 +67,76 @@ def dense_detect(pyramid: Pyramid, threshold: float) -> tuple[np.ndarray, np.nda
     flagged = np.nonzero(statistic > threshold)[0]
     argmax_scale = np.nanargmax(magnitudes[:, flagged], axis=0) + 1 if len(flagged) else np.array([], dtype=int)
     return statistic, flagged + 1, np.asarray(argmax_scale, dtype=int)
+
+
+FEEDS = ("push", "extend", "mixed")
+
+
+def stream_feed(config: ScaleConfig, values, feed: str, seed: int = 0) -> list[tuple[float, int]]:
+    """``(statistic, argmax_scale)`` at each of ``values`` fed to a fresh :class:`StreamState`.
+
+    ``push`` feeds one sample at a time.  ``extend`` feeds seeded random
+    blocks of 1 to ``2 * max_window`` samples.  ``mixed`` draws the same
+    kind of blocks and, block by block at random, extends or pushes each
+    of its samples.
+    """
+    state = StreamState(config)
+    values = [float(v) for v in values]
+    if feed == "push":
+        return [state.push(v) for v in values]
+    rng = np.random.default_rng(seed)
+    out: list[tuple[float, int]] = []
+    lo = 0
+    while lo < len(values):
+        block = values[lo : lo + int(rng.integers(1, 2 * config.max_window + 1))]
+        if feed == "mixed" and rng.random() < 0.5:
+            out += [state.push(v) for v in block]
+        else:
+            statistics, argmax_scales = state.extend(block)
+            out += zip(statistics.tolist(), argmax_scales.tolist())
+        lo += len(block)
+    return out
+
+
+def stream_per_line(stdin, config: ScaleConfig, critical: float, fmt: str = "csv",
+                    mean: float | None = None, std: float | None = None) -> tuple[str, str]:
+    """The ``(stdout, stderr)`` text of ``lrdshift stream`` on the text stream ``stdin``.
+
+    One line at a time: each line is parsed, pushed and, when flagged,
+    printed on its own.  A value that ``mean``/``std`` map to a non-finite
+    sample is warned about and skipped, as a non-finite line is.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    state = StreamState(config)
+    index = 0
+    for lineno, raw in enumerate(stdin, start=1):
+        line = raw.strip()
+        if not line:
+            print(f"warning: line {lineno}: empty line skipped", file=err)
+            continue
+        try:
+            sample = float(line)
+        except ValueError:
+            print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=err)
+            continue
+        if not math.isfinite(sample):
+            print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=err)
+            continue
+        if mean is not None:
+            sample = (sample - mean) / std
+            if not math.isfinite(sample):
+                print(f"warning: line {lineno}: value {line!r} is not finite after --mean/--std, "
+                      "skipped", file=err)
+                continue
+        statistic, argmax_scale = state.push(sample)
+        index += 1
+        if statistic > critical:
+            if fmt == "jsonl":
+                print(json.dumps({"index": index, "statistic": statistic, "argmax_scale": argmax_scale},
+                                 sort_keys=True), file=out)
+            else:
+                print(f"{index},{statistic!r},{argmax_scale}", file=out)
+    return out.getvalue(), err.getvalue()
 
 
 def flags_to_intervals_per_flag(result: DetectionResult, gap_tolerance: int = 0) -> list[Interval]:

@@ -22,10 +22,10 @@ from lrdshift import (
 )
 from lrdshift.detect import pvalue_rows
 from lrdshift.cli import (
-    _SLICE, _load_series, _parse_lines, main, read_pvalue_csv, read_series, write_pvalue_csv,
-    write_series,
+    _SLICE, _STREAM_READ, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
+    write_pvalue_csv, write_series,
 )
-from oracles import pvalue_map_per_cell, write_pvalue_csv_per_cell
+from oracles import pvalue_map_per_cell, stream_per_line, write_pvalue_csv_per_cell
 
 
 def run(argv):
@@ -61,13 +61,17 @@ print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy
 """
 
 
-def python_with_lrdshift(code, *argv, stdin=""):
-    """Runs ``python -c code *argv`` with lrdshift importable; returns the completed process."""
+def lrdshift_env(**extra):
+    """``os.environ`` with lrdshift importable, updated by ``extra``."""
     src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run([sys.executable, "-c", code, *argv],
-                          input=stdin, capture_output=True, text=True, env=env, timeout=120)
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+def python_with_lrdshift(code, *argv, stdin=""):
+    """Runs ``python -c code *argv`` with lrdshift importable; returns the completed process."""
+    return subprocess.run([sys.executable, "-c", code, *argv], input=stdin, capture_output=True,
+                          text=True, env=lrdshift_env(), timeout=120)
 
 
 def run_probe(argv, stdin=""):
@@ -897,14 +901,115 @@ class TestStreamCommand:
     def test_scipy_is_loaded_only_for_a_threshold(self, threshold, loads_scipy):
         """Importing the CLI loads no scipy module, and neither does a
         stream run with a given critical value or the asymptotic one,
-        whose normal quantile is the package's own."""
-        flags, result = run_probe(
-            ["stream", "--hurst", "0.9", "--scales", "2", *threshold], stdin="0\n0\n100\n"
-        )
+        whose normal quantile is the package's own.  The run loads no
+        module beyond those that importing the CLI and parsing its
+        arguments load: no ``array``, no ``numpy.random``."""
+        argv = ["stream", "--hurst", "0.9", "--scales", "2", *threshold]
+        flags, result = run_probe(argv, stdin="0\n0\n100\n")
         assert result["code"] == 0
         assert flags == ["3,100.0,1"]
         assert result["after_import"] == []
         assert bool(result["after_run"]) == loads_scipy, result["after_run"]
+        parsed = python_with_lrdshift(
+            "import json, sys\nfrom lrdshift.cli import build_parser\n"
+            "build_parser().parse_args(sys.argv[1:])\nprint(json.dumps(sorted(sys.modules)))", *argv)
+        assert set(result["modules"]) - set(json.loads(parsed.stdout)) == set()
+        assert "array" not in result["modules"] and "numpy.random" not in result["modules"]
+
+    def test_value_the_moments_make_infinite_is_skipped(self, monkeypatch, capsys):
+        """A line that --mean/--std maps to inf is warned about and skipped,
+        as a non-finite line is, and the stream goes on."""
+        code, out, err = self.stream(
+            monkeypatch, capsys, "1\n2\n1e10\n3\n",
+            ["--hurst", "0.5", "--scales", "2", "--threshold-value", "1e300",
+             "--mean", "0", "--std", "1e-300"],
+        )
+        assert code == 0
+        assert [line.split(",")[0] for line in out.splitlines()] == ["2", "3"]
+        assert err == "warning: line 3: value '1e10' is not finite after --mean/--std, skipped\n"
+
+    @pytest.mark.parametrize("extra", [
+        [], ["--format", "jsonl"], ["--mean", "0.2", "--std", "0.8"],
+    ], ids=["csv", "jsonl", "moments"])
+    def test_stdin_bytes_match_the_per_line_oracle(self, extra):
+        """On real stdin bytes, stdout and stderr equal those of the per-line
+        loop over the text stream CPython makes of them.  The bytes hold
+        CRLF and a lone CR, blank and whitespace-only lines, an invalid
+        UTF-8 byte, two-byte characters, nan, 1e400, sums that overflow and
+        a last line with no newline, over several reads."""
+        rng = np.random.default_rng(61)
+        values = rng.standard_normal(4000)
+        values[1500:1900] += 1.5
+        specials = [b"1.0\r", b"1.5\r2", b"", b"  \t ", b"\xff", b"\xc3\xa9", b"nan", b"1e400",
+                    b"1e308", b"1e308", b"-1e308", b"-1e308", b" -2.5 "]
+        lines = [repr(v).encode() for v in values.tolist()]
+        for i, special in enumerate(specials * 20):
+            lines.insert(15 * i + 11, special)
+        data = b"\n".join(lines)
+        assert len(data) > 4 * _STREAM_READ and not data.endswith(b"\n")
+        argv = ["--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4", *extra]
+        completed = subprocess.run(
+            [sys.executable, "-m", "lrdshift.cli", "stream", *argv], input=data,
+            capture_output=True, timeout=120,
+            env=lrdshift_env(PYTHONIOENCODING="utf-8:surrogateescape"),
+        )
+        assert completed.returncode == 0
+        moments = {"mean": 0.2, "std": 0.8} if "--mean" in extra else {}
+        out, err = stream_per_line(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                             newline="\n"),
+            ScaleConfig(base=2, num_scales=6, hurst=0.8), 2.4,
+            "jsonl" if "jsonl" in extra else "csv", **moments,
+        )
+        assert completed.stdout.decode() == out
+        assert completed.stderr.decode() == err
+        assert out.count("\n") > 100 and err.count("\n") == 7 * 20
+
+    def test_flag_is_written_while_stdin_is_open(self):
+        """A flag is written as soon as its line has arrived, not at the end of input."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lrdshift.cli", "stream", "--hurst", "0.9", "--scales", "2",
+             "--threshold-value", "2.2"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=lrdshift_env(),
+        )
+        first = []
+        reader = threading.Thread(target=lambda: first.append(proc.stdout.readline()), daemon=True)
+        try:
+            proc.stdin.write("0\n0\n100\n")
+            proc.stdin.flush()
+            reader.start()
+            reader.join(10)
+            assert first == ["3,100.0,1\n"]
+        finally:
+            proc.stdin.close()
+            proc.wait(timeout=60)
+            reader.join(10)
+            proc.stdout.close()
+            proc.stderr.close()
+        assert proc.returncode == 0
+
+    def test_stream_runs_in_bounded_memory(self):
+        """2^17 lines at 15 scales peak below 1 MiB of traced memory: stdin
+        is read a bounded piece at a time, not all at once."""
+        x = synthesize_fgn(LrdModel(0.9), 1 << 17, seed=62).values
+        completed = python_with_lrdshift(
+            "import sys, tracemalloc\nfrom lrdshift.cli import main\ntracemalloc.start()\n"
+            "code = main(sys.argv[1:])\nprint(code, tracemalloc.get_traced_memory()[1])",
+            "stream", "--hurst", "0.9", "--threshold-value", "3.5",
+            stdin="".join(repr(v) + "\n" for v in x.tolist()),
+        )
+        *flags, probe = completed.stdout.splitlines()
+        code, peak = map(int, probe.split())
+        assert code == 0 and completed.stderr == ""
+        assert flags, "the bound holds on a stream that writes flags"
+        assert peak < 1 << 20, f"traced peak {peak} B"
+
+    def test_closed_stdin_exits_2(self, monkeypatch, capsys):
+        """Without stdin (``<&-``), ``sys.stdin`` is None."""
+        monkeypatch.setattr("sys.stdin", None)
+        assert run(["stream", "--hurst", "0.9", "--scales", "2", "--threshold-value", "2"]) == 2
+        assert capsys.readouterr().err == "error: stdin is closed\n"
 
     def test_infinite_threshold_value_exits_2(self, monkeypatch, capsys):
         """An infinite critical value would never flag anything."""

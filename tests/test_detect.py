@@ -12,7 +12,6 @@ from lrdshift import (
     DetectionResult,
     LrdModel,
     ScaleConfig,
-    StreamState,
     asymptotic_threshold,
     build_nowa,
     build_swa,
@@ -26,7 +25,9 @@ from lrdshift import (
     ThresholdQuery,
 )
 from lrdshift.detect import Interval, expand_levels
-from oracles import column_at, dense_detect, flags_to_intervals_per_flag, pvalue_map_per_cell
+from oracles import (
+    FEEDS, column_at, dense_detect, flags_to_intervals_per_flag, pvalue_map_per_cell, stream_feed,
+)
 
 # Window sums of these overflow to inf, and to NaN where they meet (inf - inf).
 HUGE = [1e308, -1e308, 1.5e308, -1.5e308, 8e307, -8e307]
@@ -225,19 +226,20 @@ class TestOverflowingWindows:
     CONFIG = ScaleConfig(base=2, num_scales=3, hurst=0.5)
 
     def test_nan_window_hides_no_other_scale(self):
-        """swa flags 1-7 as the stream does, and nowa flags 1-4, where scale
-        1 holds 1e308.  The pyramid's overflow warnings reach the caller."""
-        stream = StreamState(self.CONFIG)
-        pushed = [stream.push(v) for v in self.X]
+        """swa flags 1-7 as the stream does, pushed, extended or both, and
+        nowa flags 1-4, where scale 1 holds 1e308.  The pyramid's overflow
+        warnings reach the caller."""
         with pytest.warns(RuntimeWarning) as caught:
             swa = detect(self.X, DetectionConfig(self.CONFIG, 2.5, "swa"))
             nowa = detect(self.X, DetectionConfig(self.CONFIG, 2.5, "nowa"))
         messages = " ".join(str(w.message) for w in caught)
         assert "overflow" in messages and "invalid value" in messages
         assert swa.flags.tolist() == [1, 2, 3, 4, 5, 6, 7]
-        assert swa.statistic.tolist() == [statistic for statistic, _ in pushed]
-        assert swa.argmax_scale.tolist() == [scale for _, scale in pushed[:7]]
         assert nowa.flags.tolist() == [1, 2, 3, 4]
+        for feed in FEEDS:
+            streamed = stream_feed(self.CONFIG, self.X, feed)
+            assert swa.statistic.tolist() == [statistic for statistic, _ in streamed], feed
+            assert swa.argmax_scale.tolist() == [scale for _, scale in streamed[:7]], feed
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @settings(max_examples=60, deadline=None)
@@ -246,16 +248,19 @@ class TestOverflowingWindows:
         base=st.sampled_from([2, 3]),
         num_scales=st.integers(1, 4),
         hurst=st.sampled_from([0.5, 0.8, 1.0]),
+        blocks_seed=st.integers(0, 2**32 - 1),
     )
-    def test_swa_equals_stream_and_nowa_flags_every_huge_sample(self, values, base, num_scales, hurst):
+    def test_swa_equals_stream_and_nowa_flags_every_huge_sample(self, values, base, num_scales, hurst,
+                                                                blocks_seed):
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=hurst)
         x = np.array(values)
-        stream = StreamState(config)
-        pushed = [stream.push(v) for v in values]
         swa = detect(x, DetectionConfig(config, 2.5, "swa"))
-        assert swa.statistic.tolist() == [statistic for statistic, _ in pushed]
-        assert swa.flags.tolist() == [i for i, (statistic, _) in enumerate(pushed, start=1) if statistic > 2.5]
-        assert swa.argmax_scale.tolist() == [pushed[i - 1][1] for i in swa.flags]
+        for feed in FEEDS:
+            streamed = stream_feed(config, values, feed, blocks_seed)
+            assert swa.statistic.tolist() == [statistic for statistic, _ in streamed], feed
+            assert swa.flags.tolist() == [i for i, (statistic, _) in enumerate(streamed, start=1)
+                                          if statistic > 2.5], feed
+            assert swa.argmax_scale.tolist() == [streamed[i - 1][1] for i in swa.flags], feed
         nowa = detect(x, DetectionConfig(config, 2.5, "nowa"))
         assert set(np.flatnonzero(np.abs(x) > 2.5) + 1) <= set(nowa.flags.tolist())
 

@@ -19,7 +19,7 @@ from lrdshift import (
     subseed,
     synthesize_fgn,
 )
-from oracles import column_at, dense_detect
+from oracles import FEEDS, column_at, dense_detect, stream_feed
 
 
 def brute_force_nowa_level(x, window, hurst):
@@ -295,19 +295,19 @@ class TestStreaming:
 
     @pytest.mark.parametrize("base, num_scales, n", [(2, 15, 1 << 17), (3, 6, 1 << 17), (2, 6, 300)])
     def test_matches_batch_swa_exactly(self, base, num_scales, n):
-        """Every pushed (statistic, argmax_scale) equals batch swa's, bit for
+        """Every streamed (statistic, argmax_scale) equals batch swa's, bit for
         bit, through the warm-up and a shifted stretch and a spike that move
-        the argmax across scales."""
+        the argmax across scales, whether pushed, extended or both."""
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
         x = synthesize_fgn(LrdModel(0.8), n, seed=58).values.copy()
         x[n // 3 : n // 2] += 0.8
         x[2 * n // 3] += 8.0
-        state = StreamState(config)
-        pushed = [state.push(v) for v in x.tolist()]
         statistic, flags, argmax_scale = dense_detect(build_swa(x, config), 0.0)
         assert len(flags) == n
-        assert pushed == list(zip(statistic.tolist(), argmax_scale.tolist()))
-        assert len({scale for _, scale in pushed}) >= 3
+        batch = list(zip(statistic.tolist(), argmax_scale.tolist()))
+        assert len({scale for _, scale in batch}) >= 3
+        for feed in FEEDS:
+            assert stream_feed(config, x, feed) == batch, feed
 
     @pytest.mark.parametrize("lead", [0, 9])
     def test_overflowing_sum_recovers(self, lead):
@@ -320,8 +320,8 @@ class TestStreaming:
         with np.errstate(over="ignore"):
             pyramid = build_swa(np.array(x), config)
         batch = [max(abs(v) for _, v in column_at(pyramid, t)) for t in range(1, len(x) + 1)]
-        state = StreamState(config)
-        assert [state.push(v)[0] for v in x] == batch
+        for feed in FEEDS:
+            assert [statistic for statistic, _ in stream_feed(config, x, feed)] == batch, feed
         assert np.inf in batch and batch[-1] == 0.0
 
     @pytest.mark.parametrize(
@@ -341,21 +341,22 @@ class TestStreaming:
         config = ScaleConfig(base=2, num_scales=num_scales, hurst=0.5)
         with np.errstate(over="ignore", invalid="ignore"):
             pyramid = build_swa(np.array(x), config)
-        state = StreamState(config)
-        pushed = [state.push(v) for v in x]
-        assert pushed == [column_max(pyramid, t) for t in range(1, len(x) + 1)]
-        assert pushed[settled_from - 1 :] == [(settled, num_scales)] * (len(x) - settled_from + 1)
+        batch = [column_max(pyramid, t) for t in range(1, len(x) + 1)]
+        assert batch[settled_from - 1 :] == [(settled, num_scales)] * (len(x) - settled_from + 1)
+        for feed in FEEDS:
+            assert stream_feed(config, x, feed) == batch, feed
 
     def test_ties_go_to_the_smallest_scale(self):
         """A constant at hurst 1 ties exactly at every warm scale."""
         config = ScaleConfig(base=2, num_scales=5, hurst=1.0)
-        state = StreamState(config)
-        assert [state.push(3.0) for _ in range(40)] == [(3.0, 1)] * 40
+        for feed in FEEDS:
+            assert stream_feed(config, [3.0] * 40, feed) == [(3.0, 1)] * 40, feed
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_sample_and_keeps_state(self, bad):
-        """A rejected sample changes nothing: later pushes, and a 100 sd
-        spike among them, equal those of a state that never saw it."""
+        """A rejected sample, or a block holding it and a NaN after it,
+        changes nothing: later pushes, and a 100 sd spike among them, equal
+        those of a state that never saw them."""
         config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
         x = synthesize_fgn(LrdModel(0.8), 200, seed=59).values.copy()
         x[150] += 100.0
@@ -366,7 +367,19 @@ class TestStreaming:
             clean.push(v)
         with pytest.raises(ValueError, match=f"sample must be finite, got {bad!r}"):
             state.push(bad)
+        with pytest.raises(ValueError, match=f"sample must be finite, got {bad!r}"):
+            state.extend([1.0, bad, 2.0, float("nan")])
         assert state.samples_seen == 50
         after = [state.push(v) for v in x[50:]]
         assert after == [clean.push(v) for v in x[50:]]
         assert after[100] == (pytest.approx(100.0, abs=5.0), 1)
+
+    def test_empty_block_returns_two_empty_arrays(self):
+        """Extending by nothing returns nothing and changes nothing."""
+        config = ScaleConfig(base=2, num_scales=4, hurst=0.8)
+        state, clean = StreamState(config), StreamState(config)
+        assert state.push(1.0) == clean.push(1.0)
+        statistics, argmax_scales = state.extend([])
+        assert statistics.shape == argmax_scales.shape == (0,)
+        assert state.samples_seen == 1
+        assert [state.push(v) for v in (2.0, -3.0)] == [clean.push(v) for v in (2.0, -3.0)]
