@@ -16,11 +16,16 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
+import gc
 import itertools
 import json
 import math
+import os
+import signal
 import sys
 import warnings
+from typing import NoReturn
 
 import numpy as np
 
@@ -144,9 +149,9 @@ def _parse_lines(fh, path, column: int | None) -> np.ndarray:
 
 def write_series(path, values: np.ndarray) -> None:
     """One ``repr`` of a float per line, formatted ``_SLICE`` values at a time."""
-    with open(path, "w") as fh:
-        for lo in range(0, len(values), _SLICE):
-            fh.write("\n".join(map(repr, values[lo:lo + _SLICE].tolist())) + "\n")
+    with open(path, "wb") as fh:
+        _write_slices(fh, (values[lo:lo + _SLICE] for lo in range(0, len(values), _SLICE)),
+                      _series_lines)
 
 
 def write_pvalue_csv(path, pvalues) -> None:
@@ -154,24 +159,176 @@ def write_pvalue_csv(path, pvalues) -> None:
 
     ``pvalues`` is the (M, n) map or any iterable of its rows as 1-D arrays,
     scale 1 first, such as :func:`~lrdshift.detect.pvalue_rows`.  A cell holds
-    ``repr`` of its p-value, or nothing where the cell is absent (NaN).  Each
-    row is written before the next is read, ``_SLICE`` cells at a time, so
-    from an iterable of rows the writer holds one row and the text of one
-    slice.
+    ``repr`` of its p-value, or nothing where the cell is absent (NaN).
+
+    The cells are formatted ``_SLICE`` at a time by :func:`_write_slices`:
+    on a host with two or more usable CPUs, this process formats the even
+    slices of the map (counted over all rows, scale 1 first) and one forked
+    worker the odd ones, and this process writes every slice in order, so
+    the bytes are those of one process; a one-CPU host keeps one process.
+    From an iterable of rows each process holds one row and the text of a
+    few slices.  Both processes iterate ``pvalues`` from where this one
+    left it, so an iterator of rows must compute them, not read them from
+    a shared file.  The header needs the first row's length, so that row
+    is read before the worker is forked and its imports (``scipy.special``
+    for :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker
+    computes every row again and formats half the cells: for an M = 15,
+    n = 2^16 map on 2 vCPUs, about 0.4 s of CPU and 1k minor faults,
+    while the writer's wall time falls from about 0.8 s to 0.5 s.  Its
+    memory is this process's pages, shared copy-on-write.
     """
-    with open(path, "w") as fh:
-        for k, row in enumerate(pvalues, start=1):
+    pieces = _map_pieces(pvalues)
+    with open(path, "wb") as fh:
+        # Taking the first piece here reads the first row before the fork.
+        _write_slices(fh, itertools.chain([next(pieces, "")], pieces), _map_cells)
+
+
+def _map_pieces(pvalues):
+    """The map CSV as :func:`_write_slices` pieces.
+
+    The header comes first, then each row's scale index, slices and newline.
+    """
+    for k, row in enumerate(pvalues, start=1):
+        if k == 1:
+            yield "scale"
             n = len(row)
-            if k == 1:
-                fh.write("scale")
-                for lo in range(1, n + 1, _SLICE):
-                    fh.write("," + ",".join(map(str, range(lo, min(lo + _SLICE, n + 1)))))
-                fh.write("\n")
-            fh.write(str(k))
-            for lo in range(0, n, _SLICE):
-                # repr of a float contains "nan" only when it is NaN.
-                fh.write("," + ",".join(map(repr, row[lo:lo + _SLICE].tolist())).replace("nan", ""))
-            fh.write("\n")
+            for lo in range(1, n + 1, _SLICE):
+                yield "," + ",".join(map(str, range(lo, min(lo + _SLICE, n + 1))))
+            yield "\n"
+        yield str(k)
+        for lo in range(0, len(row), _SLICE):
+            yield row[lo:lo + _SLICE]
+        yield "\n"
+
+
+def _series_lines(values: np.ndarray) -> str:
+    """The ``repr`` of each value, one per line."""
+    return "\n".join(map(repr, values.tolist())) + "\n"
+
+
+def _map_cells(values: np.ndarray) -> str:
+    """A comma before the ``repr`` of each value, nothing for a NaN."""
+    # repr of a float contains "nan" only when it is NaN.
+    return "," + ",".join(map(repr, values.tolist())).replace("nan", "")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _write_slices(fh, pieces, text) -> None:
+    """Write ``pieces`` in order to the binary file ``fh``.
+
+    A ``str`` piece is written as it is and an array piece as
+    ``text(piece)``; both are ASCII.  With two or more usable CPUs and
+    ``os.fork``, one forked worker formats every second array piece and
+    sends its text through a pipe while this process formats the others
+    (see :func:`_worker`); this process writes every piece, so the bytes do
+    not depend on who formatted them.  With one usable CPU, or without
+    ``os.fork``, this process formats every piece.
+    """
+    fh.flush()  # leave nothing buffered for the forked worker to inherit
+    with _worker(pieces, text) as pipe:
+        for data in _turn(pieces, text, 0, 1 if pipe is None else 2):
+            fh.write(_receive(pipe) if data is None else data)
+
+
+def _turn(pieces, text, turn: int, turns: int):
+    """The bytes of each of ``pieces`` that turn ``turn`` of ``turns`` formats, None for the others.
+
+    The array pieces go to the turns in rotation, turn 0 first; the ``str``
+    pieces are turn 0's.
+    """
+    arrays = 0
+    for piece in pieces:
+        if isinstance(piece, str):
+            yield piece.encode() if turn == 0 else None
+        else:
+            yield text(piece).encode() if arrays % turns == turn else None
+            arrays += 1
+
+
+@contextlib.contextmanager
+def _worker(pieces, text):
+    """The read end of the pipe from a forked worker formatting turn 1 of 2 of ``pieces``.
+
+    Yields None, and forks nothing, with one usable CPU or without
+    ``os.fork``.  The worker is reaped before the ``with`` block is left.
+    When the block raises, the worker is killed first and the block's
+    error is the one that propagates; otherwise a worker that failed
+    raises :class:`RuntimeError`.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        yield None
+        return
+    import fcntl
+
+    read_fd, write_fd = os.pipe()
+    with contextlib.suppress(AttributeError, OSError):
+        # A 1 MiB pipe lets the worker run about a dozen slices ahead: the
+        # M = 15, n = 2^16 map took 0.48 s against 0.56 s with the 64 KiB
+        # default (medians of 8 alternating runs on 2 vCPUs).
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with threads (numpy's BLAS
+            # starts some) forks; the worker only formats and calls no BLAS.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        os.close(read_fd)
+        _worker_main(pieces, text, write_fd)
+    os.close(write_fd)
+    pipe = open(read_fd, "rb")
+    try:
+        yield pipe
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        pipe.close()
+        status = os.waitpid(pid, 0)[1]
+    if status:
+        raise RuntimeError(f"the formatting worker exited with code {os.waitstatus_to_exitcode(status)}")
+
+
+def _worker_main(pieces, text, write_fd) -> NoReturn:
+    """The forked worker: send each text of turn 1 of 2 as an 8-byte length and its bytes.
+
+    It leaves through ``os._exit``, so it never returns into the caller's
+    stack or flushes the parent's buffers.  Its garbage collector is off,
+    because a collection could finalize the parent's unreachable objects
+    here as well, and so flush a buffered file among them a second time.
+    """
+    status = 1
+    try:
+        gc.disable()
+        with open(write_fd, "wb") as pipe:
+            for data in _turn(pieces, text, 1, 2):
+                if data is not None:
+                    pipe.write(len(data).to_bytes(8, "little"))
+                    pipe.write(data)
+                    pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pipe) -> bytes:
+    """The next text the worker sent."""
+    header = pipe.read(8)
+    size = int.from_bytes(header, "little")
+    data = pipe.read(size)
+    if len(header) != 8 or len(data) != size:
+        raise RuntimeError("the formatting worker stopped before sending all of its slices")
+    return data
 
 
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
@@ -328,11 +485,13 @@ def _stdin_text(stdin):
     """The text of ``stdin`` as it arrives, one read of at most ``_STREAM_READ`` at a time.
 
     Bytes are read with ``read1``, which returns as soon as any have
-    arrived, and decoded incrementally with the stream's encoding and error
-    handler.  Newlines are not translated: CPython opens stdin on POSIX with
-    ``newline="\\n"``, so a lone ``\\r`` is part of a line.  A text stream
-    without ``.buffer`` is read with ``.read``.  Without stdin (``<&-``),
-    ``sys.stdin`` is None.
+    arrived, and decoded incrementally with the stream's encoding and the
+    ``surrogateescape`` handler, whatever the stream's own: a byte the
+    encoding rejects then spoils only its own line, which is warned about
+    and skipped like any line that does not parse.  Newlines are not
+    translated: CPython opens stdin on POSIX with ``newline="\\n"``, so a
+    lone ``\\r`` is part of a line.  A text stream without ``.buffer`` is
+    read with ``.read``.  Without stdin (``<&-``), ``sys.stdin`` is None.
     """
     if stdin is None:
         raise ValueError("stdin is closed")
@@ -340,7 +499,7 @@ def _stdin_text(stdin):
     if raw is None:
         yield from iter(lambda: stdin.read(_STREAM_READ), "")
         return
-    decoder = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors)
+    decoder = codecs.getincrementaldecoder(stdin.encoding)("surrogateescape")
     while chunk := raw.read1(_STREAM_READ):
         yield decoder.decode(chunk)
     yield decoder.decode(b"", final=True)

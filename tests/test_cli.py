@@ -20,6 +20,7 @@ from lrdshift import (
     LrdModel, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
     synthesize_fgn,
 )
+from lrdshift import cli as cli_module
 from lrdshift.detect import pvalue_rows
 from lrdshift.cli import (
     _SLICE, _STREAM_READ, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
@@ -263,6 +264,21 @@ class TestDetectCommand:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    def test_map_under_warnings_as_errors(self, tmp_path, spiked_series):
+        """``python -W error -m lrdshift.cli detect --out-map`` exits 0, says
+        nothing and writes the map the in-process run writes."""
+        inp, _ = spiked_series
+        argv = ["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--method", "swa",
+                "--threshold", "asymptotic", "--out-flags", str(tmp_path / "f.json")]
+        assert run([*argv, "--out-map", str(tmp_path / "expected.csv")]) == 0
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdshift.cli", *argv,
+             "--out-map", str(tmp_path / "map.csv")],
+            capture_output=True, text=True, env=lrdshift_env(), timeout=120,
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+        assert (tmp_path / "map.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_missing_hurst_exits_2(self, tmp_path, spiked_series):
         inp, _ = spiked_series
@@ -656,12 +672,109 @@ class TestMapCsvWriter:
         assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
+def exit_3_after(items):
+    """Yield ``items``, then end the process with exit code 3."""
+    yield from items
+    os._exit(3)
+
+
+class TestMapWorker:
+    """The map writer with and without its forked worker, forced by the CPU count it reads."""
+
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The number of ``os.fork`` calls made so far."""
+        calls = []
+
+        def fork():
+            calls.append(None)
+            return real_fork()
+
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    @staticmethod
+    def fail_in_worker(monkeypatch, name, make_failing):
+        """Replace ``lrdshift.cli.<name>`` by a version that fails in any process but this one."""
+        parent, original = os.getpid(), getattr(cli_module, name)
+        failing = make_failing(original)
+        monkeypatch.setattr(cli_module, name,
+                            lambda *args: (failing if os.getpid() != parent else original)(*args))
+
+    @pytest.mark.parametrize("shape,nan_at", [
+        ((3, 2 * _SLICE + 3), [0, _SLICE - 1, _SLICE, 2 * _SLICE, 2 * _SLICE + 2]),
+        ((5, 7), [0, 3, 6]),
+        ((1, 4 * _SLICE + 1), [_SLICE - 1, _SLICE, 3 * _SLICE, 4 * _SLICE]),
+        ((1, 100), [50]),
+    ], ids=["odd-slice-count", "rows-shorter-than-a-slice", "one-long-row", "one-slice"])
+    def test_bytes_match_per_cell_writer_both_ways(self, tmp_path, monkeypatch, forks, shape,
+                                                   nan_at):
+        """One process or two, the bytes are the per-cell writer's: NaN cells
+        on both sides of slice boundaries, 5e-324, rows shorter than a slice,
+        an odd number of slices and a single row."""
+        pvalues = np.random.default_rng(shape[1]).uniform(size=shape)
+        pvalues[:, nan_at] = np.nan
+        pvalues[-1, 1] = 5e-324
+        expected = tmp_path / "expected.csv"
+        write_pvalue_csv_per_cell(expected, pvalues)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+            got = tmp_path / f"got{cpus}.csv"
+            write_pvalue_csv(got, pvalues)
+            assert got.read_bytes() == expected.read_bytes(), cpus
+            assert len(forks) == cpus - 1
+        assert b"5e-324" in expected.read_bytes() and b",," in expected.read_bytes()
+
+    def test_error_in_the_rows_propagates_unchanged(self, tmp_path, monkeypatch, forks):
+        """An exception raised by the row iterable after some slices of both
+        processes is the one raised, and the worker is reaped."""
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        error = ValueError("row 3 is not ready")
+
+        def rows():
+            yield from np.full((2, 3 * _SLICE), 0.5)
+            raise error
+
+        with pytest.raises(ValueError) as raised:
+            write_pvalue_csv(tmp_path / "map.csv", rows())
+        assert raised.value is error
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("name,make_failing,message", [
+        ("_map_cells", lambda original: lambda values: 1 / 0,
+         "error: the formatting worker stopped before sending all of its slices\n"),
+        ("_turn", lambda original: lambda *args: exit_3_after(original(*args)),
+         "error: the formatting worker exited with code 3\n"),
+    ], ids=["mid-map", "after-its-last-slice"])
+    def test_failed_worker_makes_detect_exit_1(self, tmp_path, monkeypatch, capsys, forks,
+                                               spiked_series, name, make_failing, message):
+        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        self.fail_in_worker(monkeypatch, name, make_failing)
+        inp, _ = spiked_series
+        code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--threshold",
+                    "asymptotic", "--out-flags", str(tmp_path / "f.json"),
+                    "--out-map", str(tmp_path / "map.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == message
+        assert len(forks) == 1
+
+
 class TestWriteSeries:
-    def test_bytes_match_one_repr_per_line(self, tmp_path):
-        values = np.random.default_rng(7).standard_normal(_SLICE + 3)
-        path = tmp_path / "series.txt"
-        write_series(path, values)
-        assert path.read_text() == "".join(repr(float(v)) + "\n" for v in values)
+    def test_bytes_match_one_repr_per_line(self, tmp_path, monkeypatch):
+        """One process or two (the formatting worker), the same lines."""
+        values = np.random.default_rng(7).standard_normal(2 * _SLICE + 3)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+            path = tmp_path / f"series{cpus}.txt"
+            write_series(path, values)
+            assert path.read_text() == "".join(repr(float(v)) + "\n" for v in values)
 
 
 class TestThresholdCommand:
@@ -964,6 +1077,25 @@ class TestStreamCommand:
         assert completed.stdout.decode() == out
         assert completed.stderr.decode() == err
         assert out.count("\n") > 100 and err.count("\n") == 7 * 20
+
+    def test_strict_stdin_decoder_skips_only_the_bad_line(self):
+        """Under a strict stdin decoder a byte it rejects is one warned,
+        skipped line, as under the POSIX locale: the lines around it in the
+        same read are still parsed and flagged."""
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "lrdshift.cli", "stream", "--hurst", "0.9", "--scales", "2",
+                 "--threshold-value", "1.5"],
+                input=b"1\n5\n\xff\n2\n", capture_output=True, timeout=120,
+                env=lrdshift_env(PYTHONIOENCODING=f"utf-8:{errors}"),
+            )
+            for errors in ("strict", "surrogateescape")
+        ]
+        assert results[0].returncode == results[1].returncode == 0
+        assert results[0].stdout == results[1].stdout
+        assert results[0].stderr == results[1].stderr
+        assert [line.split(b",")[0] for line in results[0].stdout.splitlines()] == [b"2", b"3"]
+        assert results[0].stderr == b"warning: line 3: cannot parse '\\udcff', skipped\n"
 
     def test_flag_is_written_while_stdin_is_open(self):
         """A flag is written as soon as its line has arrived, not at the end of input."""

@@ -62,6 +62,22 @@ def test_detect_nowa_asymptotic(workdir):
     assert digest(flags.read_bytes()) == "25212c31fe365713"
 
 
+@pytest.mark.parametrize("method,expected", [
+    ("swa", ("bf991ccb1a524b7c", "dd22528d5f447364")),
+    ("nowa", ("3cdb0a5c383eec8f", "26fb5024beb37749")),
+])
+def test_detect_map(method, expected, workdir, monkeypatch):
+    flags, pvalues = workdir / f"m_{method}.json", workdir / f"m_{method}.csv"
+
+    def run():
+        code = main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method",
+                     method, "--scales", "12", "--seed", "1", "--out-flags", str(flags),
+                     "--out-map", str(pvalues)])
+        return code, digest(flags.read_bytes()), digest(pvalues.read_bytes())
+
+    assert cold_and_warm(monkeypatch, run) == ((0, *expected),) * 2
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["--kind", "improved", "--scales", "12", "--hurst", "0.85", "--seed", "3"], "20f7f115f801e556"),
     (["--kind", "asymptotic", "--scales", "12"], "6d05266d6e53714c"),
