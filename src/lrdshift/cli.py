@@ -154,51 +154,56 @@ def write_series(path, values: np.ndarray) -> None:
                       _series_lines)
 
 
-def write_pvalue_csv(path, pvalues) -> None:
+def write_pvalue_csv(path, rows) -> None:
     """Map CSV: first column is the scale index, then one column per position.
 
-    ``pvalues`` is the (M, n) map or any iterable of its rows as 1-D arrays,
-    scale 1 first, such as :func:`~lrdshift.detect.pvalue_rows`.  A cell holds
-    ``repr`` of its p-value, or nothing where the cell is absent (NaN).
+    ``rows`` holds one ``(lead, repeat, pvalues)`` triple per scale, scale 1
+    first, as :func:`~lrdshift.detect.pvalue_rows` yields them: ``pvalues[j]``
+    fills the cells ``lead + j*repeat .. lead + (j+1)*repeat - 1`` (0-based)
+    and the row's other cells are absent.  The first row covers every
+    position, so it gives n; a dense row is ``(0, 1, row)``.  A cell holds
+    ``repr`` of its p-value, or nothing where it is absent (NaN).  Each
+    p-value is formatted once and its text repeated over its cells.
 
-    The cells are formatted ``_SLICE`` at a time by :func:`_write_slices`:
-    on a host with two or more usable CPUs, this process formats the even
-    slices of the map (counted over all rows, scale 1 first) and one forked
-    worker the odd ones, and this process writes every slice in order, so
-    the bytes are those of one process; a one-CPU host keeps one process.
-    From an iterable of rows each process holds one row and the text of a
-    few slices.  Both processes iterate ``pvalues`` from where this one
-    left it, so an iterator of rows must compute them, not read them from
-    a shared file.  The header needs the first row's length, so that row
-    is read before the worker is forked and its imports (``scipy.special``
-    for :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker
-    computes every row again and formats half the cells: for an M = 15,
-    n = 2^16 map on 2 vCPUs, about 0.4 s of CPU and 1k minor faults,
-    while the writer's wall time falls from about 0.8 s to 0.5 s.  Its
-    memory is this process's pages, shared copy-on-write.
+    :func:`_write_slices` formats about ``_SLICE`` cells at a time: on a
+    host with two or more usable CPUs, this process formats the even slices
+    of the map (counted over all rows, scale 1 first) and one forked worker
+    the odd ones, and this process writes every slice in order, so the
+    bytes are those of one process; a one-CPU host keeps one process.  Each
+    process holds one row and the text of a few slices.  Both processes
+    iterate ``rows`` from where this one left it, so an iterator must
+    compute the rows, not read them from a shared file.  The first row is
+    read before the fork, so its imports (``scipy.special`` for
+    :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker computes
+    every row again: for an M = 15, n = 2^16 ``swa`` map on 2 vCPUs, about
+    0.4 s of CPU and 1k minor faults, and the writer's wall time falls from
+    about 0.8 s to 0.5 s.  Its memory is this process's pages, copy-on-write.
     """
-    pieces = _map_pieces(pvalues)
+    pieces = _map_pieces(rows)
     with open(path, "wb") as fh:
         # Taking the first piece here reads the first row before the fork.
         _write_slices(fh, itertools.chain([next(pieces, "")], pieces), _map_cells)
 
 
-def _map_pieces(pvalues):
+def _map_pieces(rows):
     """The map CSV as :func:`_write_slices` pieces.
 
-    The header comes first, then each row's scale index, slices and newline.
+    The header comes first.  Each row is its scale index and ``lead``
+    blank cells, then ``(pvalues, repeat)`` pieces of about ``_SLICE``
+    cells in whole entries, then its trailing blank cells and a newline.
     """
-    for k, row in enumerate(pvalues, start=1):
+    for k, (lead, repeat, pvalues) in enumerate(rows, start=1):
         if k == 1:
             yield "scale"
-            n = len(row)
+            n = lead + len(pvalues) * repeat
             for lo in range(1, n + 1, _SLICE):
                 yield "," + ",".join(map(str, range(lo, min(lo + _SLICE, n + 1))))
             yield "\n"
-        yield str(k)
-        for lo in range(0, len(row), _SLICE):
-            yield row[lo:lo + _SLICE]
-        yield "\n"
+        yield str(k) + "," * lead
+        step = max(_SLICE // repeat, 1)
+        for lo in range(0, len(pvalues), step):
+            yield pvalues[lo:lo + step], repeat
+        yield "," * (n - lead - len(pvalues) * repeat) + "\n"
 
 
 def _series_lines(values: np.ndarray) -> str:
@@ -206,10 +211,12 @@ def _series_lines(values: np.ndarray) -> str:
     return "\n".join(map(repr, values.tolist())) + "\n"
 
 
-def _map_cells(values: np.ndarray) -> str:
-    """A comma before the ``repr`` of each value, nothing for a NaN."""
+def _map_cells(piece) -> str:
+    """For ``(values, repeat)``: a comma and each repr, ``repeat`` times; nothing for NaN."""
+    values, repeat = piece
+    texts = np.array(list(map(repr, values.tolist())), dtype=object)
     # repr of a float contains "nan" only when it is NaN.
-    return "," + ",".join(map(repr, values.tolist())).replace("nan", "")
+    return "," + ",".join(np.repeat(texts, repeat).tolist()).replace("nan", "")
 
 
 def _usable_cpus() -> int:
@@ -384,6 +391,8 @@ def cmd_synth(args) -> int:
 
 def cmd_detect(args) -> int:
     _check_usage(args)
+    if args.gap_tolerance < 0:
+        raise ValueError("--gap-tolerance must be >= 0")
     values = read_series(args.input, args.column)
     if args.estimate_hurst:
         estimate = estimate_hurst(values)

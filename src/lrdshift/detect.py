@@ -27,7 +27,6 @@ __all__ = [
     "Interval",
     "standardize",
     "detect",
-    "expand_levels",
     "pvalue_rows",
     "pvalue_map",
     "flags_to_intervals",
@@ -62,7 +61,8 @@ class DetectionResult:
     threshold, and ``argmax_scale[j]`` is the scale achieving the max at
     ``flags[j]``.  ``pyramid`` is the multiscale series the statistic was
     taken over (its layout tag is the method); pass it to
-    :func:`pvalue_map` for the p-value map.
+    :func:`pvalue_rows` for the p-value map one scale at a time, or to
+    :func:`pvalue_map` for the (M, n) matrix.
     """
 
     statistic: np.ndarray
@@ -107,63 +107,36 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     return TimeSeries(values), float(mean), float(std)
 
 
-def _expand_level(pyramid: Pyramid, scale: int) -> np.ndarray:
-    """Row ``scale - 1`` of :func:`expand_levels`, as a fresh array."""
-    level = pyramid.levels[scale - 1]
-    window = pyramid.config.window(scale)
-    row = np.full(len(pyramid.levels[0]), np.nan)
-    if pyramid.method == "nowa":
-        row[: len(level) * window].reshape(len(level), window)[:] = level[:, None]
-    else:
-        row[window - 1 :] = level
-    return row
-
-
-def expand_levels(pyramid: Pyramid) -> np.ndarray:
-    """Levels expanded onto scale-1 time coordinates as a (M, n) matrix.
-
-    Row ``k-1`` holds the scale-``k`` value covering each position: the
-    covering complete block (non-overlapping layout) or the backward window
-    ending there (sliding layout).  NaN marks positions without a value.
-    This is the layout of :func:`pvalue_map` and :func:`pvalue_rows`, which
-    expand one row at a time; detection itself never builds the matrix.
-    """
-    out = np.empty((pyramid.config.num_scales, len(pyramid.levels[0])))
-    for k, row in enumerate(out, start=1):
-        row[:] = _expand_level(pyramid, k)
-    return out
-
-
 def pvalue_rows(pyramid: Pyramid):
-    """Yield the rows of :func:`pvalue_map` one scale at a time, scale 1 first.
+    """Yield each scale's ``(lead, repeat, pvalues)``, scale 1 first.
 
-    Each row is a fresh length-n array made in place from
-    :func:`_expand_level`, so a caller that writes each row out before asking
-    for the next holds one row, never the (M, n) map.
+    ``pvalues`` is a fresh array of the marginal two-sided p-value of each
+    entry of the scale's level, and ``(lead, repeat)`` is the level's
+    :meth:`~lrdshift.pyramid.ScaleConfig.cover`.  A caller that writes each
+    triple out before asking for the next never holds the (M, n) map.
     """
     from scipy.special import ndtr
 
-    for k in range(1, pyramid.config.num_scales + 1):
-        row = _expand_level(pyramid, k)
-        np.abs(row, out=row)
+    for k, level in enumerate(pyramid.levels, start=1):
+        row = np.abs(level)
         np.negative(row, out=row)
         with np.errstate(invalid="ignore"):
             ndtr(row, out=row)
         row *= 2.0
-        yield row
+        yield (*pyramid.config.cover(pyramid.method, k), row)
 
 
 def pvalue_map(pyramid: Pyramid) -> np.ndarray:
     """Marginal two-sided p-values ``2(1 - Phi(|Y_k|))`` per valid cell.
 
-    Same (M, n) layout as :func:`expand_levels`, built from
-    :func:`pvalue_rows`; invalid cells stay NaN — they are absent, never
-    zero.  A window whose sum overflowed to NaN (``inf - inf``) is absent
-    too.
+    The (M, n) matrix filled from :func:`pvalue_rows`: row ``k-1`` holds the
+    p-value of the scale-``k`` entry covering each position.  Invalid cells
+    stay NaN — they are absent, never zero.  A window whose sum overflowed
+    to NaN (``inf - inf``) is absent too.
     """
-    out = np.empty((pyramid.config.num_scales, len(pyramid.levels[0])))
-    for row, values in zip(out, pvalue_rows(pyramid)):
-        row[:] = values
+    out = np.full((pyramid.config.num_scales, len(pyramid.levels[0])), np.nan)
+    for row, (lead, repeat, pvalues) in zip(out, pvalue_rows(pyramid)):
+        row[lead : lead + len(pvalues) * repeat] = np.repeat(pvalues, repeat)
     return out
 
 
@@ -198,7 +171,7 @@ def _max_over_scales(pyramid: Pyramid, out: list) -> np.ndarray:
     else:
         statistic = np.abs(levels[0], out=out[0])
         for k, (level, magnitude) in enumerate(zip(levels[1:], out[1:]), start=2):
-            covered = statistic[pyramid.config.window(k) - 1 :]
+            covered = statistic[pyramid.config.cover(pyramid.method, k)[0] :]
             np.fmax(covered, np.abs(level, out=magnitude), out=covered)
     return statistic
 
@@ -230,13 +203,13 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     build = build_nowa if config.method == "nowa" else build_swa
     pyramid = build(series, config.scale_config)
     levels = pyramid.levels
-    windows = [config.scale_config.window(k) for k in range(1, len(levels) + 1)]
     statistic = _max_over_scales(pyramid, [None] * len(levels))
     flagged = np.nonzero(statistic > config.threshold)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)
-    for k, (level, window) in enumerate(zip(levels[1:], windows[1:]), start=2):
-        index = flagged // window if config.method == "nowa" else flagged - (window - 1)
+    for k, level in enumerate(levels[1:], start=2):
+        lead, repeat = config.scale_config.cover(config.method, k)
+        index = (flagged - lead) // repeat
         magnitude = np.abs(level.take(index, mode="clip"))
         better = (index >= 0) & (index < len(level)) & (magnitude > best)
         best[better] = magnitude[better]

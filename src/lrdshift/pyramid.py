@@ -69,6 +69,16 @@ class ScaleConfig:
             raise ValueError(f"scale must be in 1..{self.num_scales}, got {scale}")
         return self.base ** (scale - 1)
 
+    def cover(self, method: str, scale: int) -> tuple[int, int]:
+        """``(lead, repeat)``: entry ``j`` of level ``scale`` covers the 0-based
+        positions ``lead + j*repeat .. lead + (j+1)*repeat - 1``.
+
+        ``(0, L_k)`` for ``nowa`` blocks; ``(L_k - 1, 1)`` for ``swa``, whose
+        windows cover the position they end at.
+        """
+        window = self.window(scale)
+        return (0, window) if method == "nowa" else (window - 1, 1)
+
     @property
     def max_window(self) -> int:
         return self.base ** (self.num_scales - 1)
@@ -82,7 +92,8 @@ class Pyramid:
     series length ``n`` is ``len(levels[0])``.  For ``nowa`` the array has
     ``n // L_k`` complete blocks; for ``swa`` it has ``n - L_k + 1`` entries,
     entry ``0`` being the window ending at 1-based scale-1 position ``L_k``.
-    In both layouts the first entry's window ends at position ``L_k``.
+    In both layouts the first entry's window ends at position ``L_k``;
+    :meth:`ScaleConfig.cover` gives the positions each entry covers.
     """
 
     method: str
@@ -104,8 +115,8 @@ def _normalizers(config: ScaleConfig) -> list[float]:
 
 def _level_lengths(method: str, n: int, config: ScaleConfig) -> list[int]:
     """Lengths of the scale-2..M levels of a length-``n`` pyramid."""
-    windows = [config.window(k) for k in range(2, config.num_scales + 1)]
-    return [n // w if method == "nowa" else n - w + 1 for w in windows]
+    covers = (config.cover(method, k) for k in range(2, config.num_scales + 1))
+    return [(n - lead) // repeat for lead, repeat in covers]
 
 
 def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.ndarray]) -> None:
@@ -181,16 +192,16 @@ class StreamState:
     def __init__(self, config: ScaleConfig):
         self.config = config
         self.samples_seen = 0
-        # Per scale k >= 2: L_k, its normalizer, scale k-1's ring and its
-        # size, and the offsets from the earliest window of the chain to the
-        # middle ones (none at base 2).
+        # Per scale k >= 2: its cover's lead, its normalizer, scale k-1's ring
+        # and its size, and the offsets from the earliest window of the chain
+        # to the middle ones (none at base 2).
         self._scales = []
         for k, norm in enumerate(_normalizers(config)[1:], start=2):
             sub = config.window(k - 1)
             size = (config.base - 1) * sub
             offsets = tuple(m * sub - size for m in range(1, config.base - 1))
             ring = memoryview(bytearray(8 * size)).cast("d")
-            self._scales.append((k, config.window(k), norm, ring, size, offsets))
+            self._scales.append((k, config.cover("swa", k)[0], norm, ring, size, offsets))
 
     def push(self, sample: float) -> tuple[float, int]:
         """Ingest one sample; return ``(statistic, argmax_scale)`` ending here.
@@ -212,7 +223,7 @@ class StreamState:
         # only windows that are not warm yet.
         window = x
         top, best = abs(x), 1
-        for k, length, norm, ring, size, offsets in self._scales:
+        for k, lead, norm, ring, size, offsets in self._scales:
             p = n % size
             chained = ring[p]
             for offset in offsets:
@@ -220,7 +231,7 @@ class StreamState:
             ring[p] = window
             window = chained + window
             magnitude = abs(window / norm)
-            if magnitude > top and length <= seen:
+            if magnitude > top and lead < seen:
                 top, best = magnitude, k
         return top, best
 
@@ -242,7 +253,7 @@ class StreamState:
         best = np.ones(count, dtype=int)
         window = x  # scale k-1's unnormalized windows ending at each sample
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
-            for k, length, norm, ring, size, offsets in self._scales:
+            for k, lead, norm, ring, size, offsets in self._scales:
                 # The ring in time order, then this block: ``chain[size + i]`` is
                 # the window ending at sample i, ``chain[i]`` the one ending
                 # ``size`` samples before it.
@@ -257,9 +268,9 @@ class StreamState:
                 newest, q = chain[count:], (n + count) % size
                 slots[q:] = newest[: size - q]
                 slots[:q] = newest[size - q :]
-                # Sample i is the (n + i + 1)-th seen, so scale k is warm from
-                # i = length - n - 1 on.  A NaN magnitude never compares greater.
-                warm = slice(max(length - n - 1, 0), None)
+                # Sample i is 0-based position n + i, so scale k is warm from
+                # i = lead - n on.  A NaN magnitude never compares greater.
+                warm = slice(max(lead - n, 0), None)
                 magnitude = np.abs(window[warm] / norm)
                 greater = magnitude > top[warm]
                 top[warm][greater] = magnitude[greater]

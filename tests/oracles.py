@@ -27,7 +27,7 @@ from lrdshift import (
     subseed,
     substream,
 )
-from lrdshift.detect import DetectionResult, Interval, expand_levels
+from lrdshift.detect import DetectionResult, Interval
 from lrdshift.evaluate import _mean_or_none
 from lrdshift.thresholds import _CHUNK
 
@@ -53,6 +53,19 @@ def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
         else:
             if t >= window:
                 out.append((k, float(level[t - window])))
+    return out
+
+
+def expand_levels(pyramid: Pyramid) -> np.ndarray:
+    """The levels on scale-1 positions as an (M, n) matrix, cell by cell from :func:`column_at`.
+
+    Row ``k-1`` holds the scale-``k`` value covering each position; NaN
+    marks a position without one.
+    """
+    out = np.full((pyramid.config.num_scales, len(pyramid.levels[0])), np.nan)
+    for t in range(1, out.shape[1] + 1):
+        for k, value in column_at(pyramid, t):
+            out[k - 1, t - 1] = value
     return out
 
 

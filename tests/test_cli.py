@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from lrdshift import (
-    LrdModel, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
+    LrdModel, Pyramid, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
     synthesize_fgn,
 )
 from lrdshift import cli as cli_module
@@ -26,11 +26,16 @@ from lrdshift.cli import (
     _SLICE, _STREAM_READ, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
     write_pvalue_csv, write_series,
 )
-from oracles import pvalue_map_per_cell, stream_per_line, write_pvalue_csv_per_cell
+from oracles import expand_levels, pvalue_map_per_cell, stream_per_line, write_pvalue_csv_per_cell
 
 
 def run(argv):
     return main(argv)
+
+
+def dense(pvalues):
+    """The rows of a dense (M, n) map as ``write_pvalue_csv`` takes them."""
+    return [(0, 1, row) for row in pvalues]
 
 
 def refuse_threshold(*args):
@@ -232,6 +237,19 @@ class TestDetectCommand:
                     "--threshold-value", value, "--out-flags", str(tmp_path / "f.json")])
         assert code == 2
         assert "--threshold-value must be positive and finite" in capsys.readouterr().err
+
+    def test_negative_gap_tolerance_exits_2_before_reading(self, tmp_path, spiked_series,
+                                                          monkeypatch, capsys):
+        def refuse_read(*args):
+            raise AssertionError("input read before the usage check")
+
+        monkeypatch.setattr("lrdshift.cli.read_series", refuse_read)
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
+        inp, _ = spiked_series
+        code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
+                    "--gap-tolerance", "-1", "--out-flags", str(tmp_path / "f.json")])
+        assert code == 2
+        assert "--gap-tolerance must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["nowa", "swa"])
     @pytest.mark.parametrize("base,scales", [("2", "6"), ("3", "5")])
@@ -591,7 +609,7 @@ class TestMapCommand:
     def write_map(self, path, pvalues):
         from lrdshift.cli import write_pvalue_csv
 
-        write_pvalue_csv(path, np.asarray(pvalues, dtype=float))
+        write_pvalue_csv(path, dense(np.asarray(pvalues, dtype=float)))
 
     def test_single_hot_cell(self, tmp_path):
         map_path, svg_path = tmp_path / "m.csv", tmp_path / "m.svg"
@@ -641,7 +659,7 @@ class TestMapCsvWriter:
         cells = [np.nan, 0.0, 1.0, 5e-324, 1e-300, 1e-05, 0.1, 0.30000000000000004]
         pvalues = np.array([cells, cells[::-1], [np.nan] * len(cells)])
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_pvalue_csv(fast, pvalues)
+        write_pvalue_csv(fast, dense(pvalues))
         write_pvalue_csv_per_cell(slow, pvalues)
         assert fast.read_bytes() == slow.read_bytes()
         assert fast.read_text().splitlines()[1] == "1,,0.0,1.0,5e-324,1e-300,1e-05,0.1,0.30000000000000004"
@@ -655,7 +673,7 @@ class TestMapCsvWriter:
         row[[0, _SLICE - 1, _SLICE, 2 * _SLICE, n - 1]] = np.nan
         pvalues = np.array([row, row[::-1]])
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_pvalue_csv(fast, pvalues)
+        write_pvalue_csv(fast, dense(pvalues))
         write_pvalue_csv_per_cell(slow, pvalues)
         assert fast.read_bytes() == slow.read_bytes()
 
@@ -665,7 +683,7 @@ class TestMapCsvWriter:
         row = np.random.default_rng(6).uniform(size=1 << 18)
         tracemalloc.start()
         try:
-            write_pvalue_csv(tmp_path / "row.csv", [row])
+            write_pvalue_csv(tmp_path / "row.csv", [(0, 1, row)])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -708,26 +726,58 @@ class TestMapWorker:
         monkeypatch.setattr(cli_module, name,
                             lambda *args: (failing if os.getpid() != parent else original)(*args))
 
-    @pytest.mark.parametrize("shape,nan_at", [
-        ((3, 2 * _SLICE + 3), [0, _SLICE - 1, _SLICE, 2 * _SLICE, 2 * _SLICE + 2]),
-        ((5, 7), [0, 3, 6]),
-        ((1, 4 * _SLICE + 1), [_SLICE - 1, _SLICE, 3 * _SLICE, 4 * _SLICE]),
-        ((1, 100), [50]),
-    ], ids=["odd-slice-count", "rows-shorter-than-a-slice", "one-long-row", "one-slice"])
-    def test_bytes_match_per_cell_writer_both_ways(self, tmp_path, monkeypatch, forks, shape,
-                                                   nan_at):
-        """One process or two, the bytes are the per-cell writer's: NaN cells
-        on both sides of slice boundaries, 5e-324, rows shorter than a slice,
-        an odd number of slices and a single row."""
+    @staticmethod
+    def dense_case(shape, nan_at):
+        """A dense map with NaN columns at ``nan_at`` and a 5e-324 cell."""
         pvalues = np.random.default_rng(shape[1]).uniform(size=shape)
         pvalues[:, nan_at] = np.nan
         pvalues[-1, 1] = 5e-324
+        return dense(pvalues), pvalues
+
+    @staticmethod
+    def level_case(method):
+        """The level-form rows of a base-70, 3-scale pyramid of 3 * 4900 + 37
+        samples, with NaN entries on both sides of every piece edge and
+        5e-324 in the last entry of scale 3.  Under ``nowa`` a scale-3 entry
+        covers 4900 > _SLICE cells and scales 2 and 3 end in an incomplete
+        block; under ``swa`` scale 3 starts with 4899 > _SLICE blank cells.
+        The expected map is expanded cell by cell by the oracle."""
+        config = ScaleConfig(base=70, num_scales=3, hurst=0.9)
+        build = build_nowa if method == "nowa" else build_swa
+        pyramid = build(np.random.default_rng(70).standard_normal(3 * 4900 + 37), config)
+        rows = list(pvalue_rows(pyramid))
+        pvalue_levels = Pyramid(method, config, [pvalues for *_, pvalues in rows])
+        assert np.array_equal(expand_levels(pvalue_levels), pvalue_map_per_cell(pyramid),
+                              equal_nan=True)
+        for lead, repeat, pvalues in rows:
+            step = max(_SLICE // repeat, 1)
+            pvalues[[step - 1, step]] = np.nan
+        rows[-1][2][-1] = 5e-324
+        return rows, expand_levels(pvalue_levels)
+
+    @pytest.mark.parametrize("case", [
+        lambda: TestMapWorker.dense_case((3, 2 * _SLICE + 3),
+                                         [0, _SLICE - 1, _SLICE, 2 * _SLICE, 2 * _SLICE + 2]),
+        lambda: TestMapWorker.dense_case((5, 7), [0, 3, 6]),
+        lambda: TestMapWorker.dense_case((1, 4 * _SLICE + 1),
+                                         [_SLICE - 1, _SLICE, 3 * _SLICE, 4 * _SLICE]),
+        lambda: TestMapWorker.dense_case((1, 100), [50]),
+        lambda: TestMapWorker.level_case("nowa"),
+        lambda: TestMapWorker.level_case("swa"),
+    ], ids=["odd-slice-count", "rows-shorter-than-a-slice", "one-long-row", "one-slice",
+            "nowa-levels", "swa-levels"])
+    def test_bytes_match_per_cell_writer_both_ways(self, tmp_path, monkeypatch, forks, case):
+        """One process or two, the bytes are the per-cell writer's: NaN cells
+        on both sides of slice boundaries, 5e-324, rows shorter than a slice,
+        an odd number of slices, a single row, and level-form rows whose
+        entries or leads are longer than a slice."""
+        rows, pvalues = case()
         expected = tmp_path / "expected.csv"
         write_pvalue_csv_per_cell(expected, pvalues)
         for cpus in (1, 2):
             monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
             got = tmp_path / f"got{cpus}.csv"
-            write_pvalue_csv(got, pvalues)
+            write_pvalue_csv(got, rows)
             assert got.read_bytes() == expected.read_bytes(), cpus
             assert len(forks) == cpus - 1
         assert b"5e-324" in expected.read_bytes() and b",," in expected.read_bytes()
@@ -739,7 +789,7 @@ class TestMapWorker:
         error = ValueError("row 3 is not ready")
 
         def rows():
-            yield from np.full((2, 3 * _SLICE), 0.5)
+            yield from dense(np.full((2, 3 * _SLICE), 0.5))
             raise error
 
         with pytest.raises(ValueError) as raised:

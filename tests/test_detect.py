@@ -24,9 +24,10 @@ from lrdshift import (
     synthesize_fgn,
     ThresholdQuery,
 )
-from lrdshift.detect import Interval, expand_levels
+from lrdshift.detect import Interval
 from oracles import (
-    FEEDS, column_at, dense_detect, flags_to_intervals_per_flag, pvalue_map_per_cell, stream_feed,
+    FEEDS, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag, pvalue_map_per_cell,
+    stream_feed,
 )
 
 # Window sums of these overflow to inf, and to NaN where they meet (inf - inf).
@@ -198,9 +199,11 @@ class TestDetect:
         for position, scale in zip(result.flags, result.argmax_scale):
             assert magnitudes[scale - 1, position - 1] == result.statistic[position - 1]
 
-    def test_null_calibration_small(self):
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    def test_null_calibration_small(self, method):
         """Family-wise per-position flag rate over fully-covered positions
-        is close to alpha when the improved threshold is used."""
+        is close to alpha when the improved threshold is used, in both
+        layouts (nowa's is conservative)."""
         hurst, m, alpha, n, seeds = 0.9, 6, 0.05, 1024, 60
         threshold = improved_threshold(
             ThresholdQuery(alpha=alpha, num_scales=m, hurst=hurst, mc_reps=3 * 10**5, seed=201)
@@ -208,7 +211,7 @@ class TestDetect:
         config = DetectionConfig(
             scale_config=ScaleConfig(base=2, num_scales=m, hurst=hurst),
             threshold=threshold,
-            method="swa",
+            method=method,
         )
         biggest = config.scale_config.max_window
         rates = []
