@@ -16,16 +16,11 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import contextlib
-import gc
 import itertools
 import json
 import math
-import os
-import signal
 import sys
 import warnings
-from typing import NoReturn
 
 import numpy as np
 
@@ -35,6 +30,7 @@ from .fgn import LrdModel, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
 from .svgmap import render_pvalue_map_svg
 from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
+from .workers import in_turns
 
 __all__ = ["main"]
 
@@ -165,24 +161,22 @@ def write_pvalue_csv(path, rows) -> None:
     ``repr`` of its p-value, or nothing where it is absent (NaN).  Each
     p-value is formatted once and its text repeated over its cells.
 
-    :func:`_write_slices` formats about ``_SLICE`` cells at a time: on a
-    host with two or more usable CPUs, this process formats the even slices
-    of the map (counted over all rows, scale 1 first) and one forked worker
-    the odd ones, and this process writes every slice in order, so the
-    bytes are those of one process; a one-CPU host keeps one process.  Each
-    process holds one row and the text of a few slices.  Both processes
-    iterate ``rows`` from where this one left it, so an iterator must
-    compute the rows, not read them from a shared file.  The first row is
-    read before the fork, so its imports (``scipy.special`` for
-    :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker computes
+    :func:`_write_slices` formats about ``_SLICE`` cells at a time, in turns
+    through :func:`~lrdshift.workers.in_turns`: on a host with two or more
+    usable CPUs, this process formats the even pieces of the map (counted
+    over all rows, scale 1 first) and one forked worker the odd ones, and
+    this process writes every piece in order, so the bytes are those of one
+    process.  Each process holds one row and the text of a few slices.
+    Both processes iterate ``rows`` from where this one left it, so an
+    iterator must compute the rows, not read them from a shared file.  The
+    first row is read before the fork, so its imports (``scipy.special``
+    for :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker computes
     every row again: for an M = 15, n = 2^16 ``swa`` map on 2 vCPUs, about
     0.4 s of CPU and 1k minor faults, and the writer's wall time falls from
     about 0.8 s to 0.5 s.  Its memory is this process's pages, copy-on-write.
     """
-    pieces = _map_pieces(rows)
     with open(path, "wb") as fh:
-        # Taking the first piece here reads the first row before the fork.
-        _write_slices(fh, itertools.chain([next(pieces, "")], pieces), _map_cells)
+        _write_slices(fh, _map_pieces(rows), _map_cells)
 
 
 def _map_pieces(rows):
@@ -214,128 +208,25 @@ def _series_lines(values: np.ndarray) -> str:
 def _map_cells(piece) -> str:
     """For ``(values, repeat)``: a comma and each repr, ``repeat`` times; nothing for NaN."""
     values, repeat = piece
-    texts = np.array(list(map(repr, values.tolist())), dtype=object)
+    texts = map(repr, values.tolist())
+    if repeat > 1:
+        texts = np.repeat(np.array(list(texts), dtype=object), repeat).tolist()
     # repr of a float contains "nan" only when it is NaN.
-    return "," + ",".join(np.repeat(texts, repeat).tolist()).replace("nan", "")
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return "," + ",".join(texts).replace("nan", "")
 
 
 def _write_slices(fh, pieces, text) -> None:
     """Write ``pieces`` in order to the binary file ``fh``.
 
     A ``str`` piece is written as it is and an array piece as
-    ``text(piece)``; both are ASCII.  With two or more usable CPUs and
-    ``os.fork``, one forked worker formats every second array piece and
-    sends its text through a pipe while this process formats the others
-    (see :func:`_worker`); this process writes every piece, so the bytes do
-    not depend on who formatted them.  With one usable CPU, or without
-    ``os.fork``, this process formats every piece.
+    ``text(piece)``; both are ASCII.  The pieces are formatted in turns by
+    :func:`~lrdshift.workers.in_turns` (this process and, on a host with two
+    or more usable CPUs, one forked worker), and this process writes every
+    piece, so the bytes do not depend on who formatted them.
     """
     fh.flush()  # leave nothing buffered for the forked worker to inherit
-    with _worker(pieces, text) as pipe:
-        for data in _turn(pieces, text, 0, 1 if pipe is None else 2):
-            fh.write(_receive(pipe) if data is None else data)
-
-
-def _turn(pieces, text, turn: int, turns: int):
-    """The bytes of each of ``pieces`` that turn ``turn`` of ``turns`` formats, None for the others.
-
-    The array pieces go to the turns in rotation, turn 0 first; the ``str``
-    pieces are turn 0's.
-    """
-    arrays = 0
-    for piece in pieces:
-        if isinstance(piece, str):
-            yield piece.encode() if turn == 0 else None
-        else:
-            yield text(piece).encode() if arrays % turns == turn else None
-            arrays += 1
-
-
-@contextlib.contextmanager
-def _worker(pieces, text):
-    """The read end of the pipe from a forked worker formatting turn 1 of 2 of ``pieces``.
-
-    Yields None, and forks nothing, with one usable CPU or without
-    ``os.fork``.  The worker is reaped before the ``with`` block is left.
-    When the block raises, the worker is killed first and the block's
-    error is the one that propagates; otherwise a worker that failed
-    raises :class:`RuntimeError`.
-    """
-    if not hasattr(os, "fork") or _usable_cpus() < 2:
-        yield None
-        return
-    import fcntl
-
-    read_fd, write_fd = os.pipe()
-    with contextlib.suppress(AttributeError, OSError):
-        # A 1 MiB pipe lets the worker run about a dozen slices ahead: the
-        # M = 15, n = 2^16 map took 0.48 s against 0.56 s with the 64 KiB
-        # default (medians of 8 alternating runs on 2 vCPUs).
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns when a process with threads (numpy's BLAS
-            # starts some) forks; the worker only formats and calls no BLAS.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        os.close(read_fd)
-        _worker_main(pieces, text, write_fd)
-    os.close(write_fd)
-    pipe = open(read_fd, "rb")
-    try:
-        yield pipe
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        pipe.close()
-        status = os.waitpid(pid, 0)[1]
-    if status:
-        raise RuntimeError(f"the formatting worker exited with code {os.waitstatus_to_exitcode(status)}")
-
-
-def _worker_main(pieces, text, write_fd) -> NoReturn:
-    """The forked worker: send each text of turn 1 of 2 as an 8-byte length and its bytes.
-
-    It leaves through ``os._exit``, so it never returns into the caller's
-    stack or flushes the parent's buffers.  Its garbage collector is off,
-    because a collection could finalize the parent's unreachable objects
-    here as well, and so flush a buffered file among them a second time.
-    """
-    status = 1
-    try:
-        gc.disable()
-        with open(write_fd, "wb") as pipe:
-            for data in _turn(pieces, text, 1, 2):
-                if data is not None:
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-                    pipe.flush()
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(pipe) -> bytes:
-    """The next text the worker sent."""
-    header = pipe.read(8)
-    size = int.from_bytes(header, "little")
-    data = pipe.read(size)
-    if len(header) != 8 or len(data) != size:
-        raise RuntimeError("the formatting worker stopped before sending all of its slices")
-    return data
+    in_turns(pieces, lambda piece: (piece if isinstance(piece, str) else text(piece)).encode(),
+             fh.write)
 
 
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -13,8 +13,9 @@ multiscale detector and the naive single-scale baseline.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
 from .pyramid import Pyramid, ScaleConfig, _aggregate, _level_lengths
 from .seeding import subseed, substream
 from .thresholds import ThresholdQuery, compute_threshold, single_scale_threshold
+from .workers import in_turns
 
 __all__ = [
     "InjectionSpec",
@@ -286,8 +288,14 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     one level shift, and scores both detectors per observation.  A shift of
     ``delta = 0`` leaves the series untouched, so the truth set is empty and
     TDR is undefined for those runs.  Rates are averaged within each set
-    (undefined entries skipped); identical seeds give identical results
-    regardless of how the loop is scheduled.
+    (undefined entries skipped).
+
+    The simulations run in turns through :func:`~lrdshift.workers.in_turns`:
+    on a host with two or more usable CPUs, this process runs the even
+    ``(set, sim)`` items, counted over all sets, and one forked worker the
+    odd ones.  Each simulation's result is its two confusion tables as 8
+    int64s, and the rates are computed from them here, so identical seeds
+    give identical results, bit for bit, however the loop is scheduled.
     """
     scale_config = ScaleConfig(base=config.base, num_scales=config.num_scales, hurst=config.hurst)
     critical = compute_threshold(
@@ -307,18 +315,30 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     levels = [np.empty(m) for m in lengths]
     folds = _fold_buffers(config.method, [config.n, *lengths])
     has_shift = config.injection.delta != 0.0
+
+    def simulate(item) -> bytes:
+        """The multiscale and naive confusion cells of simulation ``(set_id, sim)``."""
+        set_id, sim = item
+        series = sampler.sample(subseed(config.seed, 1, set_id, sim, 0)).values
+        shifted = _shift(series, config.injection, substream(config.seed, 1, set_id, sim, 1))
+        truth = np.arange(shifted.start + 1, shifted.stop + 1) if has_shift else []
+        _aggregate(config.method, series, scale_config, levels)
+        pyramid = Pyramid(config.method, scale_config, [series, *levels])
+        multiscale_flags = np.nonzero(_max_over_scales(pyramid, folds) > critical)[0] + 1
+        naive_flags = naive_baseline(series, config.alpha)
+        cells = [astuple(confusion(flags, truth, config.n)) for flags in (multiscale_flags, naive_flags)]
+        return np.array(cells, dtype=np.int64).tobytes()
+
+    cells = []
+    in_turns(itertools.product(range(1, config.sets + 1), range(config.sims_per_set)), simulate,
+             cells.append)
+    sims = iter(cells)
     for set_id in range(1, config.sets + 1):
         per_sim: dict[str, list[MetricSummary]] = {"multiscale": [], "naive": []}
-        for sim in range(config.sims_per_set):
-            series = sampler.sample(subseed(config.seed, 1, set_id, sim, 0)).values
-            shifted = _shift(series, config.injection, substream(config.seed, 1, set_id, sim, 1))
-            truth = np.arange(shifted.start + 1, shifted.stop + 1) if has_shift else []
-            _aggregate(config.method, series, scale_config, levels)
-            pyramid = Pyramid(config.method, scale_config, [series, *levels])
-            multiscale_flags = np.nonzero(_max_over_scales(pyramid, folds) > critical)[0] + 1
-            naive_flags = naive_baseline(series, config.alpha)
-            for name, flags in (("multiscale", multiscale_flags), ("naive", naive_flags)):
-                per_sim[name].append(metrics(confusion(flags, truth, config.n)))
+        for data in itertools.islice(sims, config.sims_per_set):
+            multiscale, naive = np.frombuffer(data, dtype=np.int64).reshape(2, 4).tolist()
+            per_sim["multiscale"].append(metrics(ConfusionCounts(*multiscale)))
+            per_sim["naive"].append(metrics(ConfusionCounts(*naive)))
         for name, summaries in per_sim.items():
             result.rows.append(
                 (

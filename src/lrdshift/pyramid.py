@@ -174,6 +174,12 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
     return _build("swa", series, config)
 
 
+# ``StreamState.extend`` pushes a block shorter than this sample by sample:
+# at 15 scales on 2 vCPUs the numpy form cost 5.6-6.0 us a sample at 32
+# samples, 3.6-4.5 at 40 and 2.9 at 64, ``push`` 3.7-5.1 at every length.
+_SHORT_BLOCK = 40
+
+
 class StreamState:
     """Online sliding aggregation over all scales, per sample or per block.
 
@@ -185,8 +191,10 @@ class StreamState:
     doubles.  :meth:`push` is the per-sample form: O(num_scales * base)
     scalar float work on the rings, no numpy call.  :meth:`extend` is the
     block form: the same chain over a whole block in numpy, the rings seen
-    through ``np.frombuffer`` with no copy.  Both return bit for bit the
-    batch ``swa`` statistic and argmax, and they may be mixed on one state.
+    through ``np.frombuffer`` with no copy; it pushes a block shorter than
+    ``_SHORT_BLOCK`` samples, where ``push`` is the cheaper form.  Both
+    return bit for bit the batch ``swa`` statistic and argmax, and they may
+    be mixed on one state.
     """
 
     def __init__(self, config: ScaleConfig):
@@ -241,12 +249,22 @@ class StreamState:
         Element ``i`` of each array is what ``push(samples[i])`` would
         return, bit for bit.  A non-finite sample raises the ``ValueError``
         that ``push`` raises for it, naming the first one, and leaves the
-        state as it was.
+        state as it was.  A block shorter than ``_SHORT_BLOCK`` is pushed
+        sample by sample, since the block form's fixed cost per call (about
+        a dozen numpy calls per scale) outweighs ``push`` there.
         """
         x = np.asarray(samples, dtype=float)
         finite = np.isfinite(x)
         if not finite.all():
             raise ValueError(f"sample must be finite, got {float(x[np.argmin(finite)])!r}")
+        if len(x) < _SHORT_BLOCK:
+            pairs = [self.push(sample) for sample in x.tolist()]
+            return (np.array([top for top, _ in pairs], dtype=float),
+                    np.array([best for _, best in pairs], dtype=int))
+        return self._extend_block(x)
+
+    def _extend_block(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`extend` of the finite float array ``x``, in numpy at any length."""
         n, count = self.samples_seen, len(x)
         self.samples_seen = n + count
         top = np.abs(x)

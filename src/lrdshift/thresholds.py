@@ -40,6 +40,7 @@ import numpy as np
 
 from .pyramid import ScaleConfig
 from .seeding import subseed, substream
+from .workers import in_turns
 
 __all__ = [
     "ThresholdQuery",
@@ -251,13 +252,21 @@ def _max_abs_gaussian_samples(
     sums each row as the chunk's product does.  A chunk never ends in a
     one-row block, since numpy computes a one-row product on its
     vector-matrix path, whose sums can differ in the last bit.
+
+    The chunks are drawn in turns through :func:`~lrdshift.workers.in_turns`:
+    on a host with two or more usable CPUs, one forked worker draws the odd
+    chunks into its own copy of the result, and this process reads their
+    maxima from the pipe straight into its result, so it holds no second
+    copy of them.  Each chunk's maxima depend on its substream alone.
     """
     m = factor.shape[0]
     out = np.empty(reps)
     rows = min(_BLOCK + 1, reps)
     g = np.empty((rows, m))
     z = np.empty((rows, m))
-    for start in range(0, reps, _CHUNK):
+
+    def draw(start: int) -> np.ndarray:
+        """The maxima of the chunk that starts at replicate ``start``, written into ``out``."""
         rng = substream(seed, start // _CHUNK)
         stop = min(start + _CHUNK, reps)
         lo = start
@@ -271,6 +280,9 @@ def _max_abs_gaussian_samples(
             np.abs(z_block, out=z_block)
             z_block.max(axis=1, out=out[lo:hi])
             lo = hi
+        return out[start:stop]
+
+    in_turns(range(0, reps, _CHUNK), draw, into=lambda start: out[start : start + _CHUNK])
     return out
 
 
@@ -297,7 +309,9 @@ def improved_threshold(query: ThresholdQuery) -> ThresholdResult:
     Draws ``mc_reps`` vectors from the ``num_scales``-dimensional cross-scale
     law and returns the empirical ``(1 - alpha)``-quantile of the max of
     absolute values.  Deterministic given ``seed`` and independent of how the
-    replicate loop is partitioned.
+    replicate loop is partitioned: on a host with two or more usable CPUs a
+    forked worker draws every second chunk of replicates (see
+    :func:`_max_abs_gaussian_samples`), and the value is the same bit for bit.
     """
     if query.mc_reps < 10**4:
         raise ValueError(f"mc_reps must be >= 10^4, got {query.mc_reps}")

@@ -1,5 +1,7 @@
 """Fixtures shared by every test module."""
 
+import os
+
 import pytest
 
 
@@ -15,3 +17,31 @@ def threshold_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg-cache"))
     monkeypatch.setenv("HOME", str(tmp_path / "home"))
     return tmp_path / "xdg-cache" / "lrdshift"
+
+
+@pytest.fixture(autouse=True)
+def no_child_is_left():
+    """After each test, this process has no child left, running or unreaped.
+
+    Every forked worker (see :mod:`lrdshift.workers`) must be reaped before
+    the call that forked it returns, on success, on a worker failure and on
+    an exception in this process.
+    """
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of ``os.fork`` calls made so far, one entry per call."""
+    calls = []
+    real_fork = os.fork
+
+    def fork():
+        calls.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return calls
+

@@ -20,7 +20,9 @@ from lrdshift import (
     LrdModel, Pyramid, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
     synthesize_fgn,
 )
+import lrdshift.evaluate as evaluate_module
 from lrdshift import cli as cli_module
+from lrdshift import workers
 from lrdshift.detect import pvalue_rows
 from lrdshift.cli import (
     _SLICE, _STREAM_READ, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
@@ -690,41 +692,30 @@ class TestMapCsvWriter:
         assert peak < 2 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
-def exit_3_after(items):
-    """Yield ``items``, then end the process with exit code 3."""
-    yield from items
-    os._exit(3)
+def fail_in_worker(monkeypatch, module, name, failing):
+    """Replace ``module.<name>`` by ``failing`` in any process but this one."""
+    parent, original = os.getpid(), getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args: (failing if os.getpid() != parent else original)(*args))
+
+
+def exit_in_worker_after(function, code):
+    """``function``, whose result is iterated, ending any process but this one
+    with ``code`` after its last item."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        yield from function(*args)
+        if os.getpid() != parent:
+            os._exit(code)
+
+    return wrapped
 
 
 class TestMapWorker:
-    """The map writer with and without its forked worker, forced by the CPU count it reads."""
-
-    @pytest.fixture(autouse=True)
-    def no_child_is_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The number of ``os.fork`` calls made so far."""
-        calls = []
-
-        def fork():
-            calls.append(None)
-            return real_fork()
-
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
-    @staticmethod
-    def fail_in_worker(monkeypatch, name, make_failing):
-        """Replace ``lrdshift.cli.<name>`` by a version that fails in any process but this one."""
-        parent, original = os.getpid(), getattr(cli_module, name)
-        failing = make_failing(original)
-        monkeypatch.setattr(cli_module, name,
-                            lambda *args: (failing if os.getpid() != parent else original)(*args))
+    """The map writer with and without its forked worker, forced by the CPU count
+    :mod:`lrdshift.workers` reads.  The autouse ``no_child_is_left`` fixture
+    checks that every worker is reaped."""
 
     @staticmethod
     def dense_case(shape, nan_at):
@@ -775,7 +766,7 @@ class TestMapWorker:
         expected = tmp_path / "expected.csv"
         write_pvalue_csv_per_cell(expected, pvalues)
         for cpus in (1, 2):
-            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             got = tmp_path / f"got{cpus}.csv"
             write_pvalue_csv(got, rows)
             assert got.read_bytes() == expected.read_bytes(), cpus
@@ -785,7 +776,7 @@ class TestMapWorker:
     def test_error_in_the_rows_propagates_unchanged(self, tmp_path, monkeypatch, forks):
         """An exception raised by the row iterable after some slices of both
         processes is the one raised, and the worker is reaped."""
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
         error = ValueError("row 3 is not ready")
 
         def rows():
@@ -797,16 +788,39 @@ class TestMapWorker:
         assert raised.value is error
         assert len(forks) == 1
 
-    @pytest.mark.parametrize("name,make_failing,message", [
-        ("_map_cells", lambda original: lambda values: 1 / 0,
-         "error: the formatting worker stopped before sending all of its slices\n"),
-        ("_turn", lambda original: lambda *args: exit_3_after(original(*args)),
-         "error: the formatting worker exited with code 3\n"),
+    def test_error_in_the_writes_propagates_unchanged(self, monkeypatch, forks):
+        """An exception raised by the file's ``write`` halfway through the
+        slices is the one raised, and the worker is killed and reaped."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        error = OSError("no space left")
+        written = []
+
+        class Full(io.BytesIO):
+            def write(self, data):
+                written.append(len(data))
+                if len(written) == 5:
+                    raise error
+                return super().write(data)
+
+        with pytest.raises(OSError) as raised:
+            cli_module._write_slices(Full(), (row for row in np.zeros((8, _SLICE))),
+                                     cli_module._series_lines)
+        assert raised.value is error
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("fail,message", [
+        (lambda monkeypatch: fail_in_worker(monkeypatch, cli_module, "_map_cells",
+                                            lambda piece: 1 / 0),
+         "error: the worker process stopped before sending all of its items\n"),
+        # The rows are made before the fork, so the worker exits after its last slice.
+        (lambda monkeypatch: monkeypatch.setattr(cli_module, "pvalue_rows",
+                                                 exit_in_worker_after(pvalue_rows, 3)),
+         "error: the worker process exited with code 3\n"),
     ], ids=["mid-map", "after-its-last-slice"])
     def test_failed_worker_makes_detect_exit_1(self, tmp_path, monkeypatch, capsys, forks,
-                                               spiked_series, name, make_failing, message):
-        monkeypatch.setattr(cli_module, "_usable_cpus", lambda: 2)
-        self.fail_in_worker(monkeypatch, name, make_failing)
+                                               spiked_series, fail, message):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        fail(monkeypatch)
         inp, _ = spiked_series
         code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--threshold",
                     "asymptotic", "--out-flags", str(tmp_path / "f.json"),
@@ -821,7 +835,7 @@ class TestWriteSeries:
         """One process or two (the formatting worker), the same lines."""
         values = np.random.default_rng(7).standard_normal(2 * _SLICE + 3)
         for cpus in (1, 2):
-            monkeypatch.setattr(cli_module, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
             path = tmp_path / f"series{cpus}.txt"
             write_series(path, values)
             assert path.read_text() == "".join(repr(float(v)) + "\n" for v in values)
@@ -853,6 +867,20 @@ class TestThresholdCommand:
                  "--kind", "improved", "--mc-reps", "200000", "--seed", "6"])
             values[hurst] = json.loads(capsys.readouterr().out)["value"]
         assert values["0.95"] < values["0.6"]
+
+    def test_cold_improved_threshold_under_warnings_as_errors(self, capsys, monkeypatch):
+        """``python -W error -m lrdshift.cli threshold --kind improved`` on a
+        cold cache, whose worker draws every second chunk with BLAS after
+        the fork, exits 0, says nothing and prints the one-process value."""
+        args = ["threshold", "--scales", "15", "--hurst", "0.9", "--kind", "improved",
+                "--mc-reps", "300000", "--seed", "4"]
+        completed = subprocess.run([sys.executable, "-W", "error", "-m", "lrdshift.cli", *args],
+                                   capture_output=True, text=True, env=lrdshift_env(), timeout=120)
+        assert (completed.returncode, completed.stderr) == (0, "")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(Path(os.environ["XDG_CACHE_HOME"]) / "one-cpu"))
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        assert run(args) == 0
+        assert completed.stdout == capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value", [
         ("--hurst", "0"), ("--hurst", "1.5"), ("--hurst", "nan"), ("--base", "1"), ("--base", "0"),
@@ -906,6 +934,34 @@ class TestEvalCommand:
         assert run(["eval", "--sets", "1", "--sims", "1", *argv, "--out", str(prefix)]) == 2
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    STUDY = ["eval", "--sets", "2", "--sims", "3", "--n", "1024", "--hurst", "0.8", "--scales", "5",
+             "--mc-reps", "10000", "--duration-mean", "100", "--start-range", "512", "--seed", "3"]
+
+    def test_worker_that_dies_mid_study_makes_eval_exit_1(self, tmp_path, monkeypatch, capsys,
+                                                          forks):
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        fail_in_worker(monkeypatch, evaluate_module, "naive_baseline", lambda *args: os._exit(3))
+        assert run([*self.STUDY, "--out", str(tmp_path / "study")]) == 1
+        assert capsys.readouterr().err == (
+            "error: the worker process stopped before sending all of its items\n")
+        assert len(forks) == 1
+        assert not list(tmp_path.glob("study*"))
+
+    def test_study_under_warnings_as_errors(self, tmp_path, monkeypatch):
+        """``python -W error -m lrdshift.cli eval`` exits 0, says nothing and
+        writes the files a one-process run writes."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        assert run([*self.STUDY, "--out", str(tmp_path / "expected")]) == 0
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "lrdshift.cli", *self.STUDY,
+             "--out", str(tmp_path / "study")],
+            capture_output=True, text=True, env=lrdshift_env(), timeout=120,
+        )
+        assert (completed.returncode, completed.stderr) == (0, "")
+        for suffix in (".csv", ".json"):
+            assert ((tmp_path / f"study{suffix}").read_bytes()
+                    == (tmp_path / f"expected{suffix}").read_bytes())
 
     def test_loads_no_scipy(self, tmp_path):
         """The study's thresholds, sampler and detectors need no scipy."""

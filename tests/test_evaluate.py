@@ -2,13 +2,16 @@
 
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lrdshift.evaluate as evaluate_module
 import lrdshift.fgn as fgn_module
+from lrdshift import workers
 from lrdshift import (
     ConfusionCounts,
     ExperimentConfig,
@@ -203,6 +206,48 @@ class TestRunExperiment:
         expected = run_experiment_per_call(config)
         assert result.threshold_value == expected.threshold_value
         assert result.rows == expected.rows
+
+    @pytest.mark.parametrize("overrides", [
+        dict(sets=3, sims_per_set=1),
+        dict(sets=1, sims_per_set=1),
+        dict(sets=1, sims_per_set=4,
+             injection=InjectionSpec(delta=0.0, start_range=2**9, duration_mean=200.0)),
+        dict(),
+    ], ids=["odd-item-count", "one-item", "no-shift", "two-sets"])
+    def test_rows_equal_the_per_call_study_with_the_worker_off_and_on(self, monkeypatch, forks,
+                                                                     overrides):
+        """One process or two (this one runs the even simulations, a forked
+        worker the odd ones), the rows are the per-call study's; one
+        simulation forks nothing."""
+        config = self.small_config(**overrides)
+        expected = run_experiment_per_call(config)
+        items = config.sets * config.sims_per_set
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            result = run_experiment(config)
+            assert (result.threshold_value, result.rows) == (expected.threshold_value, expected.rows)
+            assert len(forks) == (cpus == 2 and items > 1), cpus
+
+    def test_error_in_this_process_propagates_unchanged(self, monkeypatch, forks):
+        """An exception raised by one of this process's own simulations, after
+        the worker has started on its own, is the one raised; the worker is
+        killed and reaped."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        error = ArithmeticError("simulation 3 failed")
+        parent, calls = os.getpid(), []
+
+        def failing(series, alpha):
+            calls.append(None)
+            if os.getpid() == parent and len(calls) == 2:  # set 1's third, this process's second
+                raise error
+            return naive_baseline(series, alpha)
+
+        monkeypatch.setattr(evaluate_module, "naive_baseline", failing)
+        with pytest.raises(ArithmeticError) as raised:
+            run_experiment(self.small_config())
+        assert raised.value is error
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("overrides,message", [
         (dict(n=100, num_scales=15), "n 100 is shorter than the largest window 16384"),

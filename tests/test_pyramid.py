@@ -19,6 +19,7 @@ from lrdshift import (
     subseed,
     synthesize_fgn,
 )
+from lrdshift.pyramid import _SHORT_BLOCK
 from oracles import FEEDS, column_at, dense_detect, stream_feed
 
 
@@ -373,6 +374,26 @@ class TestStreaming:
         after = [state.push(v) for v in x[50:]]
         assert after == [clean.push(v) for v in x[50:]]
         assert after[100] == (pytest.approx(100.0, abs=5.0), 1)
+
+    def test_short_block_is_pushed(self, monkeypatch):
+        """A block one sample shorter than ``_SHORT_BLOCK`` takes the
+        per-sample path, which calls no ``np.frombuffer``, and returns what
+        pushing it returns; a block of ``_SHORT_BLOCK`` samples takes the
+        block path."""
+        config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
+        x = synthesize_fgn(LrdModel(0.8), 2 * _SHORT_BLOCK, seed=60).values
+        state, clean = StreamState(config), StreamState(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the block form ran on a short block")
+
+        monkeypatch.setattr(np, "frombuffer", refuse)
+        statistics, argmax_scales = state.extend(x[: _SHORT_BLOCK - 1])
+        assert (statistics.dtype, argmax_scales.dtype) == (np.dtype(float), np.dtype(int))
+        pushed = [clean.push(v) for v in x[: _SHORT_BLOCK - 1]]
+        assert list(zip(statistics.tolist(), argmax_scales.tolist())) == pushed
+        with pytest.raises(AssertionError, match="the block form ran"):
+            state.extend(x[_SHORT_BLOCK - 1 : 2 * _SHORT_BLOCK - 1])
 
     def test_empty_block_returns_two_empty_arrays(self):
         """Extending by nothing returns nothing and changes nothing."""

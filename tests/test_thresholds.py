@@ -32,6 +32,7 @@ from lrdshift import (
     single_scale_threshold,
     two_scale_expansion,
 )
+from lrdshift import workers
 from lrdshift.seeding import subseed
 from lrdshift.thresholds import (
     _BLOCK,
@@ -279,6 +280,20 @@ class TestBlockedSampling:
         blocked = _max_abs_gaussian_samples(factor, reps, 11, shift=shift)
         expected = max_abs_gaussian_samples_per_chunk(factor, reps, 11, shift=shift)
         assert np.array_equal(blocked, expected)
+
+    @pytest.mark.parametrize("reps", [2 * _CHUNK + 5, 3 * _CHUNK + 7, _CHUNK])
+    def test_equals_per_chunk_draws_with_the_worker_off_and_on(self, monkeypatch, forks, reps):
+        """One process or two (a forked worker draws the odd chunks), the
+        samples are the per-chunk draws: an odd chunk count whose partial
+        chunk is this process's, an even one whose partial chunk is the
+        worker's, and one chunk, which forks nothing."""
+        factor = _corr_factor(scale_cov_matrix(0.9, 2, 3))
+        expected = max_abs_gaussian_samples_per_chunk(factor, reps, 13)
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            forks.clear()
+            assert np.array_equal(_max_abs_gaussian_samples(factor, reps, 13), expected), cpus
+            assert len(forks) == (cpus == 2 and reps > _CHUNK), cpus
 
     @pytest.mark.parametrize("p", [0.95, 0.5, 0.999])
     def test_one_quantile_call_equals_two(self, p):
