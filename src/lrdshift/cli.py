@@ -169,11 +169,10 @@ def write_pvalue_csv(path, rows) -> None:
     process.  Each process holds one row and the text of a few slices.
     Both processes iterate ``rows`` from where this one left it, so an
     iterator must compute the rows, not read them from a shared file.  The
-    first row is read before the fork, so its imports (``scipy.special``
-    for :func:`~lrdshift.detect.pvalue_rows`) run once.  The worker computes
-    every row again: for an M = 15, n = 2^16 ``swa`` map on 2 vCPUs, about
-    0.4 s of CPU and 1k minor faults, and the writer's wall time falls from
-    about 0.8 s to 0.5 s.  Its memory is this process's pages, copy-on-write.
+    worker computes every row again: for an M = 15, n = 2^16 ``swa`` map on
+    2 vCPUs, about 0.7 s of CPU and 2k minor faults, and the writer's wall
+    time falls by about a third (0.97 to 0.65 s, medians of 10 alternating
+    runs).  Its memory is this process's pages, copy-on-write.
     """
     with open(path, "wb") as fh:
         _write_slices(fh, _map_pieces(rows), _map_cells)

@@ -20,6 +20,7 @@ import numpy as np
 
 from .fgn import TimeSeries, as_series
 from .pyramid import Pyramid, ScaleConfig, build_nowa, build_swa
+from .thresholds import _ndtr
 
 __all__ = [
     "DetectionConfig",
@@ -114,15 +115,13 @@ def pvalue_rows(pyramid: Pyramid):
     entry of the scale's level, and ``(lead, repeat)`` is the level's
     :meth:`~lrdshift.pyramid.ScaleConfig.cover`.  A caller that writes each
     triple out before asking for the next never holds the (M, n) map.
+    The p-value is ``2 Phi(-|Y|)`` with ``Phi`` the package's port of
+    Cephes' ``ndtr`` (:func:`~lrdshift.thresholds._ndtr`), so the map needs
+    no scipy; a NaN (overflowed) entry stays NaN.
     """
-    from scipy.special import ndtr
-
     for k, level in enumerate(pyramid.levels, start=1):
-        row = np.abs(level)
-        np.negative(row, out=row)
-        with np.errstate(invalid="ignore"):
-            ndtr(row, out=row)
-        row *= 2.0
+        row = _ndtr(-np.abs(level))
+        row *= 2.0  # not folded into the port's 0.5: the pair rounds subnormal p-values
         yield (*pyramid.config.cover(pyramid.method, k), row)
 
 

@@ -23,8 +23,9 @@ takes:
 The normal quantile is :func:`_ndtri`, a scalar port of Cephes' ``ndtri``
 (Moshier's rational approximations, the routine scipy.special.ndtri runs);
 tests pin it to scipy bit for bit and to an arbitrary-precision oracle, so
-the closed-form thresholds load no scipy module.  The normal CDF is still
-scipy's ``ndtr``, imported inside the ``power_*`` helpers that call it.
+the closed-form thresholds load no scipy module.  The normal CDF is
+:func:`_ndtr`, a numpy port of Cephes' ``ndtr`` pinned the same way; the
+p-value map and the ``power_*`` helpers use it, so the package needs no scipy.
 """
 
 from __future__ import annotations
@@ -132,6 +133,54 @@ def _ndtri(y0: float) -> float:
         x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
     x = x0 - x1
     return -x if negate else x
+
+
+# Cephes ndtr and the erf/erfc it calls: erf(z) = z T(z^2)/U(z^2) for
+# z <= 1, erfc(z) = exp(-z^2) P(z)/Q(z) for 1 <= z < 8 and R(z)/S(z) beyond,
+# and 0 once -z^2 < -MAXLOG.
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+      4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+      9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+      9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+      1.65666309194161350182e3, 5.57535340817727675546e2)
+_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+      6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+      1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+      7.00332514112805075473e3, 5.55923013010394962768e4)
+_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+      2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """The standard normal CDF ``Phi(a)`` of each element, as Cephes computes it.
+
+    Returns a new float array of ``a``'s shape; NaN stays NaN.  ``exp`` is
+    libm's (:func:`math.exp`), as in Cephes: numpy's vectorized ``exp`` may
+    differ from it by an ulp.
+    """
+    x = np.multiply(a, _SQRT1_2, dtype=float)
+    z = np.abs(x)
+    with np.errstate(over="ignore"):
+        z2 = z * z
+    y = np.where(z2 > _MAXLOG, 0.0, np.nan)  # erfc underflows to 0
+    inner = z < 1.0
+    zi, z2i = z[inner], z2[inner]
+    erf = zi * _polevl(z2i, _T) / _p1evl(z2i, _U)  # erf(|x|)
+    y[inner] = np.where(zi < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf, x[inner]), 0.5 * (1.0 - erf))
+    tail = (z >= 1.0) & (z2 <= _MAXLOG)
+    zt = z[tail]
+    erfc = np.fromiter(map(math.exp, (-z2[tail]).tolist()), float, len(zt))
+    erfc *= np.where(zt < 8.0, _polevl(zt, _P), _polevl(zt, _R))
+    erfc /= np.where(zt < 8.0, _p1evl(zt, _Q), _p1evl(zt, _S))
+    y[tail] = 0.5 * erfc
+    upper = (x > 0.0) & (z >= _SQRT1_2)
+    y[upper] = 1.0 - y[upper]
+    return y
 
 
 def _norm_pdf(x):
@@ -462,11 +511,10 @@ def power_single_scale(threshold: float, shift: float) -> float:
     For a window of length ``L`` containing ``K`` shifted samples of size
     ``delta``, pass ``shift = K * delta / L**hurst``.
     """
-    from scipy.special import ndtr
-
     if not threshold > 0.0:
         raise ValueError("threshold must be positive")
-    return float(1.0 - (ndtr(threshold - shift) - ndtr(-threshold - shift)))
+    upper, lower = _ndtr(np.array([threshold - shift, -threshold - shift])).tolist()
+    return 1.0 - (upper - lower)
 
 
 def power_two_scale(
@@ -514,8 +562,6 @@ def power_gap(alpha: float, delta: float) -> float:
     Positive values mean the two-scale max test beats the average of the two
     single-scale tests.  Exactly zero at ``alpha = 0``.
     """
-    from scipy.special import ndtr
-
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not delta > 0.0:
@@ -523,6 +569,6 @@ def power_gap(alpha: float, delta: float) -> float:
     c_single = _ndtri(1.0 - alpha / 2.0)
     root = np.sqrt(1.0 - alpha)
     c0 = _ndtri((1.0 + root) / 2.0)
-    single_term = ndtr(c_single - delta) - ndtr(-c_single - delta)
-    pair_term = ndtr(c0 - delta) - ndtr(-c0 - delta)
-    return float(single_term + (1.0 - alpha) - 2.0 * root * pair_term)
+    single_hi, single_lo, pair_hi, pair_lo = _ndtr(
+        np.array([c_single - delta, -c_single - delta, c0 - delta, -c0 - delta])).tolist()
+    return float((single_hi - single_lo) + (1.0 - alpha) - 2.0 * root * (pair_hi - pair_lo))

@@ -69,6 +69,28 @@ print(json.dumps({"code": code, "after_import": after_import, "after_run": scipy
 """
 
 
+# Refuses every import of scipy, then runs the CLI once per (argv, stdin)
+# pair of the JSON list in argv[1], and prints the exit codes and the
+# refused imports as the last stdout line.
+NO_SCIPY_PROBE = """
+import importlib.abc, io, json, sys
+refused = []
+class RefuseScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            refused.append(name)
+            raise ImportError(name + " is refused")
+        return None
+sys.meta_path.insert(0, RefuseScipy())
+from lrdshift.cli import main
+codes = []
+for argv, stdin in json.loads(sys.argv[1]):
+    sys.stdin = io.StringIO(stdin)
+    codes.append(main(argv))
+print(json.dumps({"codes": codes, "refused": refused}))
+"""
+
+
 def lrdshift_env(**extra):
     """``os.environ`` with lrdshift importable, updated by ``extra``."""
     src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
@@ -274,8 +296,6 @@ class TestDetectCommand:
     def test_map_is_written_in_bounded_memory(self, tmp_path):
         """An M = 15, n = 2^16 map written row by row from its pyramid holds
         one row and its text, not the (M, n) matrix (7.5 MiB) and its temporaries."""
-        import scipy.special  # noqa: F401  (its import is not the map's working set)
-
         pyramid = build_swa(np.random.default_rng(0).standard_normal(1 << 16), ScaleConfig(2, 15, 0.9))
         tracemalloc.start()
         try:
@@ -382,10 +402,10 @@ class TestDetectCommand:
         inp.write_text("value\n1,2\n3,4\n")
         assert read_series(inp, column=2).tolist() == [2.0, 4.0]
 
-    @pytest.mark.parametrize("with_map,loaded", [(False, []), (True, ["scipy.special"])])
+    @pytest.mark.parametrize("with_map,loaded", [(False, []), (True, [])])
     def test_scipy_is_loaded_only_for_the_map(self, tmp_path, spiked_series, with_map, loaded):
-        """A flags-only run with the Monte-Carlo threshold loads no scipy
-        module; the p-value map needs scipy.special."""
+        """A run with the Monte-Carlo threshold loads no scipy module, with
+        the p-value map or without: its normal CDF is the package's port."""
         inp, _ = spiked_series
         out_map = ["--out-map", str(tmp_path / "map.csv")] if with_map else []
         _, result = run_probe(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
@@ -1260,6 +1280,30 @@ class TestStreamCommand:
 
 
 class TestPipelineRoundTrip:
+    def test_no_command_imports_scipy(self, tmp_path):
+        """Every command runs, and exits 0, in an interpreter that refuses
+        to import scipy: the map and every threshold kind included."""
+        series, flags = str(tmp_path / "trace.txt"), str(tmp_path / "flags.json")
+        pmap = str(tmp_path / "map.csv")
+        detect_args = ["detect", "--in", series, "--hurst", "0.9", "--scales", "6",
+                       "--mc-reps", "10000", "--out-flags", flags]
+        runs = [
+            (["synth", "--hurst", "0.9", "--n", "1024", "--seed", "3", "--out", series], ""),
+            (detect_args, ""),
+            ([*detect_args, "--method", "swa", "--out-map", pmap], ""),
+            (["map", "--in-map", pmap, "--out-svg", str(tmp_path / "map.svg")], ""),
+            *[(["threshold", "--scales", "6", "--kind", kind, "--mc-reps", "10000"], "")
+              for kind in ("improved", "asymptotic", "single")],
+            (["eval", "--sets", "1", "--sims", "2", "--n", "1024", "--scales", "5",
+              "--mc-reps", "10000", "--duration-mean", "100", "--start-range", "512",
+              "--out", str(tmp_path / "study")], ""),
+            (["stream", "--hurst", "0.9", "--scales", "3", "--mc-reps", "10000"], "0\n0\n100\n"),
+        ]
+        completed = python_with_lrdshift(NO_SCIPY_PROBE, json.dumps(runs))
+        assert completed.returncode == 0, completed.stderr
+        result = json.loads(completed.stdout.splitlines()[-1])
+        assert result == {"codes": [0] * len(runs), "refused": []}
+
     def test_synth_detect_map_defaults(self, tmp_path):
         """The documented three-step pipeline runs end to end on defaults
         (smaller sizes for test speed) and is byte-identical on rerun."""

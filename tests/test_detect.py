@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from lrdshift import (
     DetectionConfig,
@@ -24,7 +25,7 @@ from lrdshift import (
     synthesize_fgn,
     ThresholdQuery,
 )
-from lrdshift.detect import Interval
+from lrdshift.detect import Interval, pvalue_rows
 from oracles import (
     FEEDS, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag, pvalue_map_per_cell,
     stream_feed,
@@ -281,6 +282,24 @@ class TestPvalueMap:
         expected = pvalue_map_per_cell(pyramid)
         assert np.isnan(expected[1:, 100:]).any() and not np.isnan(expected[0]).any()
         assert np.array_equal(pvalue_map(pyramid), expected, equal_nan=True)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    def test_rows_are_twice_scipy_ndtr(self, method):
+        """Each row is ``2 scipy.special.ndtr(-|level|)`` bit for bit, with an
+        overflowed (NaN) window and p-values down to subnormal and zero."""
+        x = synthesize_fgn(LrdModel(0.8), 1000, seed=9).values
+        x[100:104] = [1e308, 1e308, -1e308, -1e308]
+        x[300:306] = [37.0, -37.6, 37.7, -38.0, 38.6, -45.0]
+        build = build_nowa if method == "nowa" else build_swa
+        pyramid = build(x, ScaleConfig(base=2, num_scales=6, hurst=0.8))
+        rows = list(pvalue_rows(pyramid))
+        assert any(np.isnan(pvalues).any() for _, _, pvalues in rows)
+        assert (rows[0][2] == 0.0).any() and (rows[0][2] < np.finfo(float).tiny).sum() > 2
+        for (_, _, pvalues), level in zip(rows, pyramid.levels):
+            expected = 2.0 * ndtr(-np.abs(level))
+            same = pvalues.view(np.int64) == expected.view(np.int64)
+            assert (same | (np.isnan(pvalues) & np.isnan(expected))).all()
 
     def test_zero_cell_has_pvalue_one(self):
         pyramid = build_nowa(np.zeros(16), ScaleConfig(2, 3, 0.5))

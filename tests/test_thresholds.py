@@ -7,13 +7,14 @@ checked against exact bivariate-normal quadrature where available.
 
 import dataclasses
 import json
+import math
 import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 from scipy.stats import multivariate_normal
 
 from lrdshift import (
@@ -39,6 +40,7 @@ from lrdshift.thresholds import (
     _CHUNK,
     _corr_factor,
     _max_abs_gaussian_samples,
+    _ndtr,
     _ndtri,
     _quantile_with_se,
 )
@@ -113,6 +115,73 @@ class TestNdtriPort:
             assert ported == ndtri(p) or (np.isnan(ported) and np.isnan(ndtri(p))), p
         for p in (-1e-300, -1.0, 1.0 + 2.0**-52, 2.0, np.inf, -np.inf, np.nan):
             assert np.isnan(_ndtri(p)), p
+
+
+class TestNdtrPort:
+    """``_ndtr`` is scipy's Cephes ``ndtr``, bit for bit.
+
+    Cephes takes ``x = a sqrt(1/2)``, ``z = |x|`` and switches form at
+    ``z = sqrt(1/2)``, 1 and 8, and to 0 once ``z^2 > MAXLOG``; in ``a``
+    those edges are 1, sqrt(2), 8 sqrt(2) and about 37.68.
+    """
+
+    EDGES = (1.0, np.sqrt(2.0), 8.0 * np.sqrt(2.0), np.sqrt(2.0 * 7.09782712893383996843e2))
+
+    @staticmethod
+    def assert_equals_scipy(a):
+        ported, expected = _ndtr(a), ndtr(a)
+        same = (ported.view(np.int64) == expected.view(np.int64)) | (np.isnan(ported) & np.isnan(expected))
+        assert same.all(), a[~same][:5]
+
+    def test_equals_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(20081282)
+        a = np.concatenate([
+            3.0 * rng.standard_normal(400_000),  # the erf forms and the P/Q erfc form
+            rng.uniform(-1.5, 1.5, 200_000),  # both erf forms, either side of z = 1
+            rng.uniform(-40.0, 40.0, 300_000),  # the R/S form and the underflow to 0
+            rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-324.0, 308.0, 100_000),
+        ])
+        assert len(a) >= 10**6
+        z = np.abs(a) * np.sqrt(0.5)
+        bounds = (0.0, np.sqrt(0.5), 1.0, 8.0, np.sqrt(7.09782712893383996843e2), np.inf)
+        for lo, hi in zip(bounds, bounds[1:]):
+            for sign in (-1.0, 1.0):
+                assert np.sum((z >= lo) & (z < hi) & (np.sign(a) == sign)) > 1000, (lo, sign)
+        self.assert_equals_scipy(a)
+
+    def test_edges(self):
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, tiny, -tiny,
+                    1e308, -1e308, huge, -huge]
+        steps = np.arange(-3, 4)
+        edges = [np.frombuffer((np.float64(sign * edge).view(np.int64) + steps).tobytes())
+                 for edge in self.EDGES for sign in (-1.0, 1.0)]
+        underflow = np.linspace(-39.0, -37.0, 20_001)  # the last normal, subnormal and zero values
+        self.assert_equals_scipy(np.concatenate([specials, *edges, underflow]))
+        assert _ndtr(np.array([0.0, -np.inf, np.inf])).tolist() == [0.5, 0.0, 1.0]
+        assert np.isnan(_ndtr(np.array([np.nan]))).all()
+        low = _ndtr(underflow)
+        assert (low == 0.0).any() and ((low > 0.0) & (low < tiny)).any()
+
+    def test_where_numpy_exp_is_not_libm(self):
+        """Cephes calls libm's exp; numpy's vectorized exp may differ by an
+        ulp.  On a host where the two agree the set is empty and the other
+        tests carry the check."""
+        a = np.random.default_rng(20081283).uniform(np.sqrt(2.0), 36.0, 100_000)
+        z2 = np.square(a * np.sqrt(0.5))
+        libm = np.array([math.exp(v) for v in (-z2).tolist()])
+        a = a[np.exp(-z2) != libm]
+        self.assert_equals_scipy(np.concatenate([a, -a]))
+
+    def test_against_arbitrary_precision(self):
+        """Relative error below 1e-12 from -37 to 0 (the exp of -a^2/2 loses
+        about a^2/2 ulps), and absolute error within an ulp of 1 above 0."""
+        a = np.linspace(-37.0, 8.5, 1821)
+        exact = np.array([float(mp.ncdf(v)) for v in a.tolist()])
+        ported = _ndtr(a)
+        lower = a <= 0.0
+        assert np.max(np.abs(ported[lower] - exact[lower]) / exact[lower]) < 1e-12
+        assert np.max(np.abs(ported[~lower] - exact[~lower])) <= 2.0**-53
 
 
 class TestCrossScaleCorr:
