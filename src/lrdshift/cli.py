@@ -19,7 +19,9 @@ import codecs
 import itertools
 import json
 import math
+import os
 import sys
+import urllib.parse
 import warnings
 
 import numpy as np
@@ -40,6 +42,10 @@ _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single"
 
 _SLICE = 1 << 12  # values the writers format at a time
 _STREAM_READ = 1 << 14  # most bytes ``stream`` takes from stdin at a time
+_COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})  # numpy decompresses these
+# One interval of flags.json as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+_INTERVAL = ('{{\n      "end": {end},\n      "peak_scale": {peak_scale},\n'
+             '      "start": {start}\n    }}')
 
 
 def read_series(path, column: int | None = None) -> np.ndarray:
@@ -51,10 +57,16 @@ def read_series(path, column: int | None = None) -> np.ndarray:
     non-finite value is an error naming its line.
 
     A seekable file is parsed in C by ``np.loadtxt`` first, without its
-    whitespace-only lines.  Its result is used only when it is non-empty
-    and all finite; otherwise, when loadtxt rejects the text, or for a
-    pipe, the file is parsed line by line with ``float()``.  That
-    per-line parser decides which text is accepted (``float()`` also takes
+    whitespace-only lines.  loadtxt is given the file's name, not the open
+    file, because only a name gets numpy's chunked C reader; a file object
+    is read one Python ``str`` per line.  numpy opens some names otherwise
+    (it decompresses names ending in ``.gz``, ``.bz2``, ``.xz`` or
+    ``.lzma`` and fetches ``scheme://host/...`` names as URLs), so a file
+    with such a name skips loadtxt and is read as the plain text it is.
+    loadtxt's result is used only when it is non-empty and all finite;
+    otherwise, when loadtxt rejects the text or skips the name, or for a
+    pipe, the file is parsed line by line with ``float()``.  That per-line
+    parser decides which text is accepted (``float()`` also takes
     ``1_000`` and whitespace-only lines are skipped) and words every error,
     so both paths return the same array or raise the same message.
     """
@@ -83,25 +95,43 @@ def _is_header(line: str, column: int | None) -> bool:
     return False
 
 
+def _opens_as_plain_file(name) -> bool:
+    """Whether numpy's loaders open ``name`` as the plain local file it names.
+
+    numpy (``np.lib._datasource.open``) decompresses a name whose suffix
+    is one of ``_COMPRESSED_SUFFIXES`` and treats a name with both a
+    scheme and a host (``http://x/series.txt``) as a URL to fetch, even
+    when a local file of that name exists.
+    """
+    if not isinstance(name, str) or os.path.splitext(name)[1] in _COMPRESSED_SUFFIXES:
+        return False
+    scheme, netloc = urllib.parse.urlparse(name)[:2]
+    return not (scheme and netloc)
+
+
 def _load_series(fh, column: int | None) -> np.ndarray | None:
     """The values of a seekable text file as ``np.loadtxt`` parses them.
 
     Returns None unless loadtxt parses the file into one non-empty, all
-    finite column of values.  loadtxt rejects a whitespace-only line, which
-    the per-line parser skips as blank, so a file it rejects is parsed once
-    more without those lines; a header is only ever line 1, which is not
-    blank.  A clean file is read once, straight from ``fh``.
+    finite column of values, and None for a file whose name numpy would
+    not open as plain text (see :func:`_opens_as_plain_file`).  loadtxt
+    gets the name ``fh.name`` and ``fh``'s encoding, so numpy opens the
+    file again and parses it in chunks in C.  loadtxt rejects a
+    whitespace-only line, which the per-line parser skips as blank, so a
+    file it rejects is parsed once more from ``fh`` without those lines; a
+    header is only ever line 1, which is not blank.
     """
     options = {"delimiter": ",", "comments": None, "ndmin": 2,
                "usecols": None if column is None else column - 1}
     try:
+        if not _opens_as_plain_file(fh.name):
+            return None
         options["skiprows"] = int(_is_header(fh.readline().strip(), column))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            fh.seek(0)
             try:
-                table = np.loadtxt(fh, **options)
-            except ValueError:
+                table = np.loadtxt(fh.name, encoding=fh.encoding, **options)
+            except (ValueError, OSError):  # OSError: numpy could not open the name again
                 fh.seek(0)
                 table = np.loadtxt(itertools.filterfalse(str.isspace, fh), **options)
     except ValueError:  # UnicodeDecodeError included
@@ -324,10 +354,37 @@ def cmd_detect(args) -> int:
         "threshold_se": threshold.mc_standard_error,
     }
     with open(args.out_flags, "w") as fh:
-        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        fh.write(_flags_json(payload))
     if args.out_map:
         write_pvalue_csv(args.out_map, pvalue_rows(result.pyramid))
     return 0
+
+
+def _flags_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the payload of ``detect``.
+
+    With ``indent``, ``json`` encodes in pure Python, one call per list
+    item; here the scalars go through ``json.dumps`` and the two lists,
+    which may be long, are joined from text: ``flagged_indices`` holds
+    ints and ``intervals`` dicts with the int fields of ``_INTERVAL``.
+    """
+    fields = []
+    for key in sorted(payload):
+        value = payload[key]
+        if key == "flagged_indices":
+            text = _json_list(map(str, value))
+        elif key == "intervals":
+            text = _json_list(_INTERVAL.format_map(interval) for interval in value)
+        else:
+            text = json.dumps(value)
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}\n"
+
+
+def _json_list(items) -> str:
+    """A list of a top-level key as ``json.dumps(indent=2)`` writes it, from its items' text."""
+    text = ",\n    ".join(items)
+    return "[\n    " + text + "\n  ]" if text else "[]"
 
 
 def cmd_map(args) -> int:

@@ -87,19 +87,25 @@ _Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.3770209948908133027
 _EXP_M2 = 0.13533528323661269189  # e^-2
 
 
-def _polevl(x: float, coef: tuple) -> float:
-    """Horner evaluation of ``coef[0] x^N + ... + coef[N]``."""
-    ans = coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
+def _polevl(x, coef: tuple):
+    """Horner evaluation of ``coef[0] x^N + ... + coef[N]``, for a float or an array.
+
+    An array's steps run in place in one new array, the result.
+    """
+    ans = x * coef[0]
+    ans += coef[1]
+    for c in coef[2:]:
+        ans *= x
+        ans += c
     return ans
 
 
-def _p1evl(x: float, coef: tuple) -> float:
+def _p1evl(x, coef: tuple):
     """:func:`_polevl` with an implicit leading coefficient 1."""
     ans = x + coef[0]
     for c in coef[1:]:
-        ans = ans * x + c
+        ans *= x
+        ans += c
     return ans
 
 
@@ -161,25 +167,59 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
     Returns a new float array of ``a``'s shape; NaN stays NaN.  ``exp`` is
     libm's (:func:`math.exp`), as in Cephes: numpy's vectorized ``exp`` may
-    differ from it by an ulp.
+    differ from it by an ulp.  Each form is evaluated only on its own
+    elements, and the work arrays are a few of the row's size.
     """
-    x = np.multiply(a, _SQRT1_2, dtype=float)
-    z = np.abs(x)
+    z = np.multiply(a, _SQRT1_2, dtype=float)  # x, then |x| in place
+    positive = z > 0.0
+    np.abs(z, out=z)
+    y = np.full_like(z, np.nan)
+    inner = z < 1.0
+    y[inner] = _erf_forms(z[inner], positive[inner])
+    tail = z >= 1.0
+    y[tail] = _erfc_forms(z[tail])
+    upper = positive & (z >= _SQRT1_2)
+    y[upper] = 1.0 - y[upper]
+    return y
+
+
+def _erf_forms(z: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """``Phi`` where ``z = |x| < 1``, before the ``x > 0`` flip of :func:`_ndtr`.
+
+    That is ``0.5 + 0.5 erf(x)`` for ``z < sqrt(1/2)`` and ``0.5 (1 - erf(z))``
+    from there, with ``erf(z) = z T(z^2)/U(z^2)``.
+    """
+    z2 = z * z
+    y = _polevl(z2, _T)
+    y *= z
+    y /= _p1evl(z2, _U)  # erf(z)
+    central = z < _SQRT1_2
+    np.negative(y, out=y, where=central & ~positive)  # erf(x) for x <= 0
+    np.subtract(1.0, y, out=y, where=~central)
+    y *= 0.5
+    np.add(y, 0.5, out=y, where=central)
+    return y
+
+
+def _erfc_forms(z: np.ndarray) -> np.ndarray:
+    """``0.5 erfc(z)`` where ``z >= 1``, and 0 once ``z^2 > MAXLOG``.
+
+    ``erfc(z)`` is ``exp(-z^2) P(z)/Q(z)`` below 8 and ``exp(-z^2) R(z)/S(z)``
+    from there.
+    """
     with np.errstate(over="ignore"):
         z2 = z * z
-    y = np.where(z2 > _MAXLOG, 0.0, np.nan)  # erfc underflows to 0
-    inner = z < 1.0
-    zi, z2i = z[inner], z2[inner]
-    erf = zi * _polevl(z2i, _T) / _p1evl(z2i, _U)  # erf(|x|)
-    y[inner] = np.where(zi < _SQRT1_2, 0.5 + 0.5 * np.copysign(erf, x[inner]), 0.5 * (1.0 - erf))
-    tail = (z >= 1.0) & (z2 <= _MAXLOG)
-    zt = z[tail]
-    erfc = np.fromiter(map(math.exp, (-z2[tail]).tolist()), float, len(zt))
-    erfc *= np.where(zt < 8.0, _polevl(zt, _P), _polevl(zt, _R))
-    erfc /= np.where(zt < 8.0, _p1evl(zt, _Q), _p1evl(zt, _S))
-    y[tail] = 0.5 * erfc
-    upper = (x > 0.0) & (z >= _SQRT1_2)
-    y[upper] = 1.0 - y[upper]
+    live = z2 <= _MAXLOG
+    np.negative(z2, out=z2)
+    y = np.fromiter(map(math.exp, z2), float, len(z))  # libm's exp, as in Cephes
+    for form, num, den in ((live & (z < 8.0), _P, _Q), (live & (z >= 8.0), _R, _S)):
+        zf = z[form]
+        part = y[form]
+        part *= _polevl(zf, num)
+        part /= _p1evl(zf, den)
+        y[form] = part
+    y[~live] = 0.0
+    y *= 0.5
     return y
 
 

@@ -1,13 +1,16 @@
 """CLI behavior: formats, exit codes, determinism, stream protocol."""
 
+import gzip
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import urllib.request
 import warnings
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from lrdshift import cli as cli_module
 from lrdshift import workers
 from lrdshift.detect import pvalue_rows
 from lrdshift.cli import (
-    _SLICE, _STREAM_READ, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
+    _SLICE, _STREAM_READ, _flags_json, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
     write_pvalue_csv, write_series,
 )
 from oracles import expand_levels, pvalue_map_per_cell, stream_per_line, write_pvalue_csv_per_cell
@@ -497,6 +500,35 @@ class TestDetectCommand:
         assert abs(np.mean(rates) - alpha) < band, f"rate {np.mean(rates):.4f}"
 
 
+# flagged_indices, intervals and threshold_se of a detect payload, by case.
+FLAG_LISTS = {
+    "none": [],
+    "one": [7],
+    "many": np.sort(np.random.default_rng(19).choice(1 << 20, 500, replace=False)).tolist(),
+    "past-2^53": [2**53 - 1, 2**53, 2**53 + 1, 2**64],
+}
+INTERVAL_LISTS = {
+    "none": [],
+    "one": [{"start": 7, "end": 8, "peak_scale": 1}],
+    "many": [{"start": s, "end": s + d, "peak_scale": k} for s, d, k in zip(
+        range(0, 90_000, 300), range(1, 301), [1, 15, 3] * 100)],
+}
+
+
+class TestFlagsJson:
+    @pytest.mark.parametrize("flags", FLAG_LISTS, ids=str)
+    @pytest.mark.parametrize("intervals", INTERVAL_LISTS, ids=str)
+    @pytest.mark.parametrize("threshold_se", [None, 0.0, 0.0123456789])
+    def test_text_equals_the_json_encoder(self, flags, intervals, threshold_se):
+        payload = {
+            "alpha": 0.05, "base": 2, "flagged_indices": FLAG_LISTS[flags], "hurst": 0.9,
+            "intervals": INTERVAL_LISTS[intervals], "method": "swa", "scales": 15, "seed": 3,
+            "threshold": 2.6189898164699184, "threshold_kind": "monte_carlo",
+            "threshold_se": threshold_se,
+        }
+        assert _flags_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 # (name, file bytes, --column, whether np.loadtxt's result is used).
 READ_SERIES_FIXTURES = [
     ("plain", b"1.5\n-2\n3e-3\n.5\n5.\n", None, True),
@@ -604,6 +636,82 @@ class TestReadSeries:
 
         monkeypatch.setattr("lrdshift.cli._parse_lines", refuse)
         assert read_series(path, column).tolist() == expected
+
+    def test_loadtxt_gets_the_name_and_blank_lines_the_filtered_file(self, tmp_path, monkeypatch):
+        """A clean file reaches np.loadtxt once, as its name (numpy's chunked
+        C reader); one with a whitespace-only line is parsed again from the
+        open file, through the iterator that drops those lines."""
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(fname, *args, **kwargs):
+            calls.append(fname)
+            return loadtxt(fname, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        clean = tmp_path / "clean.csv"
+        clean.write_text("t,b\n1,2\n3,4\n")
+        assert read_series(clean, 2).tolist() == [2.0, 4.0]
+        assert calls == [str(clean)]
+        calls.clear()
+        blanks = tmp_path / "blanks.csv"
+        blanks.write_text("1\n \n2\n")
+        assert read_series(blanks).tolist() == [1.0, 2.0]
+        assert calls[0] == str(blanks)
+        assert [type(fname) for fname in calls[1:]] == [itertools.filterfalse]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_is_read_as_plain_text(self, tmp_path, suffix):
+        """numpy would decompress a name with this suffix; the file is the
+        plain text it holds, as the per-line parser reads it."""
+        path = tmp_path / f"series.csv{suffix}"
+        path.write_text("t,b\n1,2\n\n3,4\n")
+        assert read_series(path, 2).tolist() == parse_lines(path, 2).tolist() == [2.0, 4.0]
+
+    def test_gzip_file_fails_as_text(self, tmp_path, capsys):
+        """A real gzip file is read as the text it is not: exit 2 with the
+        per-line parser's error, not numpy's decompressed values."""
+        path = tmp_path / "series.gz"
+        path.write_bytes(gzip.compress(b"1\n2\n3\n", mtime=0))
+        expected = outcome(parse_lines, path, None)
+        assert expected.startswith("UnicodeDecodeError: ")
+        assert outcome(read_series, path, None) == expected
+        capsys.readouterr()
+        argv = ["detect", "--in", str(path), "--hurst", "0.9", "--scales", "1",
+                "--threshold-value", "2", "--out-flags", str(tmp_path / "flags.json")]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"error: {expected.split(': ', 1)[1]}\n"
+
+    @pytest.mark.parametrize("host", ["x", "[x"])
+    def test_url_shaped_name_is_a_local_file(self, tmp_path, monkeypatch, host):
+        """``http://x/series.txt`` is a relative path here (the directory
+        ``http:``); numpy would fetch it as a URL.  ``[x`` is a host that
+        ``urllib.parse`` rejects."""
+        (tmp_path / "http:" / host).mkdir(parents=True)
+        (tmp_path / "http:" / host / "series.txt").write_text("1\n2\n")
+        monkeypatch.chdir(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a URL was opened")
+
+        monkeypatch.setattr(urllib.request, "urlopen", refuse)
+        assert read_series(f"http://{host}/series.txt").tolist() == [1.0, 2.0]
+
+    def test_numpy_decompresses_exactly_the_guarded_suffixes(self):
+        """A numpy that learns a new compressed suffix must be added to the guard."""
+        opened = set(np.lib._datasource._file_openers.keys()) - {None}
+        assert opened == cli_module._COMPRESSED_SUFFIXES
+
+    def test_working_directory_that_is_gone(self, tmp_path, monkeypatch):
+        """numpy cannot open a name from a deleted working directory; the
+        open file is parsed instead."""
+        path = tmp_path / "series.csv"
+        path.write_text("t,b\n1,2\n3,4\n")
+        gone = tmp_path / "gone"
+        gone.mkdir()
+        monkeypatch.chdir(gone)
+        gone.rmdir()
+        assert read_series(path, 2).tolist() == [2.0, 4.0]
 
     def test_reads_a_pipe_once(self, tmp_path):
         """A FIFO cannot be rewound, so it goes to the per-line parser unread."""

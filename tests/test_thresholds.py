@@ -40,8 +40,12 @@ from lrdshift.thresholds import (
     _CHUNK,
     _corr_factor,
     _max_abs_gaussian_samples,
+    _P,
+    _Q,
     _ndtr,
     _ndtri,
+    _p1evl,
+    _polevl,
     _quantile_with_se,
 )
 from oracles import max_abs_gaussian_samples_per_chunk, quantile_with_se_two_calls
@@ -182,6 +186,34 @@ class TestNdtrPort:
         lower = a <= 0.0
         assert np.max(np.abs(ported[lower] - exact[lower]) / exact[lower]) < 1e-12
         assert np.max(np.abs(ported[~lower] - exact[~lower])) <= 2.0**-53
+
+    def test_row_in_bounded_memory(self):
+        """A p-value map row, ``-|Y|`` for 2^16 unit-variance levels, peaks
+        below 7 times its own size under tracemalloc: each form runs on its
+        own elements and the Horner steps run in place (9.3 times when both
+        erfc forms ran on every tail element, one new array per step)."""
+        a = -np.abs(np.random.default_rng(20081284).standard_normal(1 << 16))
+        tracemalloc.start()
+        try:
+            _ndtr(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7 * a.nbytes, f"{peak / a.nbytes:.2f} rows"
+
+    @pytest.mark.parametrize("horner,coef", [(_polevl, _P), (_p1evl, _Q)], ids=["polevl", "p1evl"])
+    def test_horner_steps_run_in_place(self, horner, coef):
+        """An array's Horner evaluation allocates its result and nothing
+        else, and equals the evaluation of each float."""
+        x = np.linspace(1.0, 8.0, 1 << 16)
+        tracemalloc.start()
+        try:
+            ans = horner(x, coef)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * x.nbytes, f"{peak / x.nbytes:.2f} arrays"
+        assert ans.tolist() == [horner(v, coef) for v in x.tolist()]
 
 
 class TestCrossScaleCorr:
