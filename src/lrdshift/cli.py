@@ -145,32 +145,22 @@ def _load_series(fh, column: int | None) -> np.ndarray | None:
 def _parse_lines(fh, path, column: int | None) -> np.ndarray:
     """The per-line parser behind :func:`read_series`, one ``float()`` per line of ``fh``."""
     values: list[float] = []
-    skipped: list[int] = []  # lines holding no value, to name a bad value's line
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
         if not line:
-            skipped.append(lineno)
             continue
         try:
-            values.append(_field_value(line, column))
+            value = _field_value(line, column)
         except (ValueError, IndexError):
             if lineno == 1:
-                skipped.append(lineno)
                 continue  # header row
             raise ValueError(f"{path}: line {lineno}: cannot parse {line!r} as a number")
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {lineno}: non-finite value {value!r}")
+        values.append(value)
     if not values:
         raise ValueError(f"{path}: no numeric data found")
-    series = np.array(values)
-    finite = np.isfinite(series)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        lineno = bad + 1
-        for skipped_line in skipped:  # ascending
-            if skipped_line > lineno:
-                break
-            lineno += 1
-        raise ValueError(f"{path}: line {lineno}: non-finite value {float(series[bad])!r}")
-    return series
+    return np.array(values)
 
 
 def write_series(path, values: np.ndarray) -> None:
@@ -409,15 +399,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if args.start is not None:
-        start_kwargs = {"start": args.start}
-    else:
-        start_kwargs = {"start_range": args.start_range}
-    if args.duration is not None:
-        duration_kwargs = {"duration": args.duration}
-    else:
-        duration_kwargs = {"duration_mean": args.duration_mean}
-    injection = InjectionSpec(delta=args.delta, **start_kwargs, **duration_kwargs)
+    # A fixed start or duration overrides its range or mean.
+    injection = InjectionSpec(
+        delta=args.delta,
+        start=args.start,
+        start_range=args.start_range if args.start is None else None,
+        duration=args.duration,
+        duration_mean=args.duration_mean if args.duration is None else None,
+    )
     config = ExperimentConfig(
         sets=args.sets,
         sims_per_set=args.sims,
@@ -636,10 +625,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RuntimeError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

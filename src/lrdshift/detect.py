@@ -139,40 +139,30 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
     return out
 
 
-def _fold_buffers(method: str, lengths: list[int]) -> list[np.ndarray]:
-    """Arrays for :func:`_max_over_scales` over levels of the given lengths.
-
-    ``nowa`` holds the magnitudes of two adjacent levels at once, so each
-    level gets its own array; ``swa`` folds one level at a time, so every
-    level above scale 1 shares one array.
-    """
-    if method == "nowa":
-        return [np.empty(m) for m in lengths]
-    shared = np.empty(max(lengths[1:], default=0))
-    return [np.empty(lengths[0]), *(shared[:m] for m in lengths[1:])]
-
-
-def _max_over_scales(pyramid: Pyramid, out: list) -> np.ndarray:
+def _max_over_scales(pyramid: Pyramid, work: list[np.ndarray]) -> np.ndarray:
     """The max over scales of the levels' magnitudes at every position.
 
-    ``out[k-1]`` receives ``|level k|`` (``None`` makes a fresh array), and
-    ``out[0]``, folded in place, is returned as the length-n statistic.
+    ``work`` is two length-n float arrays.  The statistic is folded into
+    ``work[0]``, which is returned; ``work[1]`` is overwritten.  For
+    ``nowa`` the fold runs from the coarsest level down, 0-based level
+    ``j``'s magnitudes in ``work[j % 2]``; for ``swa`` each level's
+    magnitudes pass through ``work[1]``.
     """
     levels = pyramid.levels
     if pyramid.method == "nowa":
         base = pyramid.config.base
-        statistic = np.abs(levels[-1], out=out[-1])
-        for level, finer in zip(reversed(levels[:-1]), reversed(out[:-1])):
-            finer = np.abs(level, out=finer)
+        statistic = np.empty(0)  # nothing above the coarsest level
+        for j in range(len(levels) - 1, -1, -1):
+            finer = np.abs(levels[j], out=work[j % 2][: len(levels[j])])
             covered = finer[: len(statistic) * base].reshape(len(statistic), base)
             np.fmax(covered, statistic[:, None], out=covered)
             statistic = finer
     else:
-        statistic = np.abs(levels[0], out=out[0])
-        for k, (level, magnitude) in enumerate(zip(levels[1:], out[1:]), start=2):
+        statistic = np.abs(levels[0], out=work[0])
+        for k, level in enumerate(levels[1:], start=2):
             covered = statistic[pyramid.config.cover(pyramid.method, k)[0] :]
-            np.fmax(covered, np.abs(level, out=magnitude), out=covered)
-    return statistic
+            np.fmax(covered, np.abs(level, out=work[1][: len(level)]), out=covered)
+    return work[0]
 
 
 def detect(series, config: DetectionConfig) -> DetectionResult:
@@ -202,7 +192,8 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     build = build_nowa if config.method == "nowa" else build_swa
     pyramid = build(series, config.scale_config)
     levels = pyramid.levels
-    statistic = _max_over_scales(pyramid, [None] * len(levels))
+    n = len(levels[0])
+    statistic = _max_over_scales(pyramid, [np.empty(n), np.empty(n)])
     flagged = np.nonzero(statistic > config.threshold)[0]
     best = np.abs(levels[0][flagged])
     argmax_scale = np.ones(len(flagged), dtype=int)

@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .detect import _fold_buffers, _max_over_scales
+from .detect import _max_over_scales
 from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
 from .pyramid import Pyramid, ScaleConfig, _aggregate, _level_lengths
 from .seeding import subseed, substream
@@ -283,7 +283,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run the full synthesize/inject/detect/score study.
 
     One ``FgnSampler`` serves the study, so the embedding is computed once,
-    and one set of pyramid levels and fold arrays serves every simulation.
+    and one set of pyramid levels and one fold workspace serve every simulation.
     Each simulation draws a fresh background from its own substream, injects
     one level shift, and scores both detectors per observation.  A shift of
     ``delta = 0`` leaves the series untouched, so the truth set is empty and
@@ -313,7 +313,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     sampler = FgnSampler(LrdModel(hurst=config.hurst), config.n)
     lengths = _level_lengths(config.method, config.n, scale_config)
     levels = [np.empty(m) for m in lengths]
-    folds = _fold_buffers(config.method, [config.n, *lengths])
+    work = [np.empty(config.n), np.empty(config.n)]
     has_shift = config.injection.delta != 0.0
 
     def simulate(item) -> bytes:
@@ -324,7 +324,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         truth = np.arange(shifted.start + 1, shifted.stop + 1) if has_shift else []
         _aggregate(config.method, series, scale_config, levels)
         pyramid = Pyramid(config.method, scale_config, [series, *levels])
-        multiscale_flags = np.nonzero(_max_over_scales(pyramid, folds) > critical)[0] + 1
+        multiscale_flags = np.nonzero(_max_over_scales(pyramid, work) > critical)[0] + 1
         naive_flags = naive_baseline(series, config.alpha)
         cells = [astuple(confusion(flags, truth, config.n)) for flags in (multiscale_flags, naive_flags)]
         return np.array(cells, dtype=np.int64).tobytes()

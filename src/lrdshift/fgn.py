@@ -171,45 +171,36 @@ def synthesize_fgn(
     return FgnSampler(model, n).sample(seed)
 
 
-def estimate_hurst(series, block_sizes=None) -> float:
+def estimate_hurst(series) -> float:
     """Aggregated-variance estimate of the Hurst parameter.
 
-    For each block size ``m`` the series is cut into non-overlapping blocks
-    of length ``m``; the sample variance of the block means scales like
-    ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
+    The block means at sizes ``m = 2, 4, ..., 2**(K-1)`` are the levels
+    above scale 1 of the ``nowa`` pyramid with base 2, ``K`` scales and
+    normalization exponent 1; ``2**(K-1)`` is the largest power of two up
+    to ``n/64`` (``n/4`` below 256 samples), and a series with fewer than
+    two sizes is too short.  The sample variance of the block means scales
+    like ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
     ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).
 
     This estimator is simple but biased for strongly dependent data; it is
     offered as a convenience for picking a working ``H`` from a training
     trace, never used inside the detection math.
     """
-    x = as_series(series).values
-    if block_sizes is None:
-        # Large blocks are few and strongly correlated, which drags the
-        # fitted slope down; capping at n/64 keeps the bias modest.
-        largest = len(x) // 64 if len(x) >= 256 else len(x) // 4
-        block_sizes = [2**j for j in range(1, max(largest, 2).bit_length()) if 2**j <= largest]
-    block_sizes = list(block_sizes)
-    if len(block_sizes) < 2:
-        raise ValueError("need at least two block sizes")
-    if any(m < 1 for m in block_sizes):
-        raise ValueError("block sizes must be >= 1")
-    if any(b >= a for b, a in zip(block_sizes, block_sizes[1:])):
-        raise ValueError("block sizes must be strictly increasing")
-    if len(x) < 4 * max(block_sizes):
-        raise ValueError(
-            f"series of length {len(x)} is too short for block size {max(block_sizes)} "
-            "(need length >= 4 * max block size)"
-        )
+    from .pyramid import ScaleConfig, build_nowa  # pyramid imports this module
 
+    x = as_series(series).values
+    # Large blocks are few and strongly correlated, which drags the fitted
+    # slope down; capping at n/64 keeps the bias modest.
+    largest = len(x) // 64 if len(x) >= 256 else len(x) // 4
+    if largest < 4:
+        raise ValueError(f"series of length {len(x)} is too short (need length >= 16)")
+    levels = build_nowa(x, ScaleConfig(2, largest.bit_length(), hurst=1.0)).levels[1:]
     log_m, log_v = [], []
-    for m in block_sizes:
-        nblocks = len(x) // m
-        means = x[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+    for k, means in enumerate(levels, start=1):
         v = means.var(ddof=1)
         if v <= 0.0:
             raise ValueError("series has zero variance at some block size (constant input?)")
-        log_m.append(np.log(m))
+        log_m.append(np.log(2.0**k))
         log_v.append(np.log(v))
     slope, _ = np.polyfit(log_m, log_v, 1)
     return float(np.clip(1.0 + slope / 2.0, 0.01, 0.99))

@@ -17,9 +17,11 @@ Two window layouts are supported:
 
 Both builders aggregate level ``k`` from the level ``k-1`` sums with the
 earliest chunk added first, which makes the two layouts agree bit-for-bit at
-positions that are multiples of the largest window.  :class:`StreamState`
-chains its windows the same way, in both of its forms, so a stream equals
-the sliding layout bit for bit at every position.
+positions that are multiples of the largest window.  One sliding step,
+``_chain``, builds the ``swa`` levels of :func:`build_swa` and the windows of
+:meth:`StreamState.extend`; ``push`` is its scalar form, with the same order
+of additions, so a stream equals the sliding layout bit for bit at every
+position.
 """
 
 from __future__ import annotations
@@ -119,6 +121,20 @@ def _level_lengths(method: str, n: int, config: ScaleConfig) -> list[int]:
     return [(n - lead) // repeat for lead, repeat in covers]
 
 
+def _chain(prev: np.ndarray, sub: int, base: int, out: np.ndarray) -> np.ndarray:
+    """``out[i] = prev[i] + prev[i+sub] + ... + prev[i+(base-1)*sub]``, earliest first.
+
+    With ``prev`` the windows of ``sub`` samples, ``out[i]`` is the window
+    of ``base*sub`` samples that ends where ``prev[i+(base-1)*sub]`` ends.
+    Returns ``out``.
+    """
+    m = len(out)
+    out[:] = prev[:m]
+    for offset in range(sub, base * sub, sub):
+        out += prev[offset : offset + m]
+    return out
+
+
 def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.ndarray]) -> None:
     """Write the scale-2..M levels of ``x``'s pyramid into ``levels``.
 
@@ -136,12 +152,7 @@ def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.
             for r in range(1, b):
                 cur += prev[r : m * b : b]
         else:
-            # Window of b*sub samples = b chained sub-windows, earliest first.
-            sub = config.window(k - 1)
-            cur[:] = prev[0:m]
-            for r in range(b - 2, -1, -1):
-                i0 = (b - 1 - r) * sub
-                cur += prev[i0 : i0 + m]
+            _chain(prev, config.window(k - 1), b, cur)
         prev = cur
     for level, norm in zip(levels, _normalizers(config)[1:]):
         level /= norm
@@ -190,7 +201,7 @@ class StreamState:
     ``(base-1)*L_k`` window sums (``max_window - 1`` slots in all) as C
     doubles.  :meth:`push` is the per-sample form: O(num_scales * base)
     scalar float work on the rings, no numpy call.  :meth:`extend` is the
-    block form: the same chain over a whole block in numpy, the rings seen
+    block form: ``_chain`` over the ring and the block, the rings seen
     through ``np.frombuffer`` with no copy; it pushes a block shorter than
     ``_SHORT_BLOCK`` samples, where ``push`` is the cheaper form.  Both
     return bit for bit the batch ``swa`` statistic and argmax, and they may
@@ -269,19 +280,17 @@ class StreamState:
         self.samples_seen = n + count
         top = np.abs(x)
         best = np.ones(count, dtype=int)
+        base = self.config.base
         window = x  # scale k-1's unnormalized windows ending at each sample
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
-            for k, lead, norm, ring, size, offsets in self._scales:
+            for k, lead, norm, ring, size, _ in self._scales:
                 # The ring in time order, then this block: ``chain[size + i]`` is
                 # the window ending at sample i, ``chain[i]`` the one ending
                 # ``size`` samples before it.
                 slots = np.frombuffer(ring)
                 p = n % size
                 chain = np.concatenate((slots[p:], slots[:p], window))
-                window = chain[:count].copy()
-                for offset in offsets:
-                    window += chain[size + offset : size + offset + count]
-                window += chain[size:]
+                window = _chain(chain, size // (base - 1), base, np.empty(count))
                 # Keep the newest size sums, the one ending at sample t in slot t % size.
                 newest, q = chain[count:], (n + count) % size
                 slots[q:] = newest[: size - q]

@@ -9,6 +9,7 @@ byte-identical across reruns.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -73,19 +74,14 @@ def render_pvalue_map_svg(
     ]
     for k in range(num_scales, 0, -1):
         y = margin_top + (num_scales - k) * cell_height
-        row = window[k - 1]
-        j = 0
-        while j < ncols:
-            color = pvalue_color(float(row[j]))
-            j2 = j + 1
-            while j2 < ncols and pvalue_color(float(row[j2])) == color:
-                j2 += 1
-            x = margin_left + j * cell_w
+        x = margin_left
+        for color, run in itertools.groupby(map(pvalue_color, window[k - 1].tolist())):
+            run_w = sum(1 for _ in run) * cell_w
             lines.append(
-                f'<rect x="{x}" y="{y}" width="{(j2 - j) * cell_w}" '
+                f'<rect x="{x}" y="{y}" width="{run_w}" '
                 f'height="{cell_height}" fill="{color}"/>'
             )
-            j = j2
+            x += run_w
         lines.append(
             f'<text x="{margin_left - 6}" y="{y + cell_height - 3}" font-size="10" '
             f'font-family="sans-serif" text-anchor="end">{k}</text>'

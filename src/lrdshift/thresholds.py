@@ -571,9 +571,10 @@ def power_two_scale(
     The pair is (scale 1, backward window of length ``big_window``) with
     ``shifted_count`` of the window's samples shifted by ``delta``: means
     are ``(delta, shifted_count * delta / big_window**hurst)`` and the
-    correlation is the cross-scale correlation at window ratio
-    ``big_window``.  The rejection threshold is the two-scale Monte-Carlo
-    threshold at level ``alpha``, computed from its own substream.
+    correlation matrix is ``scale_cov_matrix(hurst, big_window, 2)``, the
+    two-scale law at window ratio ``big_window``.  The rejection threshold
+    is the two-scale Monte-Carlo threshold at level ``alpha``, computed
+    from its own substream.
     """
     if not 1 <= shifted_count <= big_window:
         raise ValueError("shifted_count must be in 1..big_window")
@@ -589,8 +590,7 @@ def power_two_scale(
             seed=subseed(seed, 0),
         )
     ).value
-    rho = cross_scale_corr(hurst, big_window, 1)
-    factor = _corr_factor(np.array([[1.0, rho], [rho, 1.0]]))
+    factor = _corr_factor(scale_cov_matrix(hurst, big_window, 2))
     means = np.array([delta, shifted_count * delta / float(big_window) ** hurst])
     stats = _max_abs_gaussian_samples(factor, reps, subseed(seed, 1), shift=means)
     return float(np.mean(stats > threshold))

@@ -208,6 +208,26 @@ def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
     return TimeSeries(values)
 
 
+def estimate_hurst_reshape_mean(series) -> float:
+    """Aggregated-variance Hurst estimate from reshape-and-mean block means.
+
+    Block sizes are the powers of two from 2 up to ``n/64`` (``n/4`` below
+    256 samples); the block means of size ``m`` are the row means of the
+    first ``(n // m) * m`` samples reshaped to ``m`` columns.
+    """
+    x = np.asarray(series, dtype=float)
+    largest = len(x) // 64 if len(x) >= 256 else len(x) // 4
+    block_sizes = [2**j for j in range(1, max(largest, 2).bit_length()) if 2**j <= largest]
+    log_m, log_v = [], []
+    for m in block_sizes:
+        nblocks = len(x) // m
+        means = x[: nblocks * m].reshape(nblocks, m).mean(axis=1)
+        log_m.append(np.log(m))
+        log_v.append(np.log(means.var(ddof=1)))
+    slope, _ = np.polyfit(log_m, log_v, 1)
+    return float(np.clip(1.0 + slope / 2.0, 0.01, 0.99))
+
+
 def sample_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """One length-n circulant-embedding path built from fresh arrays at every step."""
     z = rng.standard_normal(2 * n)

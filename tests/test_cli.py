@@ -369,6 +369,15 @@ class TestDetectCommand:
         assert code == 2
         assert "line 4: non-finite value" in capsys.readouterr().err
 
+    def test_first_bad_line_is_named(self, tmp_path, capsys):
+        """A non-finite value before an unparseable line is the one reported."""
+        inp = tmp_path / "nan-then-text.txt"
+        inp.write_text("1\nnan\nx\n")
+        code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "1",
+                    "--out-flags", str(tmp_path / "f.json")])
+        assert code == 2
+        assert f"{inp}: line 2: non-finite value nan" in capsys.readouterr().err
+
     def test_flags_only_run_never_builds_the_map(self, tmp_path, spiked_series, monkeypatch):
         def refuse(pyramid):
             raise AssertionError("refused map function called")

@@ -24,7 +24,7 @@ from lrdshift import (
     substream,
     synthesize_fgn,
 )
-from oracles import sample_path, synthesize_fgn_cholesky
+from oracles import estimate_hurst_reshape_mean, sample_path, synthesize_fgn_cholesky
 
 # 0.5 * (2**1.8 - 2), the lag-1 autocovariance at H = 0.9
 LAG1_H09 = 0.7411011265922483
@@ -260,20 +260,25 @@ class TestHurstEstimator:
 
     def test_short_series_rejected(self):
         with pytest.raises(ValueError, match="too short"):
-            estimate_hurst([1.0, 2.0, 3.0], block_sizes=[1, 2])
+            estimate_hurst([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="too short"):
+            estimate_hurst(np.random.default_rng(0).standard_normal(15))
 
     def test_constant_series_rejected(self):
         with pytest.raises(ValueError, match="variance"):
-            estimate_hurst(np.ones(1024), block_sizes=[2, 4, 8])
-
-    def test_block_sizes_must_increase(self):
-        x = np.random.default_rng(0).standard_normal(256)
-        with pytest.raises(ValueError, match="increasing"):
-            estimate_hurst(x, block_sizes=[4, 4, 8])
+            estimate_hurst(np.ones(1024))
 
     def test_result_is_clamped(self):
         x = np.arange(256.0)  # strong trend pushes the raw slope out of range
-        assert 0.01 <= estimate_hurst(x, block_sizes=[2, 4, 8, 16]) <= 0.99
+        assert 0.01 <= estimate_hurst(x) <= 0.99
+
+    @pytest.mark.parametrize("hurst", [0.5, 0.7, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [16, 17, 255, 256, 4097, 2**15])
+    def test_matches_reshape_mean_oracle(self, hurst, n):
+        """The pyramid's block means give the regression of the reshape-mean
+        block means, up to the rounding of the two summation orders."""
+        x = synthesize_fgn(LrdModel(hurst), n, subseed(43, n)).values
+        assert abs(estimate_hurst(x) - estimate_hurst_reshape_mean(x)) <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

@@ -145,3 +145,23 @@ def test_eval_layout(argv, expected, tmp_path, monkeypatch):
                 digest(prefix.with_suffix(".json").read_bytes()))
 
     assert cold_and_warm(monkeypatch, run) == ((0, *expected),) * 2
+
+
+@pytest.mark.parametrize("method,expected", [
+    ("swa", ("dd22528d5f447364", "9a4be4ff9d33f448")),
+    ("nowa", ("26fb5024beb37749", "71213b81465bb5c9")),
+])
+def test_map_svg(method, expected, workdir):
+    """``map`` renders the pinned map of ``test_detect_map`` to pinned SVG bytes.
+
+    The map does not depend on the threshold, so the asymptotic one makes it
+    without a Monte-Carlo run.  The window starts before scale 12's first
+    ``swa`` window ends, so it holds missing cells too.
+    """
+    flags, pvalues, svg = (workdir / f"svg_{method}{suffix}" for suffix in (".json", ".csv", ".svg"))
+    assert main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method", method,
+                 "--scales", "12", "--threshold", "asymptotic", "--out-flags", str(flags),
+                 "--out-map", str(pvalues)]) == 0
+    assert main(["map", "--in-map", str(pvalues), "--from", "1900", "--to", "2300",
+                 "--out-svg", str(svg)]) == 0
+    assert (digest(pvalues.read_bytes()), digest(svg.read_bytes())) == expected

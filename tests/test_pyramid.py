@@ -294,7 +294,8 @@ class TestStreaming:
         assert [streamed[t - 1][1] for t in result.flags] == result.argmax_scale.tolist()
         assert len(set(result.argmax_scale.tolist())) >= 3
 
-    @pytest.mark.parametrize("base, num_scales, n", [(2, 15, 1 << 17), (3, 6, 1 << 17), (2, 6, 300)])
+    @pytest.mark.parametrize("base, num_scales, n",
+                             [(2, 15, 1 << 17), (3, 6, 1 << 17), (4, 5, 1 << 12), (2, 6, 300)])
     def test_matches_batch_swa_exactly(self, base, num_scales, n):
         """Every streamed (statistic, argmax_scale) equals batch swa's, bit for
         bit, through the warm-up and a shifted stretch and a spike that move
