@@ -30,6 +30,7 @@ p-value map and the ``power_*`` helpers use it, so the package needs no scipy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -223,10 +224,6 @@ def _erfc_forms(z: np.ndarray) -> np.ndarray:
     return y
 
 
-def _norm_pdf(x):
-    return np.exp(-0.5 * np.square(x)) / np.sqrt(2.0 * np.pi)
-
-
 @dataclass(frozen=True)
 class ThresholdQuery:
     """The level, the cross-scale law and the Monte-Carlo settings of a threshold.
@@ -299,19 +296,14 @@ def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
 
 def single_scale_threshold(alpha: float) -> ThresholdResult:
     """Two-sided critical value ``Phi^{-1}(1 - alpha/2)`` for one scale."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
+    ThresholdQuery(alpha, 1)  # checks alpha
     return ThresholdResult(value=_ndtri(1.0 - alpha / 2.0), kind="single_scale")
 
 
 def asymptotic_threshold(alpha: float, m: int) -> ThresholdResult:
     """Many-scales threshold ``Phi^{-1}((1 - alpha)^{1/(2m)})`` for ``m`` scales."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    value = _ndtri((1.0 - alpha) ** (1.0 / (2.0 * m)))
-    return ThresholdResult(value=value, kind="asymptotic")
+    ThresholdQuery(alpha, m)  # checks alpha and m
+    return ThresholdResult(value=_ndtri((1.0 - alpha) ** (1.0 / (2.0 * m))), kind="asymptotic")
 
 
 def _corr_factor(cov: np.ndarray) -> np.ndarray:
@@ -328,9 +320,9 @@ def _corr_factor(cov: np.ndarray) -> np.ndarray:
 
 
 def _max_abs_gaussian_samples(
-    factor: np.ndarray, reps: int, seed: int | np.random.SeedSequence, shift: np.ndarray | None = None
+    factor: np.ndarray, reps: int, seed: int | np.random.SeedSequence
 ) -> np.ndarray:
-    """``reps`` draws of ``max_k |Z_k|`` with ``Z = factor @ N(0, I)`` (plus ``shift``).
+    """``reps`` draws of ``max_k |Z_k|``, ``Z = factor @ N(0, I)``, for :func:`improved_threshold`.
 
     Replicates ``i * _CHUNK`` up to ``(i + 1) * _CHUNK`` come from
     ``substream(seed, i)``, drawn ``_BLOCK`` rows at a time into two buffers
@@ -364,8 +356,6 @@ def _max_abs_gaussian_samples(
             g_block, z_block = g[: hi - lo], z[: hi - lo]
             rng.standard_normal(out=g_block)
             np.matmul(g_block, factor.T, out=z_block)
-            if shift is not None:
-                z_block += shift
             np.abs(z_block, out=z_block)
             z_block.max(axis=1, out=out[lo:hi])
             lo = hi
@@ -533,16 +523,11 @@ def two_scale_expansion(alpha: float, hurst: float, big_window: int) -> float:
     ``C0 = Phi^{-1}((1 + sqrt(1-alpha))/2)`` as ``L`` grows, with leading
     correction ``phi(C0) C0^2 H^2 L^{2(H-1)} / (2 sqrt(1-alpha))``.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be strictly inside (0, 1), got {alpha}")
-    if big_window < 2:
-        raise ValueError(f"big_window must be >= 2, got {big_window}")
+    ThresholdQuery(alpha, 2, hurst, base=big_window)  # checks alpha, hurst and big_window
     root = np.sqrt(1.0 - alpha)
     c0 = _ndtri((1.0 + root) / 2.0)
-    correction = (
-        _norm_pdf(c0) * c0**2 * hurst**2 * float(big_window) ** (2.0 * (hurst - 1.0)) / (2.0 * root)
-    )
-    return float(c0 - correction)
+    scale = c0**2 * hurst**2 * float(big_window) ** (2.0 * (hurst - 1.0)) / (2.0 * root)
+    return float(c0 - math.exp(-c0 * c0 / 2.0) / _S2PI * scale)
 
 
 def power_single_scale(threshold: float, shift: float) -> float:
@@ -557,43 +542,58 @@ def power_single_scale(threshold: float, shift: float) -> float:
     return 1.0 - (upper - lower)
 
 
-def power_two_scale(
-    alpha: float,
-    delta: float,
-    hurst: float,
-    big_window: int,
-    shifted_count: int,
-    reps: int = 10**6,
-    seed: int | np.random.SeedSequence = 0,
-) -> float:
-    """Monte-Carlo power of the two-scale max test under a level shift.
+@functools.cache
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """64-point Gauss-Legendre nodes and weights, loaded on first use: no command needs them."""
+    from numpy.polynomial.legendre import leggauss
+    return leggauss(64)
 
-    The pair is (scale 1, backward window of length ``big_window``) with
-    ``shifted_count`` of the window's samples shifted by ``delta``: means
-    are ``(delta, shifted_count * delta / big_window**hurst)`` and the
-    correlation matrix is ``scale_cov_matrix(hurst, big_window, 2)``, the
-    two-scale law at window ratio ``big_window``.  The rejection threshold
-    is the two-scale Monte-Carlo threshold at level ``alpha``, computed
-    from its own substream.
+
+def _rectangle(c: float, means: tuple[float, float], rho: float) -> float:
+    """``P(|X| <= c, |Y| <= c)`` for unit normals with ``means`` and correlation ``rho >= 0``.
+
+    Each corner is ``P(X <= h, Y <= k) = Phi(min(h, k)) - (1/2pi) int_0^{acos rho} g r ds``, where
+    ``g = exp(-d^2 / (2 s^2))``, ``d = |h - k|``, and ``r`` is smooth and even (Drezner & Wesolowsky
+    1990; Genz 2004): ``r(0) g`` has a closed form, and the rest goes to Gauss-Legendre nodes graded
+    as ``s^(1/4)`` to follow ``g``'s steep rise at 0 as ``rho`` nears 1.
     """
+    h, k = np.array([c, -c, c, -c]) - means[0], np.array([c, c, -c, -c]) - means[1]
+    corners = _ndtr(np.minimum(h, k))
+    big_a = math.acos(min(rho, 1.0))  # at H = 1, rho may round above 1
+    if big_a > 0.0:
+        x, weights = _gauss_legendre()
+        s = big_a * (1.0 + x) ** 4 / 16.0
+        d, hk = np.abs(h - k)[:, None], (h * k)[:, None]
+        r = np.exp(-d * d / 2.0 * (1.0 / np.sin(s) ** 2 - 1.0 / (s * s)) - hk / (1.0 + np.cos(s)))
+        r0 = np.exp(-d * d / 6.0 - hk / 2.0)
+        rest = (np.exp(-np.square(d / s) / 2.0) * (r - r0)) @ (weights * big_a / 4.0 * (1.0 + x) ** 3)
+        closed = big_a * np.exp(-np.square(d / big_a) / 2.0) - d * _S2PI * _ndtr(-d / big_a)
+        corners -= ((r0 * closed)[:, 0] + rest) / (2.0 * math.pi)
+    return float(corners[0] - corners[1] - corners[2] + corners[3])
+
+
+def _two_scale_threshold(alpha: float, rho: float) -> float:
+    """The ``c`` with ``P(|X| <= c, |Y| <= c) = 1 - alpha``: bisection between the single-scale and
+    the Bonferroni values, which bracket it, until the midpoint equals an end; returns the upper."""
+    lo, hi = _ndtri(1.0 - alpha / 2.0), _ndtri(1.0 - alpha / 4.0)
+    while lo < (mid := (lo + hi) / 2.0) < hi:
+        lo, hi = (mid, hi) if _rectangle(mid, (0.0, 0.0), rho) < 1.0 - alpha else (lo, mid)
+    return hi
+
+
+def power_two_scale(alpha: float, delta: float, hurst: float, big_window: int, shifted_count: int) -> float:
+    """Exact power of the two-scale max test under a level shift; no random number is drawn.
+
+    The pair is (scale 1, backward window of length ``big_window``) with ``shifted_count`` of
+    its samples shifted by ``delta``: means ``(delta, shifted_count * delta / big_window**hurst)``,
+    correlation ``cross_scale_corr(hurst, big_window, 1)`` and the exact two-scale threshold.
+    """
+    ThresholdQuery(alpha, 2, hurst, base=big_window)  # checks alpha, hurst and big_window
     if not 1 <= shifted_count <= big_window:
         raise ValueError("shifted_count must be in 1..big_window")
-    if reps < 10**4:
-        raise ValueError(f"reps must be >= 10^4, got {reps}")
-    threshold = improved_threshold(
-        ThresholdQuery(
-            alpha=alpha,
-            num_scales=2,
-            hurst=hurst,
-            base=big_window,
-            mc_reps=reps,
-            seed=subseed(seed, 0),
-        )
-    ).value
-    factor = _corr_factor(scale_cov_matrix(hurst, big_window, 2))
-    means = np.array([delta, shifted_count * delta / float(big_window) ** hurst])
-    stats = _max_abs_gaussian_samples(factor, reps, subseed(seed, 1), shift=means)
-    return float(np.mean(stats > threshold))
+    rho = cross_scale_corr(hurst, big_window, 1)
+    means = (delta, shifted_count * delta / float(big_window) ** hurst)
+    return 1.0 - _rectangle(_two_scale_threshold(alpha, rho), means, rho)
 
 
 def power_gap(alpha: float, delta: float) -> float:

@@ -5,6 +5,8 @@ import json
 import math
 
 import numpy as np
+from scipy.optimize import brentq
+from scipy.stats import multivariate_normal
 
 from lrdshift import (
     DetectionConfig,
@@ -277,7 +279,7 @@ def run_experiment_per_call(config) -> ExperimentResult:
     return result
 
 
-def max_abs_gaussian_samples_per_chunk(factor: np.ndarray, reps: int, seed, shift=None) -> np.ndarray:
+def max_abs_gaussian_samples_per_chunk(factor: np.ndarray, reps: int, seed) -> np.ndarray:
     """``max_k |Z_k|`` drawn one whole ``_CHUNK`` of replicates per substream at a time."""
     m = factor.shape[0]
     out = np.empty(reps)
@@ -286,13 +288,22 @@ def max_abs_gaussian_samples_per_chunk(factor: np.ndarray, reps: int, seed, shif
     while done < reps:
         size = min(_CHUNK, reps - done)
         g = substream(seed, chunk_index).standard_normal((size, m))
-        z = g @ factor.T
-        if shift is not None:
-            z += shift
-        out[done : done + size] = np.abs(z).max(axis=1)
+        out[done : done + size] = np.abs(g @ factor.T).max(axis=1)
         done += size
         chunk_index += 1
     return out
+
+
+def scipy_rectangle(c: float, means, rho: float) -> float:
+    """``P(|X| <= c, |Y| <= c)`` for unit normals with ``means`` and correlation ``rho``, from
+    scipy's bivariate normal CDF."""
+    mvn = multivariate_normal(mean=means, cov=[[1.0, rho], [rho, 1.0]])
+    return mvn.cdf([c, c]) - mvn.cdf([-c, c]) - mvn.cdf([c, -c]) + mvn.cdf([-c, -c])
+
+
+def exact_two_scale_threshold(alpha: float, rho: float) -> float:
+    """Root of ``scipy_rectangle(c, (0, 0), rho) = 1 - alpha`` by ``brentq``."""
+    return brentq(lambda c: scipy_rectangle(c, [0.0, 0.0], rho) - (1 - alpha), 1.0, 6.0, xtol=1e-10)
 
 
 def quantile_with_se_two_calls(samples: np.ndarray, p: float) -> tuple[float, float]:

@@ -434,8 +434,8 @@ class TestDetectCommand:
         run that wrote it did not, and neither numpy.random nor hashlib.  The
         run that wrote it loads beyond that only what the simulation itself
         does (numpy.random, which loads hashlib through ``secrets``, and
-        numpy.ma for the quantile).  Both write nothing to stderr
-        (``run_probe`` checks that)."""
+        numpy.ma for the quantile), and never numpy.polynomial.  Both write
+        nothing to stderr (``run_probe`` checks that)."""
         inp, _ = spiked_series
         argv = ["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--mc-reps", "10000",
                 "--out-flags", str(tmp_path / "f.json")]
@@ -446,6 +446,7 @@ class TestDetectCommand:
         assert (tmp_path / "f.json").read_bytes() == cold_flags
         assert cold["code"] == warm["code"] == 0
         assert "hashlib" not in warm["modules"] and "numpy.random" not in warm["modules"]
+        assert "numpy.polynomial" not in cold["modules"]
         assert set(warm["modules"]) <= set(cold["modules"])
         simulation = python_with_lrdshift(
             "import json, sys, lrdshift.cli\n"
@@ -1259,7 +1260,8 @@ class TestStreamCommand:
         stream run with a given critical value or the asymptotic one,
         whose normal quantile is the package's own.  The run loads no
         module beyond those that importing the CLI and parsing its
-        arguments load: no ``array``, no ``numpy.random``."""
+        arguments load: no ``array``, no ``numpy.random``, no
+        ``numpy.polynomial``."""
         argv = ["stream", "--hurst", "0.9", "--scales", "2", *threshold]
         flags, result = run_probe(argv, stdin="0\n0\n100\n")
         assert result["code"] == 0
@@ -1271,6 +1273,7 @@ class TestStreamCommand:
             "build_parser().parse_args(sys.argv[1:])\nprint(json.dumps(sorted(sys.modules)))", *argv)
         assert set(result["modules"]) - set(json.loads(parsed.stdout)) == set()
         assert "array" not in result["modules"] and "numpy.random" not in result["modules"]
+        assert "numpy.polynomial" not in result["modules"]
 
     def test_value_the_moments_make_infinite_is_skipped(self, monkeypatch, capsys):
         """A line that --mean/--std maps to inf is warned about and skipped,

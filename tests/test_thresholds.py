@@ -6,6 +6,7 @@ checked against exact bivariate-normal quadrature where available.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -13,9 +14,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
-from scipy.optimize import brentq
 from scipy.special import ndtr, ndtri
-from scipy.stats import multivariate_normal
 
 from lrdshift import (
     LrdModel,
@@ -47,8 +46,15 @@ from lrdshift.thresholds import (
     _p1evl,
     _polevl,
     _quantile_with_se,
+    _rectangle,
+    _two_scale_threshold,
 )
-from oracles import max_abs_gaussian_samples_per_chunk, quantile_with_se_two_calls
+from oracles import (
+    exact_two_scale_threshold,
+    max_abs_gaussian_samples_per_chunk,
+    quantile_with_se_two_calls,
+    scipy_rectangle,
+)
 
 mp.mp.dps = 30
 
@@ -68,18 +74,6 @@ def brute_force_window_corr(hurst: float, small: int, big: int) -> float:
     lags = np.abs(np.subtract.outer(np.arange(small), np.arange(big)))
     cov = fgn_acf(model, lags).sum()
     return cov / (small**hurst * big**hurst)
-
-
-def exact_two_scale_threshold(alpha: float, rho: float) -> float:
-    """Root of the exact bivariate rectangle probability (quadrature oracle)."""
-    mvn = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, rho], [rho, 1.0]])
-
-    def coverage(c):
-        return (
-            mvn.cdf([c, c]) - mvn.cdf([-c, c]) - mvn.cdf([c, -c]) + mvn.cdf([-c, -c])
-        )
-
-    return brentq(lambda c: coverage(c) - (1 - alpha), 1.0, 6.0, xtol=1e-10)
 
 
 class TestNormalQuantileAccuracy:
@@ -373,13 +367,11 @@ class TestBlockedSampling:
     # Neither a multiple of the chunk nor of the block; the second leaves a
     # one-row remainder after the last full block of the second chunk.
     @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + _BLOCK + 1])
-    @pytest.mark.parametrize("num_scales,hurst,shifted", [(15, 0.9, False), (2, 0.8, True), (6, 0.5, True)])
-    def test_equals_per_chunk_draws_bit_for_bit(self, reps, num_scales, hurst, shifted):
-        """Also with ``shift``, the ``power_two_scale`` path."""
+    @pytest.mark.parametrize("num_scales,hurst", [(15, 0.9), (2, 0.8), (6, 0.5)])
+    def test_equals_per_chunk_draws_bit_for_bit(self, reps, num_scales, hurst):
         factor = _corr_factor(scale_cov_matrix(hurst, 2, num_scales))
-        shift = np.linspace(0.5, 2.0, num_scales) if shifted else None
-        blocked = _max_abs_gaussian_samples(factor, reps, 11, shift=shift)
-        expected = max_abs_gaussian_samples_per_chunk(factor, reps, 11, shift=shift)
+        blocked = _max_abs_gaussian_samples(factor, reps, 11)
+        expected = max_abs_gaussian_samples_per_chunk(factor, reps, 11)
         assert np.array_equal(blocked, expected)
 
     @pytest.mark.parametrize("reps", [2 * _CHUNK + 5, 3 * _CHUNK + 7, _CHUNK])
@@ -551,6 +543,13 @@ class TestTwoScaleExpansion:
         with pytest.raises(ValueError):
             two_scale_expansion(0.05, 0.8, 1)
 
+    @pytest.mark.parametrize("hurst", [1.5, 0.0, -0.3, float("nan")])
+    def test_hurst_validation(self, hurst):
+        """A Hurst parameter outside (0, 1] is refused, not turned into a
+        negative or NaN threshold."""
+        with pytest.raises(ValueError, match="hurst"):
+            two_scale_expansion(0.05, hurst, 100)
+
 
 class TestPowerSingleScale:
     def test_null_returns_alpha(self):
@@ -568,38 +567,108 @@ class TestPowerSingleScale:
             power_single_scale(0.0, 1.0)
 
 
+def mp_corner(h: float, k: float, rho: float) -> mp.mpf:
+    """``P(X <= h, Y <= k)`` for unit normals with correlation ``rho``, from
+    ``Phi(h) Phi(k) + (1/2pi) int_0^{asin rho} exp(-(h^2 + k^2 - 2hk sin t) / (2 cos^2 t)) dt``
+    by mpmath quadrature, and ``Phi(min(h, k))`` at ``rho = 1``."""
+    h, k = mp.mpf(h), mp.mpf(k)
+    if rho == 1.0:
+        return mp.ncdf(min(h, k))
+    top = mp.asin(mp.mpf(rho))
+    points = [mp.mpf(0)] + [top - gap for gap in (mp.mpf("0.1"), mp.mpf("0.01")) if gap < top] + [top]
+
+    def integrand(t):
+        return mp.exp(-(h * h + k * k - 2 * h * k * mp.sin(t)) / (2 * mp.cos(t) ** 2))
+
+    return mp.ncdf(h) * mp.ncdf(k) + mp.quad(integrand, points) / (2 * mp.pi)
+
+
+class TestRectangle:
+    # From 0.0005 (H 0.5 at ratio 2^20) to 0.99931 (H 0.999 at ratio 2), and 1 (H 1 at ratio 2).
+    RHOS = [cross_scale_corr(hurst, ratio, 1) for hurst, ratio in
+            [(0.5, 2**20), (0.7, 64), (0.9, 1024), (0.9, 2), (0.99, 2), (0.999, 2), (1.0, 2)]]
+
+    def test_matches_arbitrary_precision(self):
+        """Corners from -8 to 8 in h and k, to 1e-14 absolute.  The corners
+        near the diagonal (|h - k| = 0.01) are where a Gauss-Legendre rule
+        on ``[0, asin rho]`` alone loses digits as ``rho`` nears 1 (5e-6 at
+        ``rho = 1``)."""
+        assert self.RHOS[0] < 1e-3 and self.RHOS[-2] == pytest.approx(0.99931, abs=1e-5)
+        assert self.RHOS[-1] == 1.0
+        cases = [(0.5, (0.0, 0.0)), (4.0, (4.0, -4.0)), (2.0, (-3.5, 1.5)), (1.0, (1.0, 1.01)),
+                 (3.0, (0.0, 5.0))]
+        corners = {}
+        for rho in self.RHOS:
+            for c, (m1, m2) in cases:
+                h, k = (c - m1, -c - m1), (c - m2, -c - m2)
+                for point in itertools.product(h, k):
+                    corners.setdefault((*point, rho), mp_corner(*point, rho))
+                exact = (corners[h[0], k[0], rho] - corners[h[1], k[0], rho]
+                         - corners[h[0], k[1], rho] + corners[h[1], k[1], rho])
+                assert abs(_rectangle(c, (m1, m2), rho) - float(exact)) <= 1e-14, (c, m1, m2, rho)
+        points = np.array([key[:2] for key in corners])
+        assert points.min() == -8.0 and points.max() == 8.0
+
+    def test_rho_rounded_above_one(self):
+        """``cross_scale_corr`` at H = 1 rounds to 1 + 2^-52 at some ratios;
+        that is the law of ``rho = 1``, not an ``asin`` domain error."""
+        rho = cross_scale_corr(1.0, 8192, 1)
+        assert rho > 1.0
+        assert _rectangle(2.0, (1.0, 0.5), rho) == _rectangle(2.0, (1.0, 0.5), 1.0)
+
+
+class TestTwoScaleThreshold:
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("hurst,ratio", [(0.5, 2), (0.7, 64), (0.8, 2**9), (0.9, 1024), (0.99, 2)])
+    def test_matches_scipy_oracle(self, alpha, hurst, ratio):
+        rho = cross_scale_corr(hurst, ratio, 1)
+        assert abs(_two_scale_threshold(alpha, rho) - exact_two_scale_threshold(alpha, rho)) <= 1e-9
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.3])
+    def test_is_single_scale_at_rho_one(self, alpha):
+        """At ``rho = 1`` the two scales are one: the pair threshold is the single-scale one."""
+        assert cross_scale_corr(1.0, 2, 1) == 1.0
+        assert abs(_two_scale_threshold(alpha, 1.0) - single_scale_threshold(alpha).value) <= 1e-11
+
+
 class TestPowerTwoScale:
     def test_null_calibration(self):
-        """With no shift the rejection rate is alpha (small extra slack for
-        the Monte-Carlo threshold's own error)."""
-        reps = 4 * 10**5
-        rate = power_two_scale(0.05, 0.0, 0.9, 1024, 1, reps=reps, seed=104)
-        se = np.sqrt(0.05 * 0.95 / reps)
-        assert abs(rate - 0.05) < 3 * se + 1e-3, f"rate {rate:.5f}"
+        """With no shift the rejection rate is alpha."""
+        for alpha, (hurst, big) in itertools.product([0.001, 0.05, 0.3], [(0.9, 1024), (0.6, 16), (0.999, 2)]):
+            assert abs(power_two_scale(alpha, 0.0, hurst, big, 1) - alpha) <= 1e-12, (alpha, hurst, big)
 
     def test_matches_exact_rectangle_probability(self):
-        """Monte-Carlo power agrees with exact bivariate quadrature."""
-        alpha, delta, hurst, big = 0.05, 1.0, 0.9, 2**10
-        reps = 2 * 10**5
-        rho = cross_scale_corr(hurst, big, 1)
-        mu = big * delta / big**hurst
-        critical = exact_two_scale_threshold(alpha, rho)
-        mvn = multivariate_normal(mean=[0, 0], cov=[[1, rho], [rho, 1]])
+        """Agrees with scipy's bivariate normal rectangle at the scipy threshold."""
+        for alpha, delta, hurst, big, count in [
+            (0.05, 1.0, 0.9, 2**10, 2**10),
+            (0.01, 0.5, 0.7, 64, 10),
+            (0.001, 2.0, 0.99, 2, 1),
+            (0.3, 1.0, 0.5, 2**14, 3),
+        ]:
+            rho = cross_scale_corr(hurst, big, 1)
+            means = [delta, count * delta / big**hurst]
+            expected = 1.0 - scipy_rectangle(exact_two_scale_threshold(alpha, rho), means, rho)
+            power = power_two_scale(alpha, delta, hurst, big, count)
+            assert abs(power - expected) <= 1e-10, (alpha, delta, hurst, big)
 
-        def rect(c, m1, m2):
-            return (
-                mvn.cdf([c - m1, c - m2])
-                - mvn.cdf([-c - m1, c - m2])
-                - mvn.cdf([c - m1, -c - m2])
-                + mvn.cdf([-c - m1, -c - m2])
-            )
+    def test_criterion_5_setting(self):
+        """Threshold 2.79720 and power 0.22780 at (alpha 0.01, delta 1, H 0.9, L = K = 2^10)."""
+        assert _two_scale_threshold(0.01, cross_scale_corr(0.9, 2**10, 1)) == pytest.approx(2.79720, abs=1e-5)
+        assert power_two_scale(0.01, 1.0, 0.9, 2**10, 2**10) == pytest.approx(0.22780, abs=1e-5)
 
-        exact_power = 1.0 - rect(critical, delta, mu)
-        mc_power = power_two_scale(alpha, delta, hurst, big, big, reps=reps, seed=105)
-        se = np.sqrt(exact_power * (1 - exact_power) / reps)
-        assert abs(mc_power - exact_power) < 4 * se + 2e-3, (
-            f"MC {mc_power:.5f} vs exact {exact_power:.5f}"
-        )
+    @pytest.mark.parametrize("big", [2, 4, 8192])
+    def test_hurst_one_is_one_scale(self, big):
+        """At H = 1 the two statistics are one normal ``Z`` plus two means
+        (``rho`` is 1, or rounds to 1 - 2^-53 or 1 + 2^-52 at these ratios),
+        so the power is ``1 - P(|Z + m1| <= c, |Z + m2| <= c)`` at the
+        single-scale threshold ``c``; the ``rho < 1`` roundings are exact
+        within ``acos(rho) / 2pi`` per corner, below 3e-9."""
+        assert {cross_scale_corr(1.0, ratio, 1) - 1.0 for ratio in (2, 4, 8192)} == {0.0, -(2.0**-53), 2.0**-52}
+        delta, count = 0.3, 1
+        c = single_scale_threshold(0.05).value
+        m1, m2 = delta, count * delta / big
+        inside = mp.ncdf(min(c - m1, c - m2)) - mp.ncdf(max(-c - m1, -c - m2))
+        assert abs(power_two_scale(0.05, delta, 1.0, big, count) - float(1 - inside)) <= 1e-8
 
     def test_large_window_independence_approximation(self):
         """For large windows the power approaches the independent-scales
@@ -611,23 +680,50 @@ class TestPowerTwoScale:
         leading = 1.0 - (mp_phi(c0 - delta) - mp_phi(-c0 - delta)) * (
             mp_phi(c0 - mu) - mp_phi(-c0 - mu)
         )
-        mc_power = power_two_scale(alpha, delta, hurst, big, big, reps=2 * 10**5, seed=106)
-        assert abs(mc_power - leading) < 0.05
+        assert abs(power_two_scale(alpha, delta, hurst, big, big) - leading) < 0.05
 
     def test_pair_test_beats_single_scale_average(self):
-        """At small alpha and a large window the pair test beats the average
-        of the two single-scale tests."""
-        alpha, delta, hurst, big = 0.01, 1.0, 0.9, 2**10
-        pair = power_two_scale(alpha, delta, hurst, big, big, reps=10**5, seed=107)
+        """The paper's result, strictly: the pair test beats the average of
+        the two single-scale tests on every case of a small-alpha grid."""
+        for alpha, delta, hurst, big in itertools.product(
+            (0.001, 0.005, 0.01, 0.05), (0.5, 1.0, 2.0), (0.6, 0.75, 0.9), (2**6, 2**10, 2**14)
+        ):
+            pair = power_two_scale(alpha, delta, hurst, big, big)
+            critical = single_scale_threshold(alpha).value
+            coarse = power_single_scale(critical, big * delta / big**hurst)
+            average = (power_single_scale(critical, delta) + coarse) / 2
+            assert pair > average, (alpha, delta, hurst, big, pair, average)
+
+    @pytest.mark.parametrize("alpha,delta,hurst", [(0.01, 1.0, 0.7), (0.005, 2.0, 0.9)])
+    def test_gap_approaches_power_gap(self, alpha, delta, hurst):
+        """With one shifted sample (K = 1), ``2 beta_pair - beta_1 - beta_L``
+        tends to ``power_gap(alpha, delta)`` as the window grows."""
         critical = single_scale_threshold(alpha).value
-        fine = power_single_scale(critical, delta)
-        coarse = power_single_scale(critical, big * delta / big**hurst)
-        se = np.sqrt(pair * (1 - pair) / 10**5)
-        assert pair >= (fine + coarse) / 2 - 2 * se
+        errors = []
+        for big in (2**6, 2**10, 2**14, 2**20):
+            pair = power_two_scale(alpha, delta, hurst, big, 1)
+            singles = power_single_scale(critical, delta) + power_single_scale(critical, delta / big**hurst)
+            errors.append(abs(2 * pair - singles - power_gap(alpha, delta)))
+        assert all(a > b for a, b in zip(errors, errors[1:])), errors
+
+    def test_draws_no_random_numbers(self, monkeypatch, forks):
+        """No fork, even with two usable CPUs, and no random generator."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        power_two_scale(0.01, 1.0, 0.9, 2**10, 2**10)
+        assert forks == []
 
     def test_shifted_count_validation(self):
+        for count in (0, 17):
+            with pytest.raises(ValueError, match="shifted_count"):
+                power_two_scale(0.05, 1.0, 0.9, 16, count)
+
+    @pytest.mark.parametrize("alpha,hurst,big", [
+        (0.0, 0.9, 16), (0.05, 1.5, 16), (0.05, float("nan"), 16), (0.05, 0.9, 1),
+    ])
+    def test_alpha_hurst_and_window_validation(self, alpha, hurst, big):
         with pytest.raises(ValueError):
-            power_two_scale(0.05, 1.0, 0.9, 16, 17, reps=10**4)
+            power_two_scale(alpha, 1.0, hurst, big, 1)
 
 
 class TestPowerGap:
