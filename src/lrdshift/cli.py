@@ -147,13 +147,11 @@ def _parse_lines(fh, path, column: int | None) -> np.ndarray:
     values: list[float] = []
     for lineno, raw in enumerate(fh, start=1):
         line = raw.strip()
-        if not line:
+        if not line or (lineno == 1 and _is_header(line, column)):
             continue
         try:
             value = _field_value(line, column)
         except (ValueError, IndexError):
-            if lineno == 1:
-                continue  # header row
             raise ValueError(f"{path}: line {lineno}: cannot parse {line!r} as a number")
         if not math.isfinite(value):
             raise ValueError(f"{path}: line {lineno}: non-finite value {value!r}")
@@ -380,8 +378,10 @@ def _json_list(items) -> str:
 def cmd_map(args) -> int:
     pvalues, labels = read_pvalue_csv(args.in_map)
     n = pvalues.shape[1]
-    stop = n if args.to is None else args.to
-    svg = render_pvalue_map_svg(pvalues, args.from_, stop, time_labels=labels)
+    start, stop = args.from_, n if args.to is None else args.to
+    if not 0 <= start < stop <= n:
+        raise ValueError(f"need 0 <= start < stop <= {n}, got [{start}, {stop})")
+    svg = render_pvalue_map_svg(pvalues[:, start:stop], labels[start:stop])
     with open(args.out_svg, "w") as fh:
         fh.write(svg)
     return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -59,6 +60,8 @@ class InjectionSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta}")
         if (self.start is None) == (self.start_range is None):
             raise ValueError("give exactly one of start / start_range")
         if (self.duration is None) == (self.duration_mean is None):
@@ -69,8 +72,8 @@ class InjectionSpec:
             raise ValueError("start_range must be >= 1")
         if self.duration is not None and self.duration < 1:
             raise ValueError("duration must be >= 1")
-        if self.duration_mean is not None and not self.duration_mean > 0:
-            raise ValueError("duration_mean must be positive")
+        if self.duration_mean is not None and not 0 < self.duration_mean < math.inf:
+            raise ValueError(f"duration_mean must be positive and finite, got {self.duration_mean}")
 
     def resolve(self, rng: np.random.Generator | None = None) -> tuple[int, int]:
         """Draw (start, duration), both before clipping to the series."""

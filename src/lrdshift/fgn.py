@@ -34,7 +34,8 @@ class LrdModel:
     """Gaussian background law: Hurst parameter and marginal scale.
 
     ``hurst`` must lie strictly inside (0, 1); the boundary cases are
-    degenerate and rejected.  ``sigma`` is the marginal standard deviation.
+    degenerate and rejected.  ``sigma``, the marginal standard deviation, is
+    positive and finite.
     """
 
     hurst: float
@@ -43,8 +44,8 @@ class LrdModel:
     def __post_init__(self) -> None:
         if not 0.0 < self.hurst < 1.0:
             raise ValueError(f"hurst must be in the open interval (0, 1), got {self.hurst}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass(frozen=True)

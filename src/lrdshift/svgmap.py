@@ -20,6 +20,8 @@ __all__ = ["pvalue_color", "render_pvalue_map_svg"]
 # anchors; missing cells render neutral gray.
 RAMP_ANCHORS = [(0.0, (165, 0, 38)), (0.5, (255, 255, 191)), (1.0, (49, 54, 149))]
 MISSING_COLOR = "#b3b3b3"
+CELL_HEIGHT = 14  # pixels per scale row
+TARGET_WIDTH = 1200  # plot width in pixels, rounded to whole pixels per column
 
 
 def pvalue_color(p: float) -> str:
@@ -35,32 +37,17 @@ def pvalue_color(p: float) -> str:
     return "#%02x%02x%02x" % RAMP_ANCHORS[-1][1]
 
 
-def render_pvalue_map_svg(
-    pvalues: np.ndarray,
-    start: int,
-    stop: int,
-    *,
-    time_labels: np.ndarray | None = None,
-    cell_height: int = 14,
-    target_width: int = 1200,
-) -> str:
-    """SVG text for columns ``[start, stop)`` of a (scales, times) p-value map.
+def render_pvalue_map_svg(window: np.ndarray, labels: np.ndarray) -> str:
+    """SVG text for a (scales, columns) window of a p-value map.
 
-    Rows are scales with scale 1 at the bottom; ``time_labels`` (1-based
-    positions, defaults to ``1..n``) annotate the x axis.  The color ramp is
-    documented in a metadata comment at the top of the file.
+    Rows are scales with scale 1 at the bottom; ``labels`` (the columns'
+    1-based positions) annotate the x axis.  The color ramp is documented
+    in a metadata comment at the top of the file.
     """
-    num_scales, n = pvalues.shape
-    if not 0 <= start < stop <= n:
-        raise ValueError(f"need 0 <= start < stop <= {n}, got [{start}, {stop})")
-    if time_labels is None:
-        time_labels = np.arange(1, n + 1)
-    window = pvalues[:, start:stop]
-    labels = np.asarray(time_labels)[start:stop]
-    ncols = stop - start
-    cell_w = max(1, round(target_width / ncols))
+    num_scales, ncols = window.shape
+    cell_w = max(1, round(TARGET_WIDTH / ncols))
     margin_left, margin_bottom, margin_top = 46, 26, 8
-    plot_w, plot_h = ncols * cell_w, num_scales * cell_height
+    plot_w, plot_h = ncols * cell_w, num_scales * CELL_HEIGHT
     width, height = margin_left + plot_w, margin_top + plot_h + margin_bottom
 
     anchors = "; ".join(f"p={p:g} -> rgb{c}" for p, c in RAMP_ANCHORS)
@@ -73,17 +60,17 @@ def render_pvalue_map_svg(
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
     ]
     for k in range(num_scales, 0, -1):
-        y = margin_top + (num_scales - k) * cell_height
+        y = margin_top + (num_scales - k) * CELL_HEIGHT
         x = margin_left
         for color, run in itertools.groupby(map(pvalue_color, window[k - 1].tolist())):
             run_w = sum(1 for _ in run) * cell_w
             lines.append(
                 f'<rect x="{x}" y="{y}" width="{run_w}" '
-                f'height="{cell_height}" fill="{color}"/>'
+                f'height="{CELL_HEIGHT}" fill="{color}"/>'
             )
             x += run_w
         lines.append(
-            f'<text x="{margin_left - 6}" y="{y + cell_height - 3}" font-size="10" '
+            f'<text x="{margin_left - 6}" y="{y + CELL_HEIGHT - 3}" font-size="10" '
             f'font-family="sans-serif" text-anchor="end">{k}</text>'
         )
     axis_y = margin_top + plot_h + 14

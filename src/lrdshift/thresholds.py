@@ -60,8 +60,12 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17  # replicates per substream chunk in Monte-Carlo loops
-_BLOCK = 1 << 12  # rows drawn at a time inside a chunk (0.5 MiB per buffer at m = 15)
-_CACHE_VERSION = 1  # bump when the Monte-Carlo samples or their quantile change
+# Rows drawn at a time inside a chunk (120 KiB per buffer at m = 15).  Small
+# enough that OpenBLAS (0.3.31) runs the block product on one thread up to
+# m = 22.  It splits 2^12 rows at m = 15 over two threads, so with the forked
+# worker doing the same, a two-CPU host ran four busy threads.
+_BLOCK = 1 << 10
+_CACHE_VERSION = 2  # bump when the Monte-Carlo samples or their quantile change
 
 
 # Cephes ndtri: sqrt(2 pi), then the rational forms P/Q in y^2 for
@@ -266,7 +270,9 @@ def cross_scale_corr(hurst: float, base: int, lag: int) -> float:
 
     Equals ``(1 + r^{2H} - (r-1)^{2H}) / (2 r^H)`` with window ratio
     ``r = base**lag``.  Evaluated in a cancellation-free form so that large
-    lags keep full precision.
+    lags keep full precision.  This is the one place that keeps the value
+    at most 1: at H = 1 every exact value is 1, and the form rounds some
+    ratios to 1 + 2^-52.
     """
     if lag < 0:
         raise ValueError(f"lag must be >= 0, got {lag}")
@@ -276,22 +282,21 @@ def cross_scale_corr(hurst: float, base: int, lag: int) -> float:
     r_pow_h = np.exp(hurst * log_r)
     # r^{2H} - (r-1)^{2H} = -r^{2H} * expm1(2H * log1p(-1/r))
     diff = -np.expm1(2.0 * hurst * np.log1p(-np.exp(-log_r)))
-    return float(0.5 / r_pow_h + 0.5 * r_pow_h * diff)
+    return min(float(0.5 / r_pow_h + 0.5 * r_pow_h * diff), 1.0)
 
 
 def scale_cov_matrix(hurst: float, base: int, m: int) -> np.ndarray:
-    """The ``m x m`` cross-scale correlation matrix (unit diagonal, Toeplitz)."""
+    """The ``m x m`` cross-scale correlation matrix (unit diagonal, Toeplitz).
+
+    Its entries are :func:`cross_scale_corr`'s, so none exceeds 1; whether
+    the matrix is positive semi-definite is checked where it is factored,
+    by :func:`_corr_factor`.
+    """
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     first = np.array([cross_scale_corr(hurst, base, k) for k in range(m)])
     lags = np.arange(m)
-    cov = first[np.abs(np.subtract.outer(lags, lags))]
-    smallest = np.linalg.eigvalsh(cov)[0]
-    if smallest < -1e-10:
-        raise RuntimeError(
-            f"cross-scale correlation matrix is not PSD (eigenvalue {smallest:.3e})"
-        )
-    return cov
+    return first[np.abs(np.subtract.outer(lags, lags))]
 
 
 def single_scale_threshold(alpha: float) -> ThresholdResult:
@@ -311,11 +316,14 @@ def _corr_factor(cov: np.ndarray) -> np.ndarray:
 
     Adjacent scales are almost perfectly correlated for large Hurst values,
     so the matrix can be near-singular; the eigen route tolerates that where
-    Cholesky would fail.
+    Cholesky would fail.  This one decomposition is also the check that
+    ``cov`` is positive semi-definite: an eigenvalue below -1e-10 raises
+    RuntimeError, and the rounding-sized negative ones above it are taken
+    as 0.
     """
     w, v = np.linalg.eigh(cov)
-    if w[0] < -1e-6:
-        raise RuntimeError(f"correlation matrix factorization failed (eigenvalue {w[0]:.3e})")
+    if w[0] < -1e-10:
+        raise RuntimeError(f"cross-scale correlation matrix is not PSD (eigenvalue {w[0]:.3e})")
     return v * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -378,8 +386,7 @@ def _quantile_with_se(samples: np.ndarray, p: float) -> tuple[float, float]:
     lo = max(p - h, 0.0)
     hi = min(p + h, 1.0)
     value, q_lo, q_hi = np.quantile(samples, [p, lo, hi], overwrite_input=True)
-    se = float((q_hi - q_lo) / 2.0) if hi > lo else 0.0
-    return float(value), se
+    return float(value), float((q_hi - q_lo) / 2.0)
 
 
 def improved_threshold(query: ThresholdQuery) -> ThresholdResult:
@@ -550,7 +557,7 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _rectangle(c: float, means: tuple[float, float], rho: float) -> float:
-    """``P(|X| <= c, |Y| <= c)`` for unit normals with ``means`` and correlation ``rho >= 0``.
+    """``P(|X| <= c, |Y| <= c)`` for unit normals with ``means`` and correlation ``0 <= rho <= 1``.
 
     Each corner is ``P(X <= h, Y <= k) = Phi(min(h, k)) - (1/2pi) int_0^{acos rho} g r ds``, where
     ``g = exp(-d^2 / (2 s^2))``, ``d = |h - k|``, and ``r`` is smooth and even (Drezner & Wesolowsky
@@ -559,7 +566,7 @@ def _rectangle(c: float, means: tuple[float, float], rho: float) -> float:
     """
     h, k = np.array([c, -c, c, -c]) - means[0], np.array([c, c, -c, -c]) - means[1]
     corners = _ndtr(np.minimum(h, k))
-    big_a = math.acos(min(rho, 1.0))  # at H = 1, rho may round above 1
+    big_a = math.acos(rho)
     if big_a > 0.0:
         x, weights = _gauss_legendre()
         s = big_a * (1.0 + x) ** 4 / 16.0

@@ -150,6 +150,13 @@ class TestSynth:
     def test_zero_length_exits_2(self, tmp_path):
         assert run(["synth", "--hurst", "0.5", "--n", "0", "--out", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("sigma", ["inf", "nan"])
+    def test_non_finite_sigma_exits_2_and_names_the_flag(self, tmp_path, capsys, sigma):
+        code = run(["synth", "--hurst", "0.5", "--sigma", sigma, "--n", "8", "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: sigma must be positive and finite, got {sigma}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_unwritable_path_exits_1(self):
         assert run(["synth", "--hurst", "0.5", "--n", "8", "--out", "/nonexistent/dir/x"]) == 1
 
@@ -777,12 +784,13 @@ class TestMapCommand:
         run(["map", "--in-map", str(map_path), "--out-svg", str(svg_path)])
         assert "#b3b3b3" in svg_path.read_text()
 
-    def test_empty_window_exits_2(self, tmp_path):
+    def test_empty_window_exits_2(self, tmp_path, capsys):
         map_path = tmp_path / "m.csv"
         self.write_map(map_path, np.ones((2, 4)))
         code = run(["map", "--in-map", str(map_path), "--from", "2", "--to", "2",
                     "--out-svg", str(tmp_path / "m.svg")])
         assert code == 2
+        assert capsys.readouterr().err == "error: need 0 <= start < stop <= 4, got [2, 2)\n"
 
     def test_deterministic_bytes(self, tmp_path):
         map_path = tmp_path / "m.csv"
@@ -1064,6 +1072,9 @@ class TestEvalCommand:
          "injection start_range 40000 is beyond the series end 32768"),
         (["--n", "0"], "n 0 is shorter than the largest window"),
         (["--hurst", "1"], "hurst must be in the open interval (0, 1), got 1.0"),
+        (["--delta", "nan"], "delta must be finite, got nan"),
+        (["--delta=-inf"], "delta must be finite, got -inf"),
+        (["--duration-mean", "inf"], "duration_mean must be positive and finite, got inf"),
     ])
     def test_a_study_that_cannot_run_exits_2_before_the_threshold(self, tmp_path, monkeypatch,
                                                                    capsys, argv, message):

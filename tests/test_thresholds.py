@@ -249,6 +249,13 @@ class TestCrossScaleCorr:
         with pytest.raises(ValueError):
             cross_scale_corr(0.9, 2, -1)
 
+    def test_at_most_one_at_hurst_one(self):
+        """Every exact value at H = 1 is 1; the cancellation-free form rounds
+        about 10.8k ratios in 2..10^5 to 1 + 2^-52 unless it is kept at 1."""
+        rhos = np.array([cross_scale_corr(1.0, ratio, 1) for ratio in range(2, 10**5 + 1)])
+        assert rhos.max() == 1.0
+        assert rhos.min() > 1.0 - 1e-12
+
 
 class TestScaleCovMatrix:
     def test_single_scale(self):
@@ -274,6 +281,10 @@ class TestScaleCovMatrix:
         assert np.all((off > 0.0) & (off < 1.0))
         assert np.all(np.diff(off) < 0.0), "rows must decay away from the diagonal"
         assert np.linalg.eigvalsh(cov)[0] >= -1e-10
+
+    def test_entries_at_most_one_at_hurst_one(self):
+        """Ratio 8192 at H = 1 is one that rounds above 1 before the clamp."""
+        assert scale_cov_matrix(1.0, 8192, 2).max() == 1.0
 
 
 class TestClosedFormThresholds:
@@ -341,6 +352,29 @@ class TestImprovedThreshold:
             f"MC {result.value:.5f} vs exact {exact:.5f} (SE {result.mc_standard_error:.5f})"
         )
 
+    def test_one_eigendecomposition_per_call(self, monkeypatch):
+        """``_corr_factor``'s ``eigh`` is the only decomposition of the matrix."""
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def spy(a, real=getattr(np.linalg, name), name=name):
+                calls.append(name)
+                return real(a)
+            monkeypatch.setattr(np.linalg, name, spy)
+        improved_threshold(ThresholdQuery(alpha=0.05, num_scales=15, hurst=0.9, mc_reps=10**4))
+        assert calls == ["eigh"]
+
+    def test_factor_rejects_a_matrix_that_is_not_psd(self):
+        """An eigenvalue below -1e-10 is an error; one above it is rounding, taken as 0."""
+        for eigenvalue, raises in ((-1e-9, True), (-1e-11, False)):
+            cov = np.array([[1.0, 1.0 - eigenvalue], [1.0 - eigenvalue, 1.0]])
+            assert np.linalg.eigvalsh(cov)[0] == pytest.approx(eigenvalue, rel=1e-4)
+            if raises:
+                with pytest.raises(RuntimeError, match="not PSD"):
+                    _corr_factor(cov)
+            else:
+                factor = _corr_factor(cov)
+                assert np.allclose(factor @ factor.T, cov, atol=1e-10)
+
     def test_rejects_wrong_kind_and_small_reps(self):
         with pytest.raises(ValueError, match="mc_reps"):
             improved_threshold(ThresholdQuery(alpha=0.05, num_scales=2, mc_reps=100))
@@ -365,8 +399,8 @@ class TestBlockedSampling:
     """The row-blocked replicate loop against one product per substream chunk."""
 
     # Neither a multiple of the chunk nor of the block; the second leaves a
-    # one-row remainder after the last full block of the second chunk.
-    @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + _BLOCK + 1])
+    # one-row remainder after the last of four full blocks of the second chunk.
+    @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + 4 * _BLOCK + 1])
     @pytest.mark.parametrize("num_scales,hurst", [(15, 0.9), (2, 0.8), (6, 0.5)])
     def test_equals_per_chunk_draws_bit_for_bit(self, reps, num_scales, hurst):
         factor = _corr_factor(scale_cov_matrix(hurst, 2, num_scales))
@@ -609,13 +643,6 @@ class TestRectangle:
         points = np.array([key[:2] for key in corners])
         assert points.min() == -8.0 and points.max() == 8.0
 
-    def test_rho_rounded_above_one(self):
-        """``cross_scale_corr`` at H = 1 rounds to 1 + 2^-52 at some ratios;
-        that is the law of ``rho = 1``, not an ``asin`` domain error."""
-        rho = cross_scale_corr(1.0, 8192, 1)
-        assert rho > 1.0
-        assert _rectangle(2.0, (1.0, 0.5), rho) == _rectangle(2.0, (1.0, 0.5), 1.0)
-
 
 class TestTwoScaleThreshold:
     @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.3])
@@ -659,11 +686,12 @@ class TestPowerTwoScale:
     @pytest.mark.parametrize("big", [2, 4, 8192])
     def test_hurst_one_is_one_scale(self, big):
         """At H = 1 the two statistics are one normal ``Z`` plus two means
-        (``rho`` is 1, or rounds to 1 - 2^-53 or 1 + 2^-52 at these ratios),
-        so the power is ``1 - P(|Z + m1| <= c, |Z + m2| <= c)`` at the
-        single-scale threshold ``c``; the ``rho < 1`` roundings are exact
-        within ``acos(rho) / 2pi`` per corner, below 3e-9."""
-        assert {cross_scale_corr(1.0, ratio, 1) - 1.0 for ratio in (2, 4, 8192)} == {0.0, -(2.0**-53), 2.0**-52}
+        (``rho`` is 1, or rounds to 1 - 2^-53 at these ratios; 8192 is one
+        that rounds to 1 + 2^-52 and is kept at 1), so the power is
+        ``1 - P(|Z + m1| <= c, |Z + m2| <= c)`` at the single-scale threshold
+        ``c``; the ``rho < 1`` roundings are exact within ``acos(rho) / 2pi``
+        per corner, below 3e-9."""
+        assert [cross_scale_corr(1.0, ratio, 1) - 1.0 for ratio in (2, 4, 8192)] == [0.0, -(2.0**-53), 0.0]
         delta, count = 0.3, 1
         c = single_scale_threshold(0.05).value
         m1, m2 = delta, count * delta / big
