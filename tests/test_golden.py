@@ -78,6 +78,22 @@ def test_detect_map(method, expected, workdir, monkeypatch):
     assert cold_and_warm(monkeypatch, run) == ((0, *expected),) * 2
 
 
+@pytest.mark.parametrize("method,base,scales,expected", [
+    ("nowa", "3", "6", ("810dc1ed7bf839ae", "0718c4adc1c5d92d")),
+    ("swa", "3", "6", ("ebd67f3f7a3966d7", "2ba3a187a7fe187f")),
+    ("nowa", "10", "4", ("6919068ff2fea448", "8f51bb5ba5b88412")),
+    ("swa", "10", "4", ("6a114b1baa69f7a1", "8776802b90c38431")),
+])
+def test_detect_map_base(method, base, scales, expected, workdir):
+    """The flags and the map at bases other than 2, where a level is summed
+    from more than two windows of the level below."""
+    flags, pvalues = (workdir / f"b{base}_{method}{suffix}" for suffix in (".json", ".csv"))
+    assert main(["detect", "--in", str(workdir / "trace.txt"), "--hurst", "0.9", "--method", method,
+                 "--base", base, "--scales", scales, "--threshold", "asymptotic",
+                 "--out-flags", str(flags), "--out-map", str(pvalues)]) == 0
+    assert (digest(flags.read_bytes()), digest(pvalues.read_bytes())) == expected
+
+
 @pytest.mark.parametrize("argv,expected", [
     (["--kind", "improved", "--scales", "12", "--hurst", "0.85", "--seed", "3"], "20f7f115f801e556"),
     (["--kind", "asymptotic", "--scales", "12"], "6d05266d6e53714c"),
