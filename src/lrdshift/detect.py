@@ -85,17 +85,25 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     """Affinely map the series to (nominally) zero mean and unit variance.
 
     With neither moment given, the series' own mean and sample standard
-    deviation (ddof 1) are used and constant input is rejected.  With both,
-    they are applied as given, e.g. moments estimated from a training
-    segment; ``mean`` must be finite and ``std`` finite and positive.
-    Giving one alone is an error.  Returns ``(standardized_series, mean, std)``.
+    deviation (ddof 1) are used; constant input is rejected, and so is a
+    series whose sample mean or standard deviation overflows to a non-finite
+    value, which would otherwise map every sample to zero.  With both, they
+    are applied as given, e.g. moments estimated from a training segment;
+    ``mean`` must be finite and ``std`` finite and positive, and a
+    standardized value that overflows is rejected.  Giving one alone is an
+    error.  Returns ``(standardized_series, mean, std)``.
     """
     ts = as_series(series)
     if len(ts) == 0:
         raise ValueError("series must be non-empty")
+    given = mean is not None
     if mean is None and std is None:
-        mean = float(ts.values.mean())
-        std = float(ts.values.std(ddof=1)) if len(ts) > 1 else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below by name
+            mean = float(ts.values.mean())
+            std = float(ts.values.std(ddof=1)) if len(ts) > 1 else 0.0
+        for name, moment in (("mean", mean), ("standard deviation", std)):
+            if not math.isfinite(moment):
+                raise ValueError(f"the sample {name} overflows to {moment}; rescale the series")
         if std <= 0.0:
             raise ValueError("cannot standardize a constant series by its sample moments")
     elif mean is None or std is None:
@@ -104,7 +112,11 @@ def standardize(series, mean: float | None = None, std: float | None = None):
         raise ValueError("mean must be finite")
     elif not (math.isfinite(std) and std > 0.0):
         raise ValueError("std must be positive and finite")
-    values = (ts.values - mean) / std
+    with np.errstate(over="ignore"):  # reported below
+        values = (ts.values - mean) / std
+    if given and not np.isfinite(values).all():
+        raise ValueError(f"standardizing by mean {mean!r} and std {std!r} overflows; "
+                         "rescale the series or the moments")
     return TimeSeries(values), float(mean), float(std)
 
 
@@ -142,26 +154,24 @@ def pvalue_map(pyramid: Pyramid) -> np.ndarray:
 def _max_over_scales(pyramid: Pyramid, work: list[np.ndarray]) -> np.ndarray:
     """The max over scales of the levels' magnitudes at every position.
 
-    ``work`` is two length-n float arrays.  The statistic is folded into
-    ``work[0]``, which is returned; ``work[1]`` is overwritten.  For
-    ``nowa`` the fold runs from the coarsest level down, 0-based level
-    ``j``'s magnitudes in ``work[j % 2]``; for ``swa`` each level's
-    magnitudes pass through ``work[1]``.
+    ``work`` is two length-n float arrays.  The fold runs from the coarsest
+    level down, scale ``k``'s magnitudes in ``work[(k-1) % 2]``: the running
+    max of scale ``k+1`` is pushed into the ``ratio`` scale-``k`` entries
+    each of its entries covers, from entry ``start`` on, both read off the
+    two scales' :meth:`~lrdshift.pyramid.ScaleConfig.cover`.  The statistic
+    ends in ``work[0]``, which is returned; ``work[1]`` is overwritten.
     """
     levels = pyramid.levels
-    if pyramid.method == "nowa":
-        base = pyramid.config.base
-        statistic = np.empty(0)  # nothing above the coarsest level
-        for j in range(len(levels) - 1, -1, -1):
-            finer = np.abs(levels[j], out=work[j % 2][: len(levels[j])])
-            covered = finer[: len(statistic) * base].reshape(len(statistic), base)
+    covers = [pyramid.config.cover(pyramid.method, k) for k in range(1, len(levels) + 1)]
+    statistic = np.empty(0)  # nothing above the coarsest level
+    for k in range(len(levels), 0, -1):
+        finer = np.abs(levels[k - 1], out=work[(k - 1) % 2][: len(levels[k - 1])])
+        if k < len(levels):
+            (lead, repeat), (coarse_lead, coarse_repeat) = covers[k - 1], covers[k]
+            start, ratio = (coarse_lead - lead) // repeat, coarse_repeat // repeat
+            covered = finer[start : start + len(statistic) * ratio].reshape(len(statistic), ratio)
             np.fmax(covered, statistic[:, None], out=covered)
-            statistic = finer
-    else:
-        statistic = np.abs(levels[0], out=work[0])
-        for k, level in enumerate(levels[1:], start=2):
-            covered = statistic[pyramid.config.cover(pyramid.method, k)[0] :]
-            np.fmax(covered, np.abs(level, out=work[1][: len(level)]), out=covered)
+        statistic = finer
     return work[0]
 
 
@@ -176,9 +186,10 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     the levels into one length-n array, so the working memory besides the
     pyramid is O(n) and no (scales x n) matrix is built; the scale achieving
     the max (smallest on ties) is looked up at the flagged positions only.
-    For ``nowa`` the fold runs from the coarsest level down, each level's
-    running max pushed into the next finer level only, so each level is
-    read once.
+    In both layouts the fold runs from the coarsest level down, each level's
+    running max pushed into the entries of the next finer level that it
+    covers, so each level is read once; the layout enters only through
+    :meth:`~lrdshift.pyramid.ScaleConfig.cover`.
 
     Huge finite samples can overflow a window's sum to ``inf`` or, as
     ``inf - inf``, to NaN.  The folds use ``np.fmax``, so a NaN window is

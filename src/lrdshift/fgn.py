@@ -181,7 +181,9 @@ def estimate_hurst(series) -> float:
     to ``n/64`` (``n/4`` below 256 samples), and a series with fewer than
     two sizes is too short.  The sample variance of the block means scales
     like ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
-    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).
+    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  A block
+    size whose variance is zero, or overflows to a non-finite value, raises
+    ``ValueError``.
 
     This estimator is simple but biased for strongly dependent data; it is
     offered as a convenience for picking a working ``H`` from a training
@@ -198,9 +200,13 @@ def estimate_hurst(series) -> float:
     levels = build_nowa(x, ScaleConfig(2, largest.bit_length(), hurst=1.0)).levels[1:]
     log_m, log_v = [], []
     for k, means in enumerate(levels, start=1):
-        v = means.var(ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            v = means.var(ddof=1)
         if v <= 0.0:
             raise ValueError("series has zero variance at some block size (constant input?)")
+        if not np.isfinite(v):
+            raise ValueError(f"the variance of the block means of size {2**k} overflows to {v}; "
+                             "rescale the series")
         log_m.append(np.log(2.0**k))
         log_v.append(np.log(v))
     slope, _ = np.polyfit(log_m, log_v, 1)

@@ -15,13 +15,14 @@ Two window layouts are supported:
   :class:`StreamState`: one sample at a time with ``push``, or a block of
   samples at a time with ``extend``.
 
-Both builders aggregate level ``k`` from the level ``k-1`` sums with the
-earliest chunk added first, which makes the two layouts agree bit-for-bit at
-positions that are multiples of the largest window.  One sliding step,
-``_chain``, builds the ``swa`` levels of :func:`build_swa` and the windows of
-:meth:`StreamState.extend`; ``push`` is its scalar form, with the same order
-of additions, so a stream equals the sliding layout bit for bit at every
-position.
+:meth:`ScaleConfig.cover` is the one encoding of the layouts: the positions
+each entry of a level covers.  Both builders sum level ``k`` from the level
+``k-1`` sums with one step, ``_chain``, whose spacing and stride follow from
+the two levels' covers; the earliest chunk is added first, which makes the
+two layouts agree bit-for-bit at positions that are multiples of the largest
+window.  ``_chain`` also builds the windows of :meth:`StreamState.extend`;
+``push`` is its scalar form, with the same order of additions, so a stream
+equals the sliding layout bit for bit at every position.
 """
 
 from __future__ import annotations
@@ -76,10 +77,15 @@ class ScaleConfig:
         positions ``lead + j*repeat .. lead + (j+1)*repeat - 1``.
 
         ``(0, L_k)`` for ``nowa`` blocks; ``(L_k - 1, 1)`` for ``swa``, whose
-        windows cover the position they end at.
+        windows cover the position they end at.  Any other ``method`` raises
+        ``ValueError``.
         """
         window = self.window(scale)
-        return (0, window) if method == "nowa" else (window - 1, 1)
+        if method == "nowa":
+            return 0, window
+        if method == "swa":
+            return window - 1, 1
+        raise ValueError(f"method must be 'nowa' or 'swa', got {method!r}")
 
     @property
     def max_window(self) -> int:
@@ -121,17 +127,18 @@ def _level_lengths(method: str, n: int, config: ScaleConfig) -> list[int]:
     return [(n - lead) // repeat for lead, repeat in covers]
 
 
-def _chain(prev: np.ndarray, sub: int, base: int, out: np.ndarray) -> np.ndarray:
-    """``out[i] = prev[i] + prev[i+sub] + ... + prev[i+(base-1)*sub]``, earliest first.
+def _chain(prev: np.ndarray, sub: int, base: int, out: np.ndarray, stride: int = 1) -> np.ndarray:
+    """``out[i] = prev[i*stride] + prev[i*stride + sub] + ... + prev[i*stride + (base-1)*sub]``,
+    earliest first.
 
     With ``prev`` the windows of ``sub`` samples, ``out[i]`` is the window
-    of ``base*sub`` samples that ends where ``prev[i+(base-1)*sub]`` ends.
-    Returns ``out``.
+    of ``base*sub`` samples that ends where ``prev[i*stride + (base-1)*sub]``
+    ends.  Returns ``out``.
     """
-    m = len(out)
-    out[:] = prev[:m]
+    span = len(out) * stride
+    out[:] = prev[:span:stride]
     for offset in range(sub, base * sub, sub):
-        out += prev[offset : offset + m]
+        out += prev[offset : offset + span : stride]
     return out
 
 
@@ -140,19 +147,18 @@ def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.
 
     ``levels`` holds one array per scale, of the lengths
     :func:`_level_lengths` gives; each is overwritten.  Level ``k`` is
-    summed from the unnormalized level ``k-1``, its earliest chunk first,
-    and the levels are normalized once all sums are built.
+    chained from the unnormalized level ``k-1``, its earliest chunk first.
+    Counted in level ``k-1`` entries, each ``repeat_{k-1}`` positions apart
+    (:meth:`ScaleConfig.cover`), a window's chunks are ``L_{k-1}`` positions
+    apart and consecutive level ``k`` entries ``repeat_k``: spacing 1 and
+    stride ``base`` for ``nowa``, spacing ``L_{k-1}`` and stride 1 for
+    ``swa``.  The levels are normalized once all sums are built.
     """
-    b = config.base
     prev = x
     for k, cur in enumerate(levels, start=2):
-        m = len(cur)
-        if method == "nowa":
-            cur[:] = prev[0 : m * b : b]
-            for r in range(1, b):
-                cur += prev[r : m * b : b]
-        else:
-            _chain(prev, config.window(k - 1), b, cur)
+        below = config.cover(method, k - 1)[1]
+        _chain(prev, config.window(k - 1) // below, config.base, cur,
+               config.cover(method, k)[1] // below)
         prev = cur
     for level, norm in zip(levels, _normalizers(config)[1:]):
         level /= norm

@@ -60,11 +60,18 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 17  # replicates per substream chunk in Monte-Carlo loops
-# Rows drawn at a time inside a chunk (120 KiB per buffer at m = 15).  Small
-# enough that OpenBLAS (0.3.31) runs the block product on one thread up to
-# m = 22.  It splits 2^12 rows at m = 15 over two threads, so with the forked
-# worker doing the same, a two-CPU host ran four busy threads.
-_BLOCK = 1 << 10
+# Rows times m^2 of one block product inside a chunk.  OpenBLAS (0.3.31) runs
+# an (R x m) @ (m x m) product on one thread up to R m^2 of about 5e5 and
+# splits it over two from about 5.4e5; with the forked worker doing the same,
+# a two-CPU host ran four busy threads and the cold threshold slowed down.
+_BLOCK_PRODUCT = 1 << 18
+
+
+def _block_rows(m: int) -> int:
+    """Rows drawn at a time inside a chunk at ``m`` scales (1165 at m = 15)."""
+    return max(2, _BLOCK_PRODUCT // (m * m))
+
+
 _CACHE_VERSION = 2  # bump when the Monte-Carlo samples or their quantile change
 
 
@@ -333,11 +340,11 @@ def _max_abs_gaussian_samples(
     """``reps`` draws of ``max_k |Z_k|``, ``Z = factor @ N(0, I)``, for :func:`improved_threshold`.
 
     Replicates ``i * _CHUNK`` up to ``(i + 1) * _CHUNK`` come from
-    ``substream(seed, i)``, drawn ``_BLOCK`` rows at a time into two buffers
-    allocated once: the working set is the 8 bytes per replicate of the
-    result plus ``2 (_BLOCK + 1) m`` floats.  The samples do not depend on
-    the block size: a generator filling consecutive blocks yields the
-    normals one call over the chunk does, and a product of two or more rows
+    ``substream(seed, i)``, drawn ``_block_rows(m)`` rows at a time into two
+    buffers allocated once: the working set is the 8 bytes per replicate of
+    the result plus ``2 (_block_rows(m) + 1) m`` floats.  The samples do not
+    depend on the block size: a generator filling consecutive blocks yields
+    the normals one call over the chunk does, and a product of two or more rows
     sums each row as the chunk's product does.  A chunk never ends in a
     one-row block, since numpy computes a one-row product on its
     vector-matrix path, whose sums can differ in the last bit.
@@ -349,8 +356,9 @@ def _max_abs_gaussian_samples(
     copy of them.  Each chunk's maxima depend on its substream alone.
     """
     m = factor.shape[0]
+    block = _block_rows(m)
     out = np.empty(reps)
-    rows = min(_BLOCK + 1, reps)
+    rows = min(block + 1, reps)
     g = np.empty((rows, m))
     z = np.empty((rows, m))
 
@@ -360,7 +368,7 @@ def _max_abs_gaussian_samples(
         stop = min(start + _CHUNK, reps)
         lo = start
         while lo < stop:
-            hi = lo + _BLOCK if stop - lo > _BLOCK + 1 else stop
+            hi = lo + block if stop - lo > block + 1 else stop
             g_block, z_block = g[: hi - lo], z[: hi - lo]
             rng.standard_normal(out=g_block)
             np.matmul(g_block, factor.T, out=z_block)

@@ -34,6 +34,39 @@ from lrdshift.evaluate import _mean_or_none
 from lrdshift.thresholds import _CHUNK
 
 
+# Window sums of these overflow to inf, and to NaN where they meet (inf - inf).
+HUGE = [1e308, -1e308, 1.5e308, -1.5e308, 8e307, -8e307]
+
+
+def aggregate_per_entry(method: str, x, config: ScaleConfig) -> list[np.ndarray]:
+    """The levels of ``x``'s pyramid, every sum written out left to right in Python floats.
+
+    Entry ``i`` of level ``k`` adds ``base`` entries of the unnormalized level
+    ``k-1``, earliest first: ``prev[i*b + j]`` for ``nowa`` and
+    ``prev[i + j*L_{k-1}]`` for ``swa``, ``j = 0 .. b-1``.  Each level is then
+    divided by ``L_k**hurst``.
+    """
+    b, prev = config.base, [float(v) for v in x]
+    levels = [np.array(prev)]
+    for k in range(2, config.num_scales + 1):
+        sub = config.window(k - 1)
+        if method == "nowa":
+            chunks = [[prev[i * b + j] for j in range(b)] for i in range(len(prev) // b)]
+        else:
+            chunks = [[prev[i + j * sub] for j in range(b)]
+                      for i in range(len(prev) - (b - 1) * sub)]
+        sums = []
+        for chunk in chunks:
+            total = chunk[0]
+            for value in chunk[1:]:
+                total += value
+            sums.append(total)
+        norm = float(config.window(k)) ** config.hurst
+        levels.append(np.array([total / norm for total in sums]))
+        prev = sums
+    return levels
+
+
 def column_at(pyramid: Pyramid, t: int) -> list[tuple[int, float]]:
     """All (scale, value) pairs whose window provides a value at position ``t``.
 

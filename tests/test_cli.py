@@ -345,6 +345,24 @@ class TestDetectCommand:
         assert 0.0 < estimate < 1.0
         assert not flags_path.exists(), "detection must not run without an explicit --hurst"
 
+    @pytest.mark.parametrize("extra,message", [
+        (["--hurst", "0.9", "--standardize", "sample"], "the sample standard deviation overflows"),
+        (["--hurst", "0.9", "--mean", "0", "--std", "1e-200"], "and std 1e-200 overflows"),
+        (["--estimate-hurst"], "block means of size 2 overflows"),
+    ], ids=["sample", "given", "estimate-hurst"])
+    def test_overflowing_moments_exit_2(self, tmp_path, capsys, extra, message):
+        """Moments that overflow name the cause; they used to flag nothing
+        (exit 0), print a NaN estimate, or say only that values must be finite."""
+        inp = tmp_path / "huge.txt"
+        x = np.random.default_rng(1).standard_normal(4096) * 1e200
+        inp.write_text("".join(repr(float(v)) + "\n" for v in x))
+        flags_path = tmp_path / "f.json"
+        code = run(["detect", "--in", str(inp), "--scales", "6", "--threshold", "asymptotic",
+                    "--out-flags", str(flags_path), *extra])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not flags_path.exists()
+
     def test_short_series_exits_2(self, tmp_path):
         inp = tmp_path / "short.txt"
         inp.write_text("1.0\n2.0\n")

@@ -1,5 +1,6 @@
 """Pointwise detection, the p-value map, and interval reporting."""
 
+import statistics
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from lrdshift import (
     DetectionConfig,
     DetectionResult,
     LrdModel,
+    Pyramid,
     ScaleConfig,
     asymptotic_threshold,
     build_nowa,
@@ -27,12 +29,9 @@ from lrdshift import (
 )
 from lrdshift.detect import Interval, pvalue_rows
 from oracles import (
-    FEEDS, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag, pvalue_map_per_cell,
-    stream_feed,
+    FEEDS, HUGE, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag,
+    pvalue_map_per_cell, stream_feed,
 )
-
-# Window sums of these overflow to inf, and to NaN where they meet (inf - inf).
-HUGE = [1e308, -1e308, 1.5e308, -1.5e308, 8e307, -8e307]
 
 
 def make_config(num_scales=4, hurst=0.8, method="nowa", threshold_value=2.5, base=2):
@@ -69,6 +68,20 @@ class TestStandardize:
         """Moments that map every sample to 0 or NaN would switch detection off."""
         with pytest.raises(ValueError, match="finite"):
             standardize(np.arange(4.0), mean=mean, std=std)
+
+    def test_overflowing_sample_moments_are_named(self):
+        """numpy's sample std of this series overflows to inf, though the exact
+        one is a double; dividing by it would map every sample to zero."""
+        x = np.random.default_rng(1).standard_normal(4096) * 1e200
+        assert 9e199 < statistics.stdev(x.tolist()) < 1.1e200
+        with pytest.raises(ValueError, match="sample standard deviation overflows"):
+            standardize(x)
+        with pytest.raises(ValueError, match="sample mean overflows"):
+            standardize(np.full(4, 1.5e308))
+
+    def test_overflowing_standardized_value_is_named(self):
+        with pytest.raises(ValueError, match="mean 0.0 and std 1e-300 overflows"):
+            standardize(np.array([1.0, 1e10]), mean=0.0, std=1e-300)
 
 
 class TestDetect:
@@ -126,17 +139,24 @@ class TestDetect:
                 flags.add(t)
         assert flags == set(int(i) for i in result.flags)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["nowa", "swa"])
-    @pytest.mark.parametrize("base,num_scales,n", [(2, 6, 1000), (3, 5, 500)])
-    def test_matches_dense_oracle_exactly(self, method, base, num_scales, n):
+    @pytest.mark.parametrize("base,num_scales,n,overflow", [
+        (2, 6, 1000, False), (3, 5, 500, False), (10, 4, 2345, False), (3, 5, 500, True),
+    ], ids=["2-6-1000", "3-5-500", "10-4-2345", "3-5-500-overflow"])
+    def test_matches_dense_oracle_exactly(self, method, base, num_scales, n, overflow):
         """The folded max equals nanmax/nanargmax over the (M, n) matrix bit
         for bit, trailing partial blocks (n is no multiple of the largest
-        window) included."""
+        window) included, and with windows overflowed to inf and NaN."""
         config = make_config(num_scales=num_scales, hurst=0.8, method=method,
                              threshold_value=1.5, base=base)
         x = synthesize_fgn(LrdModel(0.8), n, seed=7).values
         x[n // 2 : n // 2 + 60] += 2.0
         build = build_nowa if method == "nowa" else build_swa
+        if overflow:
+            x[: 2 * base] = [1.5e308] * base + [-1.5e308] * base
+            x[100 + np.random.default_rng(8).choice(n - 100, 24, replace=False)] = HUGE * 4
+            assert np.isnan(build(x, config.scale_config).levels[2]).any()
         statistic, flags, argmax_scale = dense_detect(build(x, config.scale_config), 1.5)
         result = detect(x, config)
         assert np.array_equal(result.statistic, statistic)
@@ -300,6 +320,12 @@ class TestPvalueMap:
             expected = 2.0 * ndtr(-np.abs(level))
             same = pvalues.view(np.int64) == expected.view(np.int64)
             assert (same | (np.isnan(pvalues) & np.isnan(expected))).all()
+
+    def test_unknown_layout_tag_is_refused(self):
+        """A tag other than 'nowa' or 'swa' is an error, not sliding covers."""
+        config = ScaleConfig(2, 3, 0.5)
+        with pytest.raises(ValueError, match="method must be 'nowa' or 'swa', got 'NOWA'"):
+            pvalue_map(Pyramid("NOWA", config, build_nowa(np.ones(16), config).levels))
 
     def test_zero_cell_has_pvalue_one(self):
         pyramid = build_nowa(np.zeros(16), ScaleConfig(2, 3, 0.5))

@@ -268,6 +268,12 @@ class TestHurstEstimator:
         with pytest.raises(ValueError, match="variance"):
             estimate_hurst(np.ones(1024))
 
+    def test_overflowing_variance_rejected(self):
+        """The size-2 block means' variance overflows to inf, which made the fit NaN."""
+        x = np.random.default_rng(1).standard_normal(4096) * 1e200
+        with pytest.raises(ValueError, match="block means of size 2 overflows"):
+            estimate_hurst(x)
+
     def test_result_is_clamped(self):
         x = np.arange(256.0)  # strong trend pushes the raw slope out of range
         assert 0.01 <= estimate_hurst(x) <= 0.99

@@ -20,7 +20,7 @@ from lrdshift import (
     synthesize_fgn,
 )
 from lrdshift.pyramid import _SHORT_BLOCK
-from oracles import FEEDS, column_at, dense_detect, stream_feed
+from oracles import FEEDS, HUGE, aggregate_per_entry, column_at, dense_detect, stream_feed
 
 
 def brute_force_nowa_level(x, window, hurst):
@@ -59,6 +59,11 @@ class TestScaleConfig:
 
     def test_unit_hurst_allowed_as_plain_averaging(self):
         ScaleConfig(base=2, num_scales=2, hurst=1.0)
+
+    @pytest.mark.parametrize("method", ["NOWA", "sliding", ""])
+    def test_cover_rejects_an_unknown_layout(self, method):
+        with pytest.raises(ValueError, match=f"method must be 'nowa' or 'swa', got {method!r}"):
+            ScaleConfig(2, 3).cover(method, 2)
 
 
 class TestBuildNowa:
@@ -186,6 +191,26 @@ class TestBuildSwa:
                 before = base_pyr.levels[k - 1][t - window]
                 after = shift_pyr.levels[k - 1][t - window]
                 assert after - before == pytest.approx(delta * window ** (1 - hurst), rel=1e-10)
+
+
+class TestAggregate:
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base,num_scales,n", [(2, 7, 300), (3, 5, 250), (10, 3, 345)])
+    def test_matches_per_entry_sums_bit_for_bit(self, method, base, num_scales, n):
+        """Every level equals the per-entry sums, trailing partial blocks
+        dropped, and windows overflowed to inf and to NaN included."""
+        config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
+        x = synthesize_fgn(LrdModel(0.8), n, seed=55).values
+        x[: 2 * base] = [1.5e308] * base + [-1.5e308] * base
+        x[2 * base + np.random.default_rng(56).choice(n - 2 * base, 12, replace=False)] = HUGE * 2
+        build = build_nowa if method == "nowa" else build_swa
+        levels = build(x, config).levels
+        expected = aggregate_per_entry(method, x, config)
+        assert len(levels) == len(expected) == num_scales
+        for level, oracle in zip(levels, expected):
+            assert np.array_equal(level, oracle, equal_nan=True)
+        assert np.isinf(levels[1]).any() and np.isnan(levels[2]).any()
 
 
 class TestAlignment:

@@ -35,7 +35,7 @@ from lrdshift import (
 from lrdshift import workers
 from lrdshift.seeding import subseed
 from lrdshift.thresholds import (
-    _BLOCK,
+    _block_rows,
     _CHUNK,
     _corr_factor,
     _max_abs_gaussian_samples,
@@ -398,15 +398,22 @@ class TestImprovedThreshold:
 class TestBlockedSampling:
     """The row-blocked replicate loop against one product per substream chunk."""
 
-    # Neither a multiple of the chunk nor of the block; the second leaves a
-    # one-row remainder after the last of four full blocks of the second chunk.
-    @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + 4 * _BLOCK + 1])
+    # Neither a multiple of the chunk nor of the block at any of these m.
+    @pytest.mark.parametrize("reps", [_CHUNK + 4097 + 3, _CHUNK + 4097])
     @pytest.mark.parametrize("num_scales,hurst", [(15, 0.9), (2, 0.8), (6, 0.5)])
     def test_equals_per_chunk_draws_bit_for_bit(self, reps, num_scales, hurst):
         factor = _corr_factor(scale_cov_matrix(hurst, 2, num_scales))
         blocked = _max_abs_gaussian_samples(factor, reps, 11)
         expected = max_abs_gaussian_samples_per_chunk(factor, reps, 11)
         assert np.array_equal(blocked, expected)
+
+    @pytest.mark.parametrize("num_scales", [15, 2, 6, 25])
+    def test_one_row_remainder_is_drawn_with_the_block_before_it(self, num_scales):
+        """The second chunk is one full block and one row: no one-row product."""
+        factor = _corr_factor(scale_cov_matrix(0.9, 2, num_scales))
+        reps = _CHUNK + _block_rows(num_scales) + 1
+        blocked = _max_abs_gaussian_samples(factor, reps, 11)
+        assert np.array_equal(blocked, max_abs_gaussian_samples_per_chunk(factor, reps, 11))
 
     @pytest.mark.parametrize("reps", [2 * _CHUNK + 5, 3 * _CHUNK + 7, _CHUNK])
     def test_equals_per_chunk_draws_with_the_worker_off_and_on(self, monkeypatch, forks, reps):
