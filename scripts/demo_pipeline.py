@@ -43,7 +43,7 @@ def main() -> int:
 
     spec = InjectionSpec(delta=args.delta, start=args.start, duration=args.duration)
     series, _ = inject(read_series(trace), spec)
-    write_series(shifted, series.values)
+    write_series(shifted, series)
 
     window = (max(args.start - args.duration, 0), min(args.start + 2 * args.duration, args.n))
     for step in [

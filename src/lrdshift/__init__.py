@@ -1,12 +1,14 @@
 """Multiscale level-shift anomaly detection for long-range-dependent series.
 
-The pieces, bottom to top: an exact fractional-Gaussian-noise sampler and
-model (:mod:`~lrdshift.fgn`), window-aggregation pyramids over dyadic-like
-scales (:mod:`~lrdshift.pyramid`), exactly calibrated family-wise thresholds
-for the max-over-scales statistic (:mod:`~lrdshift.thresholds`), the
-pointwise detector and p-value map (:mod:`~lrdshift.detect`), a synthetic
-injection-and-scoring harness (:mod:`~lrdshift.evaluate`), and a CLI
-(:mod:`~lrdshift.cli`).
+A series is a plain one-dimensional float64 array throughout, in and out;
+every function that takes one checks it on each call.  The pieces, bottom
+to top: window-aggregation pyramids over dyadic-like scales, with that
+check (:mod:`~lrdshift.pyramid`), an exact fractional-Gaussian-noise
+sampler and model (:mod:`~lrdshift.fgn`), exactly calibrated family-wise
+thresholds for the max-over-scales statistic (:mod:`~lrdshift.thresholds`),
+the pointwise detector and p-value map (:mod:`~lrdshift.detect`), a
+synthetic injection-and-scoring harness (:mod:`~lrdshift.evaluate`), and a
+CLI (:mod:`~lrdshift.cli`).
 """
 
 from .detect import (
@@ -33,7 +35,6 @@ from .evaluate import (
 from .fgn import (
     FgnSampler,
     LrdModel,
-    TimeSeries,
     estimate_hurst,
     fbm_cov,
     fgn_acf,

@@ -293,7 +293,7 @@ def _threshold_from_args(args) -> ThresholdResult:
 def cmd_synth(args) -> int:
     model = LrdModel(hurst=args.hurst, sigma=args.sigma)
     series = synthesize_fgn(model, args.n, args.seed)
-    write_series(args.out, series.values)
+    write_series(args.out, series)
     return 0
 
 
@@ -323,7 +323,7 @@ def cmd_detect(args) -> int:
     threshold = _detection_threshold(args)
     if args.mean is not None or args.standardize == "sample":
         # Rebinding frees the raw values before the pyramid is built.
-        values = standardize(values, args.mean, args.std)[0].values
+        values = standardize(values, args.mean, args.std)[0]
     result = detect(values, DetectionConfig(scale_config, threshold.value, args.method))
     intervals = flags_to_intervals(result, args.gap_tolerance)
     payload = {

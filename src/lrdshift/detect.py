@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import TimeSeries, as_series
-from .pyramid import Pyramid, ScaleConfig, build_nowa, build_swa
+from .pyramid import Pyramid, ScaleConfig, as_values, build_nowa, build_swa
 from .thresholds import _ndtr
 
 __all__ = [
@@ -93,14 +92,14 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     standardized value that overflows is rejected.  Giving one alone is an
     error.  Returns ``(standardized_series, mean, std)``.
     """
-    ts = as_series(series)
-    if len(ts) == 0:
+    x = as_values(series)
+    if len(x) == 0:
         raise ValueError("series must be non-empty")
     given = mean is not None
     if mean is None and std is None:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below by name
-            mean = float(ts.values.mean())
-            std = float(ts.values.std(ddof=1)) if len(ts) > 1 else 0.0
+            mean = float(x.mean())
+            std = float(x.std(ddof=1)) if len(x) > 1 else 0.0
         for name, moment in (("mean", mean), ("standard deviation", std)):
             if not math.isfinite(moment):
                 raise ValueError(f"the sample {name} overflows to {moment}; rescale the series")
@@ -113,11 +112,11 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     elif not (math.isfinite(std) and std > 0.0):
         raise ValueError("std must be positive and finite")
     with np.errstate(over="ignore"):  # reported below
-        values = (ts.values - mean) / std
+        values = (x - mean) / std
     if given and not np.isfinite(values).all():
         raise ValueError(f"standardizing by mean {mean!r} and std {std!r} overflows; "
                          "rescale the series or the moments")
-    return TimeSeries(values), float(mean), float(std)
+    return values, float(mean), float(std)
 
 
 def pvalue_rows(pyramid: Pyramid):

@@ -21,8 +21,8 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .detect import _max_over_scales
-from .fgn import FgnSampler, LrdModel, TimeSeries, as_series
-from .pyramid import Pyramid, ScaleConfig, _aggregate, _level_lengths
+from .fgn import FgnSampler, LrdModel
+from .pyramid import Pyramid, ScaleConfig, _aggregate, _level_lengths, as_values
 from .seeding import subseed, substream
 from .thresholds import ThresholdQuery, compute_threshold, single_scale_threshold
 from .workers import in_turns
@@ -109,13 +109,12 @@ def inject(series, spec: InjectionSpec, rng: np.random.Generator | None = None):
     falls entirely outside them is an error.  Deterministic given
     ``spec.seed`` (or the supplied generator).
     """
-    ts = as_series(series)
-    if len(ts) == 0:
+    values = as_values(series).copy()
+    if len(values) == 0:
         raise ValueError("series must be non-empty")
-    values = ts.values.copy()
     truth = np.zeros(len(values), dtype=bool)
     truth[_shift(values, spec, rng)] = True
-    return TimeSeries(values), truth
+    return as_values(values), truth  # a shift can overflow a huge sample
 
 
 @dataclass(frozen=True)
@@ -192,7 +191,7 @@ def naive_baseline(series, alpha: float) -> np.ndarray:
     independent data and deliberately ignorant of the dependence structure.
     """
     critical = single_scale_threshold(alpha).value
-    return np.nonzero(np.abs(as_series(series).values) > critical)[0] + 1
+    return np.nonzero(np.abs(as_values(series)) > critical)[0] + 1
 
 
 @dataclass(frozen=True)
@@ -322,7 +321,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     def simulate(item) -> bytes:
         """The multiscale and naive confusion cells of simulation ``(set_id, sim)``."""
         set_id, sim = item
-        series = sampler.sample(subseed(config.seed, 1, set_id, sim, 0)).values
+        series = sampler.sample(subseed(config.seed, 1, set_id, sim, 0))
         shifted = _shift(series, config.injection, substream(config.seed, 1, set_id, sim, 1))
         truth = np.arange(shifted.start + 1, shifted.stop + 1) if has_shift else []
         _aggregate(config.method, series, scale_config, levels)

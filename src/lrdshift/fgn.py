@@ -7,7 +7,9 @@ the autocovariance decays polynomially (long range dependence).
 
 Synthesis uses circulant embedding of the covariance, which is exact in
 distribution and costs ``O(n log n)`` per path.  ``FgnSampler`` embeds one
-model and length once and draws any number of seeded paths from it.
+model and length once and draws any number of seeded paths from it.  A
+path, like every series in the package, is a plain one-dimensional float64
+array (see :mod:`~lrdshift.pyramid`).
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pyramid import ScaleConfig, as_values, build_nowa
 from .seeding import substream
 
 __all__ = [
     "LrdModel",
-    "TimeSeries",
     "fgn_acf",
     "fbm_cov",
     "FgnSampler",
@@ -46,35 +48,6 @@ class LrdModel:
             raise ValueError(f"hurst must be in the open interval (0, 1), got {self.hurst}")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
-
-
-@dataclass(frozen=True)
-class TimeSeries:
-    """A finite real-valued one-dimensional series.
-
-    Positions are 1-based throughout the package: position ``i`` is
-    ``values[i-1]``.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("values must be one-dimensional")
-        if not np.isfinite(values).all():
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", values)
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-
-def as_series(series) -> TimeSeries:
-    """Coerce an array-like or TimeSeries into a TimeSeries."""
-    if isinstance(series, TimeSeries):
-        return series
-    return TimeSeries(np.asarray(series, dtype=float))
 
 
 def fgn_acf(model: LrdModel, h) -> float | np.ndarray:
@@ -138,13 +111,14 @@ class FgnSampler:
         self._normals = np.empty(2 * n)
         self._spectrum = np.empty(2 * n, dtype=complex)
 
-    def sample(self, seed: int | np.random.SeedSequence) -> TimeSeries:
+    def sample(self, seed: int | np.random.SeedSequence) -> np.ndarray:
         """Draw the path for ``seed``; the same seed gives the same bits.
 
         One path costs 2n standard normals: two real end points and n - 1
         complex ones, mirrored into a Hermitian spectrum that is scaled by
         the root eigenvalues, transformed, and cut to its first n points.
-        The returned path is a fresh array.
+        The returned path is a fresh array, finite by construction and so
+        returned unchecked.
         """
         n = self.n
         z = substream(seed).standard_normal(out=self._normals)
@@ -157,12 +131,12 @@ class FgnSampler:
         np.divide(half, np.sqrt(2.0), out=half)
         np.conjugate(half[::-1], out=w[n + 1 :])
         np.multiply(self._root, w, out=w)
-        return TimeSeries(np.fft.fft(w)[:n].real / np.sqrt(2 * n))
+        return np.fft.fft(w)[:n].real / np.sqrt(2 * n)
 
 
 def synthesize_fgn(
     model: LrdModel, n: int, seed: int | np.random.SeedSequence
-) -> TimeSeries:
+) -> np.ndarray:
     """Draw an exact length-``n`` sample path of the background law.
 
     The joint distribution is multivariate Gaussian with mean zero and
@@ -189,9 +163,7 @@ def estimate_hurst(series) -> float:
     offered as a convenience for picking a working ``H`` from a training
     trace, never used inside the detection math.
     """
-    from .pyramid import ScaleConfig, build_nowa  # pyramid imports this module
-
-    x = as_series(series).values
+    x = as_values(series)
     # Large blocks are few and strongly correlated, which drags the fitted
     # slope down; capping at n/64 keeps the bias modest.
     largest = len(x) // 64 if len(x) >= 256 else len(x) // 4

@@ -4,6 +4,11 @@ Scale ``k`` aggregates windows of ``L_k = base**(k-1)`` consecutive samples,
 normalized by ``L_k**hurst`` so that a pure background series with matching
 Hurst parameter keeps a standard-normal marginal at every scale.
 
+A series is a plain one-dimensional float64 array throughout the package;
+its 1-based position ``i`` is ``series[i-1]``.  :func:`as_values` is the
+one check of a series, and every public function of the package that takes
+one runs it on each call.
+
 Two window layouts are supported:
 
 * ``nowa`` — non-overlapping window aggregation: disjoint blocks, block ``j``
@@ -32,8 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fgn import as_series
-
 __all__ = [
     "ScaleConfig",
     "Pyramid",
@@ -41,6 +44,20 @@ __all__ = [
     "build_nowa",
     "build_swa",
 ]
+
+
+def as_values(series) -> np.ndarray:
+    """``series`` as a float64 array, copied only if it is not one already.
+
+    Raises ``ValueError`` unless it is one-dimensional and every value is
+    finite.
+    """
+    values = np.asarray(series, dtype=float)
+    if values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
+    return values
 
 
 @dataclass(frozen=True)
@@ -165,7 +182,7 @@ def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.
 
 
 def _build(method: str, series, config: ScaleConfig) -> Pyramid:
-    x = as_series(series).values
+    x = as_values(series)
     _check_length(x, config)
     levels = [np.empty(m) for m in _level_lengths(method, len(x), config)]
     _aggregate(method, x, config, levels)
@@ -265,12 +282,15 @@ class StreamState:
 
         Element ``i`` of each array is what ``push(samples[i])`` would
         return, bit for bit.  A non-finite sample raises the ``ValueError``
-        that ``push`` raises for it, naming the first one, and leaves the
+        that ``push`` raises for it, naming the first one, and a block that
+        is not one-dimensional raises ``ValueError`` too; either leaves the
         state as it was.  A block shorter than ``_SHORT_BLOCK`` is pushed
         sample by sample, since the block form's fixed cost per call (about
         a dozen numpy calls per scale) outweighs ``push`` there.
         """
         x = np.asarray(samples, dtype=float)
+        if x.ndim != 1:
+            raise ValueError(f"samples must be one-dimensional, got shape {x.shape}")
         finite = np.isfinite(x)
         if not finite.all():
             raise ValueError(f"sample must be finite, got {float(x[np.argmin(finite)])!r}")

@@ -18,7 +18,6 @@ from lrdshift import (
     ScaleConfig,
     StreamState,
     ThresholdQuery,
-    TimeSeries,
     compute_threshold,
     confusion,
     detect,
@@ -227,7 +226,7 @@ def write_pvalue_csv_per_cell(path, pvalues: np.ndarray) -> None:
             fh.write(str(k) + "," + ",".join(cells) + "\n")
 
 
-def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
+def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> np.ndarray:
     """Reference sampler via dense Cholesky factorization (n <= 1024).
 
     Quadratic cost and independent of the FFT route; used to cross-check
@@ -239,8 +238,7 @@ def synthesize_fgn_cholesky(model: LrdModel, n: int, seed) -> TimeSeries:
         raise ValueError("Cholesky route is limited to n <= 1024")
     cov = fgn_acf(model, np.abs(np.subtract.outer(np.arange(n), np.arange(n))))
     factor = np.linalg.cholesky(cov)
-    values = factor @ substream(seed).standard_normal(n)
-    return TimeSeries(values)
+    return factor @ substream(seed).standard_normal(n)
 
 
 def estimate_hurst_reshape_mean(series) -> float:

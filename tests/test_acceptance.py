@@ -57,7 +57,7 @@ def test_criterion_1_fgn_synthesis_exactness():
     model = LrdModel(0.9)
     reps = 10**4
     sampler = FgnSampler(model, 8)
-    paths = np.stack([sampler.sample(subseed(1101, i)).values for i in range(reps)])
+    paths = np.stack([sampler.sample(subseed(1101, i)) for i in range(reps)])
     empirical = paths.T @ paths / reps
     theoretical = fgn_acf(model, np.abs(np.subtract.outer(np.arange(8), np.arange(8))))
     variances = np.outer(np.diag(theoretical), np.diag(theoretical))
@@ -77,7 +77,7 @@ def test_criterion_2_cross_scale_correlation():
     reps, position = 10**4, 12
     config = ScaleConfig(base=2, num_scales=3, hurst=0.9)
     sampler = FgnSampler(LrdModel(0.9), 16)
-    paths = (sampler.sample(subseed(1102, i)).values for i in range(reps))
+    paths = (sampler.sample(subseed(1102, i)) for i in range(reps))
     columns = np.empty((reps, 3))
     for i, path in enumerate(paths):
         columns[i] = [value for _, value in column_at(build_swa(path, config), position)]
@@ -289,7 +289,7 @@ def test_criterion_8_stream_batch_equivalence():
         hurst = float(rng.uniform(0.55, 0.95))
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=hurst)
         n = config.max_window * int(rng.integers(4, 9))
-        path = synthesize_fgn(LrdModel(hurst), n, subseed(1702, fixture)).values.copy()
+        path = synthesize_fgn(LrdModel(hurst), n, subseed(1702, fixture))
         if fixture % 2 == 0:
             path[int(rng.integers(0, n))] += float(rng.uniform(3.0, 8.0))
         critical = asymptotic_threshold(0.05, num_scales).value

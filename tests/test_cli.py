@@ -119,7 +119,7 @@ def run_probe(argv, stdin=""):
 @pytest.fixture
 def spiked_series(tmp_path):
     """A unit background with a +9 spike at position 300 (1-based)."""
-    x = synthesize_fgn(LrdModel(0.9), 1024, seed=88).values.copy()
+    x = synthesize_fgn(LrdModel(0.9), 1024, seed=88)
     x[299] += 9.0
     path = tmp_path / "spiked.txt"
     path.write_text("".join(repr(float(v)) + "\n" for v in x))
@@ -139,7 +139,7 @@ class TestSynth:
         out = tmp_path / "a.txt"
         run(["synth", "--hurst", "0.7", "--n", "32", "--seed", "1", "--out", str(out)])
         written = read_series(out)
-        direct = synthesize_fgn(LrdModel(0.7), 32, seed=1).values
+        direct = synthesize_fgn(LrdModel(0.7), 32, seed=1)
         assert np.array_equal(written, direct)
 
     def test_invalid_hurst_exits_2_and_names_the_flag(self, tmp_path, capsys):
@@ -290,7 +290,7 @@ class TestDetectCommand:
     def test_map_bytes_match_per_cell_writer(self, tmp_path, method, base, scales):
         """--out-map writes the bytes of the per-cell writer; n = 1000 leaves
         a trailing partial block at the largest window in both bases."""
-        x = synthesize_fgn(LrdModel(0.9), 1000, seed=12).values
+        x = synthesize_fgn(LrdModel(0.9), 1000, seed=12)
         inp = tmp_path / "x.txt"
         inp.write_text("".join(repr(float(v)) + "\n" for v in x))
         map_path, expected = tmp_path / "map.csv", tmp_path / "expected.csv"
@@ -520,7 +520,7 @@ class TestDetectCommand:
         for i in range(seeds):
             inp = tmp_path / f"fix{i}.txt"
             path = synthesize_fgn(LrdModel(0.9), n, seed=9000 + i)
-            inp.write_text("".join(repr(float(v)) + "\n" for v in path.values))
+            inp.write_text("".join(repr(float(v)) + "\n" for v in path))
             flags_path = tmp_path / f"fix{i}.json"
             code = run([
                 "detect", "--in", str(inp), "--hurst", "0.9", "--scales", str(m),
@@ -1241,7 +1241,7 @@ class TestStreamCommand:
         assert code == 0
         x = read_series(trace)
         if "--mean" in extra:
-            x = standardize(x, 0.1, 0.9)[0].values
+            x = standardize(x, 0.1, 0.9)[0]
             critical = asymptotic_threshold(0.05, 10).value
         else:
             critical = 2.2
@@ -1399,7 +1399,7 @@ class TestStreamCommand:
     def test_stream_runs_in_bounded_memory(self):
         """2^17 lines at 15 scales peak below 1 MiB of traced memory: stdin
         is read a bounded piece at a time, not all at once."""
-        x = synthesize_fgn(LrdModel(0.9), 1 << 17, seed=62).values
+        x = synthesize_fgn(LrdModel(0.9), 1 << 17, seed=62)
         completed = python_with_lrdshift(
             "import sys, tracemalloc\nfrom lrdshift.cli import main\ntracemalloc.start()\n"
             "code = main(sys.argv[1:])\nprint(code, tracemalloc.get_traced_memory()[1])",

@@ -48,15 +48,15 @@ class TestStandardize:
             standardize(np.ones(16))
 
     def test_sample_mode_on_standardized_data_is_near_identity(self):
-        x = synthesize_fgn(LrdModel(0.5), 4096, seed=1).values
+        x = synthesize_fgn(LrdModel(0.5), 4096, seed=1)
         out, mean, std = standardize(x)
         assert abs(mean) < 0.1 and abs(std - 1.0) < 0.1
-        assert np.allclose(out.values, (x - mean) / std)
+        assert np.allclose(out, (x - mean) / std)
 
     def test_provided_mode_is_exact_affine(self):
         x = np.array([1.0, 3.0, 5.0])
         out, mean, std = standardize(x, mean=3.0, std=2.0)
-        assert np.array_equal(out.values, [-1.0, 0.0, 1.0])
+        assert np.array_equal(out, [-1.0, 0.0, 1.0])
         assert (mean, std) == (3.0, 2.0)
 
     def test_provided_requires_both_moments(self):
@@ -93,7 +93,7 @@ class TestDetect:
     @pytest.mark.parametrize("method", ["nowa", "swa"])
     def test_large_spike_is_flagged(self, method):
         """A +10 spike clears any threshold below ~7 on a unit background."""
-        x = synthesize_fgn(LrdModel(0.9), 512, seed=2).values
+        x = synthesize_fgn(LrdModel(0.9), 512, seed=2)
         x[200] += 10.0
         config = make_config(num_scales=6, hurst=0.9, method=method,
                              threshold_value=asymptotic_threshold(0.05, 15).value)
@@ -150,7 +150,7 @@ class TestDetect:
         window) included, and with windows overflowed to inf and NaN."""
         config = make_config(num_scales=num_scales, hurst=0.8, method=method,
                              threshold_value=1.5, base=base)
-        x = synthesize_fgn(LrdModel(0.8), n, seed=7).values
+        x = synthesize_fgn(LrdModel(0.8), n, seed=7)
         x[n // 2 : n // 2 + 60] += 2.0
         build = build_nowa if method == "nowa" else build_swa
         if overflow:
@@ -295,7 +295,7 @@ class TestPvalueMap:
     @pytest.mark.parametrize("base,num_scales,n", [(2, 6, 1000), (3, 5, 500)])
     def test_matches_per_cell_oracle_exactly(self, method, base, num_scales, n):
         """Bit for bit, with absent cells and an overflowed (NaN) window."""
-        x = synthesize_fgn(LrdModel(0.8), n, seed=8).values
+        x = synthesize_fgn(LrdModel(0.8), n, seed=8)
         x[100:104] = [1e308, 1e308, -1e308, -1e308]
         build = build_nowa if method == "nowa" else build_swa
         pyramid = build(x, ScaleConfig(base=base, num_scales=num_scales, hurst=0.8))
@@ -308,7 +308,7 @@ class TestPvalueMap:
     def test_rows_are_twice_scipy_ndtr(self, method):
         """Each row is ``2 scipy.special.ndtr(-|level|)`` bit for bit, with an
         overflowed (NaN) window and p-values down to subnormal and zero."""
-        x = synthesize_fgn(LrdModel(0.8), 1000, seed=9).values
+        x = synthesize_fgn(LrdModel(0.8), 1000, seed=9)
         x[100:104] = [1e308, 1e308, -1e308, -1e308]
         x[300:306] = [37.0, -37.6, 37.7, -38.0, 38.6, -45.0]
         build = build_nowa if method == "nowa" else build_swa

@@ -58,18 +58,18 @@ class TestInjectionSpec:
 class TestInject:
     def test_fixed_interval(self):
         shifted, truth = inject(np.zeros(10), InjectionSpec(delta=1.0, start=3, duration=3))
-        assert np.array_equal(shifted.values, [0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
+        assert np.array_equal(shifted, [0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
         assert np.array_equal(np.nonzero(truth)[0] + 1, [3, 4, 5])
 
     def test_zero_shift_leaves_values_but_marks_mask(self):
         x = np.arange(8.0)
         shifted, truth = inject(x, InjectionSpec(delta=0.0, start=2, duration=4))
-        assert np.array_equal(shifted.values, x)
+        assert np.array_equal(shifted, x)
         assert truth.sum() == 4
 
     def test_interval_clipped_at_series_end(self):
         shifted, truth = inject(np.zeros(6), InjectionSpec(delta=2.0, start=5, duration=10))
-        assert np.array_equal(shifted.values, [0, 0, 0, 0, 2, 2])
+        assert np.array_equal(shifted, [0, 0, 0, 0, 2, 2])
         assert truth.sum() == 2
 
     def test_start_beyond_end_rejected(self):
@@ -84,7 +84,7 @@ class TestInject:
         spec = InjectionSpec(delta=1.0, start_range=50, duration_mean=8.0, seed=9)
         a, mask_a = inject(np.zeros(100), spec)
         b, mask_b = inject(np.zeros(100), spec)
-        assert np.array_equal(a.values, b.values) and np.array_equal(mask_a, mask_b)
+        assert np.array_equal(a, b) and np.array_equal(mask_a, mask_b)
 
 
 def brute_force_confusion(flags, truth, n):

@@ -16,7 +16,8 @@ import lrdshift.fgn as fgn_module
 from lrdshift import (
     FgnSampler,
     LrdModel,
-    TimeSeries,
+    ScaleConfig,
+    build_nowa,
     estimate_hurst,
     fbm_cov,
     fgn_acf,
@@ -33,7 +34,7 @@ LAG1_H09 = 0.7411011265922483
 def sample_paths(model, n, reps, seed):
     """``(reps, n)`` paths from one sampler; row ``i`` uses ``subseed(seed, i)``."""
     sampler = FgnSampler(model, n)
-    return np.stack([sampler.sample(subseed(seed, i)).values for i in range(reps)])
+    return np.stack([sampler.sample(subseed(seed, i)) for i in range(reps)])
 
 
 class TestModelValidation:
@@ -48,8 +49,8 @@ class TestModelValidation:
             LrdModel(hurst=0.5, sigma=sigma)
 
     def test_time_series_must_be_one_dimensional(self):
-        with pytest.raises(ValueError):
-            TimeSeries(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="values must be one-dimensional"):
+            build_nowa(np.zeros((2, 2)), ScaleConfig(2, 1))
 
 
 class TestAutocovariance:
@@ -131,8 +132,8 @@ class TestSynthesis:
         model = LrdModel(0.9)
         a = synthesize_fgn(model, 64, seed=5)
         b = synthesize_fgn(model, 64, seed=5)
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, synthesize_fgn(model, 64, seed=6).values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, synthesize_fgn(model, 64, seed=6))
 
     def test_invalid_length(self):
         with pytest.raises(ValueError):
@@ -165,7 +166,7 @@ class TestSynthesis:
     def test_sigma_scales_the_path(self):
         unit = synthesize_fgn(LrdModel(0.7, sigma=1.0), 32, seed=9)
         scaled = synthesize_fgn(LrdModel(0.7, sigma=2.5), 32, seed=9)
-        assert np.allclose(scaled.values, 2.5 * unit.values, rtol=1e-12)
+        assert np.allclose(scaled, 2.5 * unit, rtol=1e-12)
 
     @pytest.mark.parametrize("route", [synthesize_fgn, synthesize_fgn_cholesky])
     def test_joint_law_matches_theory(self, route):
@@ -173,7 +174,7 @@ class TestSynthesis:
         form entrywise within 4 SE, for both sampling routes."""
         model = LrdModel(0.9)
         reps = 4000
-        paths = np.stack([route(model, 8, subseed(31, i)).values for i in range(reps)])
+        paths = np.stack([route(model, 8, subseed(31, i)) for i in range(reps)])
         empirical = paths.T @ paths / reps
         lags = np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
         theoretical = fgn_acf(model, lags)
@@ -210,11 +211,11 @@ class TestSamplerBuffers:
         eigenvalues = fgn_module._embedding_eigenvalues(model, n)
         for seed in (subseed(3, 0), subseed(3, 1), 11):
             expected = sample_path(eigenvalues, n, substream(seed))
-            assert np.array_equal(sampler.sample(seed).values, expected)
+            assert np.array_equal(sampler.sample(seed), expected)
 
     def test_paths_share_no_memory(self):
         sampler = FgnSampler(LrdModel(0.9), 64)
-        first, second = (sampler.sample(seed).values for seed in (1, 2))
+        first, second = (sampler.sample(seed) for seed in (1, 2))
         kept = first.copy()
         owned = [value for value in vars(sampler).values() if isinstance(value, np.ndarray)]
         assert owned
@@ -283,7 +284,7 @@ class TestHurstEstimator:
     def test_matches_reshape_mean_oracle(self, hurst, n):
         """The pyramid's block means give the regression of the reshape-mean
         block means, up to the rounding of the two summation orders."""
-        x = synthesize_fgn(LrdModel(hurst), n, subseed(43, n)).values
+        x = synthesize_fgn(LrdModel(hurst), n, subseed(43, n))
         assert abs(estimate_hurst(x) - estimate_hurst_reshape_mean(x)) <= 1e-12
 
 
@@ -292,4 +293,4 @@ class TestHurstEstimator:
 def test_synthesis_is_total_on_small_sizes(hurst, n):
     path = synthesize_fgn(LrdModel(hurst), n, seed=3)
     assert len(path) == n
-    assert np.all(np.isfinite(path.values))
+    assert np.all(np.isfinite(path))

@@ -108,7 +108,7 @@ class TestBuildNowa:
         model = LrdModel(0.9)
         config = ScaleConfig(base=2, num_scales=8, hurst=0.9)
         sampler = FgnSampler(model, 2**14)
-        paths = (sampler.sample(subseed(51, i)).values for i in range(200))
+        paths = (sampler.sample(subseed(51, i)) for i in range(200))
         per_path = np.array(
             [[np.mean(level**2) for level in build(p, config).levels] for p in paths]
         )
@@ -126,7 +126,7 @@ class TestBuildNowa:
         hurst = 0.9
         config = ScaleConfig(base=2, num_scales=5, hurst=hurst)
         sampler = FgnSampler(LrdModel(hurst), 2**13)
-        paths = (sampler.sample(subseed(52, i)).values for i in range(300))
+        paths = (sampler.sample(subseed(52, i)) for i in range(300))
         per_path = []
         for p in paths:
             level = build_nowa(p, config).levels[4]  # 512 values
@@ -179,7 +179,7 @@ class TestBuildSwa:
         window's value by exactly delta * L^(1-H)."""
         hurst, delta = 0.8, 0.35
         config = ScaleConfig(base=2, num_scales=4, hurst=hurst)
-        x = synthesize_fgn(LrdModel(hurst), 64, seed=53).values
+        x = synthesize_fgn(LrdModel(hurst), 64, seed=53)
         shifted = x.copy()
         shifted[20:40] += delta
         base_pyr = build_swa(x, config)
@@ -201,7 +201,7 @@ class TestAggregate:
         """Every level equals the per-entry sums, trailing partial blocks
         dropped, and windows overflowed to inf and to NaN included."""
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), n, seed=55).values
+        x = synthesize_fgn(LrdModel(0.8), n, seed=55)
         x[: 2 * base] = [1.5e308] * base + [-1.5e308] * base
         x[2 * base + np.random.default_rng(56).choice(n - 2 * base, 12, replace=False)] = HUGE * 2
         build = build_nowa if method == "nowa" else build_swa
@@ -289,7 +289,7 @@ class TestStreaming:
         """After N pushes the emitted statistic and scale equal, exactly, the
         first max over the sliding pyramid's column of the whole series."""
         config = ScaleConfig(base=2, num_scales=5, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 600, seed=seed).values
+        x = synthesize_fgn(LrdModel(0.8), 600, seed=seed)
         pyramid = build_swa(x, config)
         state = StreamState(config)
         for t in range(1, len(x) + 1):
@@ -297,7 +297,7 @@ class TestStreaming:
 
     def test_base_three_stream(self):
         config = ScaleConfig(base=3, num_scales=3, hurst=0.6)
-        x = synthesize_fgn(LrdModel(0.6), 100, seed=56).values
+        x = synthesize_fgn(LrdModel(0.6), 100, seed=56)
         pyramid = build_swa(x, config)
         state = StreamState(config)
         for t in range(1, 101):
@@ -308,7 +308,7 @@ class TestStreaming:
         statistic of detect(method='swa') and the first scale achieving it,
         which is detect's argmax wherever detect flags."""
         config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 2048, seed=57).values.copy()
+        x = synthesize_fgn(LrdModel(0.8), 2048, seed=57)
         x[500:800] += 0.8  # sustained shift: coarse scales win
         x[1300] += 6.0  # spike: scale 1 wins
         result = detect(x, DetectionConfig(scale_config=config, threshold=1.8, method="swa"))
@@ -326,7 +326,7 @@ class TestStreaming:
         bit, through the warm-up and a shifted stretch and a spike that move
         the argmax across scales, whether pushed, extended or both."""
         config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), n, seed=58).values.copy()
+        x = synthesize_fgn(LrdModel(0.8), n, seed=58)
         x[n // 3 : n // 2] += 0.8
         x[2 * n // 3] += 8.0
         statistic, flags, argmax_scale = dense_detect(build_swa(x, config), 0.0)
@@ -385,7 +385,7 @@ class TestStreaming:
         changes nothing: later pushes, and a 100 sd spike among them, equal
         those of a state that never saw them."""
         config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 200, seed=59).values.copy()
+        x = synthesize_fgn(LrdModel(0.8), 200, seed=59)
         x[150] += 100.0
         state = StreamState(config)
         clean = StreamState(config)
@@ -401,13 +401,32 @@ class TestStreaming:
         assert after == [clean.push(v) for v in x[50:]]
         assert after[100] == (pytest.approx(100.0, abs=5.0), 1)
 
+    @pytest.mark.parametrize("rows", [2, _SHORT_BLOCK + 1])
+    def test_rejects_a_block_that_is_not_one_dimensional_and_keeps_state(self, rows):
+        """A 2-D block, short or long, is refused before the state changes:
+        the next block's statistics and scales equal, bit for bit, those of
+        a state that never saw it."""
+        config = ScaleConfig(base=3, num_scales=4, hurst=0.9)
+        x = synthesize_fgn(LrdModel(0.9), 160, seed=61)
+        state, clean = StreamState(config), StreamState(config)
+        state.extend(x[:60])
+        clean.extend(x[:60])
+        with pytest.raises(ValueError, match=r"samples must be one-dimensional, got shape \("):
+            state.extend(np.zeros((rows, 2)))
+        assert state.samples_seen == 60
+        statistics, argmax_scales = state.extend(x[60:])
+        expected_statistics, expected_scales = clean.extend(x[60:])
+        assert state.samples_seen == 160
+        assert statistics.tobytes() == expected_statistics.tobytes()
+        assert np.array_equal(argmax_scales, expected_scales)
+
     def test_short_block_is_pushed(self, monkeypatch):
         """A block one sample shorter than ``_SHORT_BLOCK`` takes the
         per-sample path, which calls no ``np.frombuffer``, and returns what
         pushing it returns; a block of ``_SHORT_BLOCK`` samples takes the
         block path."""
         config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 2 * _SHORT_BLOCK, seed=60).values
+        x = synthesize_fgn(LrdModel(0.8), 2 * _SHORT_BLOCK, seed=60)
         state, clean = StreamState(config), StreamState(config)
 
         def refuse(*args, **kwargs):
