@@ -17,7 +17,7 @@ from .detect import (
     Interval,
     detect,
     flags_to_intervals,
-    pvalue_map,
+    pvalue_rows,
     standardize,
 )
 from .evaluate import (

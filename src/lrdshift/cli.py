@@ -247,21 +247,39 @@ def _write_slices(fh, pieces, text) -> None:
 
 
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (pvalues matrix, 1-based time labels)."""
+    """Returns (pvalues matrix, 1-based time labels); an empty cell is NaN.
+
+    A label or cell that does not parse is an error naming its file, line and field.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "scale":
             raise ValueError(f"{path}: not a p-value map CSV (missing 'scale' header)")
-        labels = np.array([int(t) for t in header[1:]])
+        labels = np.array(_map_fields(path, 1, header, int, "an integer"))
         rows = []
         for lineno, raw in enumerate(fh, start=2):
             fields = raw.rstrip("\n").split(",")
             if len(fields) != len(labels) + 1:
                 raise ValueError(f"{path}: line {lineno}: expected {len(labels) + 1} fields")
-            rows.append([np.nan if f == "" else float(f) for f in fields[1:]])
+            rows.append(_map_fields(path, lineno, fields, float, "a number"))
     if not rows:
         raise ValueError(f"{path}: no map rows found")
     return np.array(rows), labels
+
+
+def _map_fields(path, lineno: int, fields: list[str], parse, what: str) -> list:
+    """``parse`` of each field but the first, an empty one read as ``"nan"``;
+    the field it rejects is looked for only once the line has failed."""
+    try:
+        return [parse(text or "nan") for text in fields[1:]]
+    except ValueError:
+        pass
+    for number, text in enumerate(fields[1:], start=2):
+        try:
+            parse(text or "nan")
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: field {number}: cannot parse "
+                             f"{text!r} as {what}") from None
 
 
 def _check_usage(args) -> None:
@@ -277,14 +295,11 @@ def _check_usage(args) -> None:
         raise ValueError("--threshold-value must be positive and finite")
 
 
-def _detection_threshold(args) -> ThresholdResult:
-    """``--threshold-value`` as given, else the threshold the flags calibrate."""
-    if args.threshold_value is not None:
+def _threshold(args) -> ThresholdResult:
+    """``--threshold-value`` as given, where the command has it, else the
+    threshold the flags calibrate."""
+    if getattr(args, "threshold_value", None) is not None:
         return ThresholdResult(value=args.threshold_value, kind="given")
-    return _threshold_from_args(args)
-
-
-def _threshold_from_args(args) -> ThresholdResult:
     query = ThresholdQuery(alpha=args.alpha, num_scales=args.scales, hurst=args.hurst,
                            base=args.base, mc_reps=args.mc_reps, seed=args.seed)
     return compute_threshold(query, _KIND_BY_FLAG[args.threshold])
@@ -315,12 +330,8 @@ def cmd_detect(args) -> int:
     if args.hurst is None:
         raise ValueError("--hurst is required (or use --estimate-hurst first)")
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
-    if len(values) < scale_config.max_window:
-        raise ValueError(
-            f"series has {len(values)} samples but the largest window is "
-            f"{scale_config.max_window}; reduce --scales or --base"
-        )
-    threshold = _detection_threshold(args)
+    scale_config.check_length(len(values))
+    threshold = _threshold(args)
     if args.mean is not None or args.standardize == "sample":
         # Rebinding frees the raw values before the pyramid is built.
         values = standardize(values, args.mean, args.std)[0]
@@ -388,7 +399,7 @@ def cmd_map(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    result = _threshold_from_args(args)
+    result = _threshold(args)
     print(
         json.dumps(
             {"value": result.value, "kind": result.kind, "se": result.mc_standard_error},
@@ -467,7 +478,7 @@ def _stdin_lines(stdin):
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
-    critical = _detection_threshold(args).value
+    critical = _threshold(args).value
     state = StreamState(scale_config)
     mean, std = args.mean, args.std
     index = lineno = 0

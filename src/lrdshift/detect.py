@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pyramid import Pyramid, ScaleConfig, as_values, build_nowa, build_swa
+from .pyramid import Pyramid, ScaleConfig, _binary_scaled, as_values, build_nowa, build_swa
 from .thresholds import _ndtr
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "standardize",
     "detect",
     "pvalue_rows",
-    "pvalue_map",
     "flags_to_intervals",
 ]
 
@@ -39,6 +38,7 @@ class DetectionConfig:
 
     ``threshold`` is the family-wise critical value, e.g. a threshold result's
     ``value``; it must be positive and finite (an infinite one flags nothing).
+    ``method`` is a layout name that :meth:`ScaleConfig.cover` accepts.
     """
 
     scale_config: ScaleConfig
@@ -48,8 +48,7 @@ class DetectionConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.threshold) and self.threshold > 0.0):
             raise ValueError(f"threshold must be positive and finite, got {self.threshold}")
-        if self.method not in ("nowa", "swa"):
-            raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
+        self.scale_config.cover(self.method, 1)  # checks the layout name
 
 
 @dataclass
@@ -61,8 +60,7 @@ class DetectionResult:
     threshold, and ``argmax_scale[j]`` is the scale achieving the max at
     ``flags[j]``.  ``pyramid`` is the multiscale series the statistic was
     taken over (its layout tag is the method); pass it to
-    :func:`pvalue_rows` for the p-value map one scale at a time, or to
-    :func:`pvalue_map` for the (M, n) matrix.
+    :func:`pvalue_rows` for the p-value map, one scale at a time.
     """
 
     statistic: np.ndarray
@@ -84,23 +82,28 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     """Affinely map the series to (nominally) zero mean and unit variance.
 
     With neither moment given, the series' own mean and sample standard
-    deviation (ddof 1) are used; constant input is rejected, and so is a
-    series whose sample mean or standard deviation overflows to a non-finite
-    value, which would otherwise map every sample to zero.  With both, they
-    are applied as given, e.g. moments estimated from a training segment;
-    ``mean`` must be finite and ``std`` finite and positive, and a
-    standardized value that overflows is rejected.  Giving one alone is an
-    error.  Returns ``(standardized_series, mean, std)``.
+    deviation (ddof 1) are used; where huge samples overflow numpy's sums,
+    the series is divided by a power of two first and the moments scaled
+    back.  Constant input, or a moment that does not fit in a double, is
+    rejected.  With both, they are applied as given, e.g. moments estimated
+    from a training segment; ``mean`` must be finite and ``std`` finite and
+    positive, and a standardized value that overflows is rejected.  Giving
+    one alone is an error.  Returns ``(standardized_series, mean, std)``.
     """
     x = as_values(series)
     if len(x) == 0:
         raise ValueError("series must be non-empty")
-    given = mean is not None
+    given, exponent = mean is not None, 0
     if mean is None and std is None:
         with np.errstate(over="ignore", invalid="ignore"):  # reported below by name
             mean = float(x.mean())
             std = float(x.std(ddof=1)) if len(x) > 1 else 0.0
-        for name, moment in (("mean", mean), ("standard deviation", std)):
+            if not (math.isfinite(mean) and math.isfinite(std)):
+                # Huge samples overflow numpy's sums: standardize x / 2**exponent.
+                x, exponent = _binary_scaled(x)
+                mean, std = float(x.mean()), float(x.std(ddof=1))
+            moments = np.ldexp([mean, std], exponent).tolist()
+        for name, moment in zip(("mean", "standard deviation"), moments):
             if not math.isfinite(moment):
                 raise ValueError(f"the sample {name} overflows to {moment}; rescale the series")
         if std <= 0.0:
@@ -116,38 +119,25 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     if given and not np.isfinite(values).all():
         raise ValueError(f"standardizing by mean {mean!r} and std {std!r} overflows; "
                          "rescale the series or the moments")
-    return values, float(mean), float(std)
+    return values, math.ldexp(mean, exponent), math.ldexp(std, exponent)
 
 
 def pvalue_rows(pyramid: Pyramid):
-    """Yield each scale's ``(lead, repeat, pvalues)``, scale 1 first.
+    """The p-value map: each scale's ``(lead, repeat, pvalues)``, scale 1 first.
 
-    ``pvalues`` is a fresh array of the marginal two-sided p-value of each
-    entry of the scale's level, and ``(lead, repeat)`` is the level's
-    :meth:`~lrdshift.pyramid.ScaleConfig.cover`.  A caller that writes each
-    triple out before asking for the next never holds the (M, n) map.
-    The p-value is ``2 Phi(-|Y|)`` with ``Phi`` the package's port of
-    Cephes' ``ndtr`` (:func:`~lrdshift.thresholds._ndtr`), so the map needs
-    no scipy; a NaN (overflowed) entry stays NaN.
+    ``pvalues[j]``, the marginal two-sided p-value ``2 Phi(-|Y|)`` of entry
+    ``j`` of the scale's level, covers the positions its
+    :meth:`~lrdshift.pyramid.ScaleConfig.cover` ``(lead, repeat)`` gives; a
+    position no entry covers has no p-value (absent, never zero).  A caller
+    that writes each triple out before asking for the next never holds the
+    (M, n) map.  ``Phi`` is the package's port of Cephes' ``ndtr``
+    (:func:`~lrdshift.thresholds._ndtr`), so the map needs no scipy; a NaN
+    (overflowed) entry stays NaN.
     """
     for k, level in enumerate(pyramid.levels, start=1):
         row = _ndtr(-np.abs(level))
         row *= 2.0  # not folded into the port's 0.5: the pair rounds subnormal p-values
         yield (*pyramid.config.cover(pyramid.method, k), row)
-
-
-def pvalue_map(pyramid: Pyramid) -> np.ndarray:
-    """Marginal two-sided p-values ``2(1 - Phi(|Y_k|))`` per valid cell.
-
-    The (M, n) matrix filled from :func:`pvalue_rows`: row ``k-1`` holds the
-    p-value of the scale-``k`` entry covering each position.  Invalid cells
-    stay NaN — they are absent, never zero.  A window whose sum overflowed
-    to NaN (``inf - inf``) is absent too.
-    """
-    out = np.full((pyramid.config.num_scales, len(pyramid.levels[0])), np.nan)
-    for row, (lead, repeat, pvalues) in zip(out, pvalue_rows(pyramid)):
-        row[lead : lead + len(pvalues) * repeat] = np.repeat(pvalues, repeat)
-    return out
 
 
 def _max_over_scales(pyramid: Pyramid, work: list[np.ndarray]) -> np.ndarray:
@@ -178,10 +168,12 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     """Run the max-over-scales test at every position of ``series``.
 
     ``series`` is tested as given; standardize raw counters first (see
-    :func:`standardize`).  A position is flagged iff its statistic strictly
-    exceeds the threshold; ties do not reject.  Near boundaries fewer scales
-    are available and the max runs over those present (using the
-    full-family threshold there is conservative).  The max is folded over
+    :func:`standardize`).  A series shorter than the largest window raises
+    ``ValueError`` (:meth:`~lrdshift.pyramid.ScaleConfig.check_length`).  A
+    position is flagged iff its statistic strictly exceeds the threshold;
+    ties do not reject.  Near boundaries fewer scales are available and the
+    max runs over those present (using the full-family threshold there is
+    conservative).  The max is folded over
     the levels into one length-n array, so the working memory besides the
     pyramid is O(n) and no (scales x n) matrix is built; the scale achieving
     the max (smallest on ties) is looked up at the flagged positions only.

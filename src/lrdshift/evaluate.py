@@ -50,6 +50,8 @@ class InjectionSpec:
     a start drawn uniformly from {1, ..., start_range}; fixed duration or
     a duration drawn from Exponential(duration_mean) and rounded to the
     nearest integer >= 1.  ``delta`` is the shift in background-sd units.
+    A spec holds no randomness: a drawn start or duration comes from the
+    generator the caller passes to :meth:`resolve` or :func:`inject`.
     """
 
     delta: float = 1.0
@@ -57,7 +59,6 @@ class InjectionSpec:
     start_range: int | None = None
     duration: int | None = None
     duration_mean: float | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.delta):
@@ -76,9 +77,9 @@ class InjectionSpec:
             raise ValueError(f"duration_mean must be positive and finite, got {self.duration_mean}")
 
     def resolve(self, rng: np.random.Generator | None = None) -> tuple[int, int]:
-        """Draw (start, duration), both before clipping to the series."""
-        if rng is None:
-            rng = substream(self.seed)
+        """``(start, duration)`` before clipping to the series; a drawn one needs ``rng``."""
+        if rng is None and None in (self.start, self.duration):
+            raise ValueError("rng is required when the start or duration is drawn")
         if self.start is not None:
             start = self.start
         else:
@@ -106,8 +107,8 @@ def inject(series, spec: InjectionSpec, rng: np.random.Generator | None = None):
 
     ``truth_mask`` is a boolean array marking exactly the shifted positions.
     The resolved interval is clipped to the series bounds; an interval that
-    falls entirely outside them is an error.  Deterministic given
-    ``spec.seed`` (or the supplied generator).
+    falls entirely outside them is an error.  A drawn start or duration
+    comes from ``rng``, as in :meth:`InjectionSpec.resolve`.
     """
     values = as_values(series).copy()
     if len(values) == 0:
@@ -213,15 +214,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.sets < 1 or self.sims_per_set < 1:
             raise ValueError("sets and sims_per_set must be >= 1")
-        if self.method not in ("nowa", "swa"):
-            raise ValueError(f"method must be 'nowa' or 'swa', got {self.method!r}")
         LrdModel(self.hurst)  # checks hurst, which the sampler needs inside (0, 1)
-        largest = ScaleConfig(self.base, self.num_scales, self.hurst).max_window
-        if self.n < largest:
-            raise ValueError(
-                f"n {self.n} is shorter than the largest window {largest} "
-                f"(base {self.base}, {self.num_scales} scales)"
-            )
+        scale_config = ScaleConfig(self.base, self.num_scales, self.hurst)
+        scale_config.cover(self.method, 1)  # checks the layout name
+        scale_config.check_length(self.n)
         for name in ("start", "start_range"):
             value = getattr(self.injection, name)
             if value is not None and value > self.n:

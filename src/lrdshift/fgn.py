@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pyramid import ScaleConfig, as_values, build_nowa
+from .pyramid import ScaleConfig, _binary_scaled, as_values, build_nowa
 from .seeding import substream
 
 __all__ = [
@@ -155,9 +155,10 @@ def estimate_hurst(series) -> float:
     to ``n/64`` (``n/4`` below 256 samples), and a series with fewer than
     two sizes is too short.  The sample variance of the block means scales
     like ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
-    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  A block
-    size whose variance is zero, or overflows to a non-finite value, raises
-    ``ValueError``.
+    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  Where the
+    squares of huge means overflow, ``log v`` is that of the means divided
+    by a power of two plus twice its log.  A block size whose variance is
+    zero, or not finite even so, raises ``ValueError``.
 
     This estimator is simple but biased for strongly dependent data; it is
     offered as a convenience for picking a working ``H`` from a training
@@ -173,13 +174,16 @@ def estimate_hurst(series) -> float:
     log_m, log_v = [], []
     for k, means in enumerate(levels, start=1):
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            v = means.var(ddof=1)
+            v, exponent = means.var(ddof=1), 0
+            if not np.isfinite(v):
+                scaled, exponent = _binary_scaled(means)
+                v = scaled.var(ddof=1)
         if v <= 0.0:
             raise ValueError("series has zero variance at some block size (constant input?)")
         if not np.isfinite(v):
             raise ValueError(f"the variance of the block means of size {2**k} overflows to {v}; "
                              "rescale the series")
         log_m.append(np.log(2.0**k))
-        log_v.append(np.log(v))
+        log_v.append(np.log(v) + 2 * exponent * np.log(2.0))
     slope, _ = np.polyfit(log_m, log_v, 1)
     return float(np.clip(1.0 + slope / 2.0, 0.01, 0.99))

@@ -60,6 +60,13 @@ def as_values(series) -> np.ndarray:
     return values
 
 
+def _binary_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(values / 2**e, e)`` with ``2**e`` just above ``max |values|``: exact where the
+    quotients stay normal, and their sums and squares do not overflow."""
+    exponent = int(np.frexp(np.abs(values).max())[1])
+    return np.ldexp(values, -exponent), exponent
+
+
 @dataclass(frozen=True)
 class ScaleConfig:
     """Aggregation geometry: base, number of scales, normalization exponent.
@@ -108,6 +115,12 @@ class ScaleConfig:
     def max_window(self) -> int:
         return self.base ** (self.num_scales - 1)
 
+    def check_length(self, n: int) -> None:
+        """The length rule: ``ValueError`` unless ``n`` samples hold the largest window."""
+        if n < self.max_window:
+            raise ValueError(f"series of length {n} is shorter than the largest window "
+                             f"{self.max_window} (base {self.base}, {self.num_scales} scales)")
+
 
 @dataclass
 class Pyramid:
@@ -124,14 +137,6 @@ class Pyramid:
     method: str
     config: ScaleConfig
     levels: list[np.ndarray]
-
-
-def _check_length(x: np.ndarray, config: ScaleConfig) -> None:
-    if len(x) < config.max_window:
-        raise ValueError(
-            f"series of length {len(x)} is shorter than the largest window "
-            f"{config.max_window} (base {config.base}, {config.num_scales} scales)"
-        )
 
 
 def _normalizers(config: ScaleConfig) -> list[float]:
@@ -183,7 +188,7 @@ def _aggregate(method: str, x: np.ndarray, config: ScaleConfig, levels: list[np.
 
 def _build(method: str, series, config: ScaleConfig) -> Pyramid:
     x = as_values(series)
-    _check_length(x, config)
+    config.check_length(len(x))
     levels = [np.empty(m) for m in _level_lengths(method, len(x), config)]
     _aggregate(method, x, config, levels)
     return Pyramid(method, config, [x, *levels])

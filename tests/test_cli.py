@@ -350,11 +350,14 @@ class TestDetectCommand:
         (["--hurst", "0.9", "--mean", "0", "--std", "1e-200"], "and std 1e-200 overflows"),
         (["--estimate-hurst"], "block means of size 2 overflows"),
     ], ids=["sample", "given", "estimate-hurst"])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_moments_exit_2(self, tmp_path, capsys, extra, message):
         """Moments that overflow name the cause; they used to flag nothing
-        (exit 0), print a NaN estimate, or say only that values must be finite."""
+        (exit 0), print a NaN estimate, or say only that values must be finite.
+        The series' exact standard deviation, about 1.804e308, and its
+        size-2 block sums do not fit in a double."""
         inp = tmp_path / "huge.txt"
-        x = np.random.default_rng(1).standard_normal(4096) * 1e200
+        x = np.tile([1.79e308, 1.79e308, -1.79e308, -1.79e308], 16)
         inp.write_text("".join(repr(float(v)) + "\n" for v in x))
         flags_path = tmp_path / "f.json"
         code = run(["detect", "--in", str(inp), "--scales", "6", "--threshold", "asymptotic",
@@ -363,12 +366,16 @@ class TestDetectCommand:
         assert message in capsys.readouterr().err
         assert not flags_path.exists()
 
-    def test_short_series_exits_2(self, tmp_path):
+    def test_short_series_exits_2(self, tmp_path, monkeypatch, capsys):
+        """Before any threshold is computed, with the length rule's message."""
+        monkeypatch.setattr("lrdshift.cli.compute_threshold", refuse_threshold)
         inp = tmp_path / "short.txt"
         inp.write_text("1.0\n2.0\n")
         code = run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "8",
                     "--out-flags", str(tmp_path / "f.json")])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: series of length 2 is shorter than the largest window 128 (base 2, 8 scales)\n")
 
     def test_empty_input_exits_2(self, tmp_path, capsys):
         inp = tmp_path / "empty.txt"
@@ -414,8 +421,6 @@ class TestDetectCommand:
         monkeypatch.setattr("lrdshift.cli.pvalue_rows", refuse)
         assert run(self.detect_args(inp, tmp_path / "f.json")) == 0
         monkeypatch.undo()
-        # With --out-map the rows are written one at a time; the matrix form is never built.
-        monkeypatch.setattr(detect_module, "pvalue_map", refuse)
         map_path = tmp_path / "map.csv"
         assert run(self.detect_args(inp, tmp_path / "f.json", extra=["--out-map", str(map_path)])) == 0
         assert read_pvalue_csv(map_path)[0].shape == (6, 1024)
@@ -810,6 +815,18 @@ class TestMapCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: need 0 <= start < stop <= 4, got [2, 2)\n"
 
+    @pytest.mark.parametrize("text,message", [
+        ("scale,1,x,3\n1,0.5,,0.25\n", "line 1: field 3: cannot parse 'x' as an integer"),
+        ("scale,1,,3\n1,0.5,,0.25\n", "line 1: field 3: cannot parse '' as an integer"),
+        ("scale,1,2,3\n1,0.5,,0.25\n2,0.5,abc,\n", "line 3: field 3: cannot parse 'abc' as a number"),
+    ], ids=["label", "empty-label", "cell"])
+    def test_bad_field_exits_2_naming_file_line_and_field(self, tmp_path, capsys, text, message):
+        map_path = tmp_path / "m.csv"
+        map_path.write_text(text)
+        code = run(["map", "--in-map", str(map_path), "--out-svg", str(tmp_path / "m.svg")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {map_path}: {message}\n"
+
     def test_deterministic_bytes(self, tmp_path):
         map_path = tmp_path / "m.csv"
         self.write_map(map_path, np.linspace(0, 1, 12).reshape(3, 4))
@@ -1085,10 +1102,11 @@ class TestEvalCommand:
         assert set(summary["detectors"]) == {"multiscale", "naive"}
 
     @pytest.mark.parametrize("argv,message", [
-        (["--n", "100", "--scales", "15"], "n 100 is shorter than the largest window 16384"),
+        (["--n", "100", "--scales", "15"],
+         "series of length 100 is shorter than the largest window 16384 (base 2, 15 scales)"),
         (["--n", "32768", "--start-range", "40000"],
          "injection start_range 40000 is beyond the series end 32768"),
-        (["--n", "0"], "n 0 is shorter than the largest window"),
+        (["--n", "0"], "series of length 0 is shorter than the largest window"),
         (["--hurst", "1"], "hurst must be in the open interval (0, 1), got 1.0"),
         (["--delta", "nan"], "delta must be finite, got nan"),
         (["--delta=-inf"], "delta must be finite, got -inf"),

@@ -21,7 +21,6 @@ from lrdshift import (
     detect,
     flags_to_intervals,
     improved_threshold,
-    pvalue_map,
     standardize,
     subseed,
     synthesize_fgn,
@@ -70,14 +69,25 @@ class TestStandardize:
             standardize(np.arange(4.0), mean=mean, std=std)
 
     def test_overflowing_sample_moments_are_named(self):
-        """numpy's sample std of this series overflows to inf, though the exact
-        one is a double; dividing by it would map every sample to zero."""
-        x = np.random.default_rng(1).standard_normal(4096) * 1e200
-        assert 9e199 < statistics.stdev(x.tolist()) < 1.1e200
-        with pytest.raises(ValueError, match="sample standard deviation overflows"):
-            standardize(x)
-        with pytest.raises(ValueError, match="sample mean overflows"):
-            standardize(np.full(4, 1.5e308))
+        """The exact sample std of ±1.7e308 over four samples, 1.7e308 * sqrt(4/3),
+        is not a double; dividing by inf would map every sample to zero."""
+        with pytest.raises(ValueError, match="sample standard deviation overflows to inf"):
+            standardize(np.tile([1.7e308, -1.7e308], 2))
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(1).standard_normal(4096) * 1e200,
+        np.tile([1.5e308, 1.4e308], 8),
+        np.tile([1.7e308, -1.7e308], 512),
+        np.array([1.7e308] + [-1.7e308] * 4095),
+    ], ids=["white-1e200", "sum-overflows", "alternating-1.7e308", "deviation-overflows"])
+    def test_huge_series_gets_its_exact_moments(self, x):
+        """Where numpy's sum of the samples or of their squares overflows, the
+        moments are still the exact ones, and every standardized value is finite."""
+        values, mean, std = standardize(x)
+        exact_std = statistics.stdev(x.tolist())
+        assert abs(mean - statistics.mean(x.tolist())) <= 1e-12 * exact_std
+        assert std == pytest.approx(exact_std, rel=1e-12)
+        assert np.isfinite(values).all() and abs(values.std(ddof=1) - 1.0) < 1e-12
 
     def test_overflowing_standardized_value_is_named(self):
         with pytest.raises(ValueError, match="mean 0.0 and std 1e-300 overflows"):
@@ -289,6 +299,12 @@ class TestOverflowingWindows:
         assert set(np.flatnonzero(np.abs(x) > 2.5) + 1) <= set(nowa.flags.tolist())
 
 
+def expanded_pvalues(pyramid):
+    """The (M, n) map: the rows of :func:`pvalue_rows` expanded cell by cell by the oracle."""
+    rows = [pvalues for *_, pvalues in pvalue_rows(pyramid)]
+    return expand_levels(Pyramid(pyramid.method, pyramid.config, rows))
+
+
 class TestPvalueMap:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["nowa", "swa"])
@@ -301,7 +317,7 @@ class TestPvalueMap:
         pyramid = build(x, ScaleConfig(base=base, num_scales=num_scales, hurst=0.8))
         expected = pvalue_map_per_cell(pyramid)
         assert np.isnan(expected[1:, 100:]).any() and not np.isnan(expected[0]).any()
-        assert np.array_equal(pvalue_map(pyramid), expected, equal_nan=True)
+        assert np.array_equal(expanded_pvalues(pyramid), expected, equal_nan=True)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["nowa", "swa"])
@@ -325,31 +341,31 @@ class TestPvalueMap:
         """A tag other than 'nowa' or 'swa' is an error, not sliding covers."""
         config = ScaleConfig(2, 3, 0.5)
         with pytest.raises(ValueError, match="method must be 'nowa' or 'swa', got 'NOWA'"):
-            pvalue_map(Pyramid("NOWA", config, build_nowa(np.ones(16), config).levels))
+            expanded_pvalues(Pyramid("NOWA", config, build_nowa(np.ones(16), config).levels))
 
     def test_zero_cell_has_pvalue_one(self):
         pyramid = build_nowa(np.zeros(16), ScaleConfig(2, 3, 0.5))
-        assert pvalue_map(pyramid)[0, 0] == pytest.approx(1.0)
+        assert expanded_pvalues(pyramid)[0, 0] == pytest.approx(1.0)
 
     def test_two_sided_tail_and_symmetry(self):
         x = np.zeros(8)
         x[2], x[5] = 1.959964, -1.959964
         pyramid = build_swa(x, ScaleConfig(2, 1, 0.5))
-        pvals = pvalue_map(pyramid)
+        pvals = expanded_pvalues(pyramid)
         assert pvals[0, 2] == pytest.approx(0.05, abs=1e-6)
         assert pvals[0, 5] == pytest.approx(pvals[0, 2], abs=1e-15)
 
     def test_absent_cells_are_nan_not_zero(self):
         config = ScaleConfig(2, 3, 0.5)
-        swa = pvalue_map(build_swa(np.ones(10), config))
+        swa = expanded_pvalues(build_swa(np.ones(10), config))
         assert np.isnan(swa[2, :3]).all() and not np.isnan(swa[2, 3:]).any()
-        nowa = pvalue_map(build_nowa(np.ones(10), config))
+        nowa = expanded_pvalues(build_nowa(np.ones(10), config))
         # 10 = 2 complete blocks of 4 -> positions 9, 10 uncovered at scale 3
         assert not np.isnan(nowa[2, :8]).any() and np.isnan(nowa[2, 8:]).all()
 
     def test_values_lie_in_unit_interval(self):
         x = synthesize_fgn(LrdModel(0.7), 128, seed=6)
-        pvals = pvalue_map(build_nowa(x, ScaleConfig(2, 4, 0.7)))
+        pvals = expanded_pvalues(build_nowa(x, ScaleConfig(2, 4, 0.7)))
         finite = pvals[~np.isnan(pvals)]
         assert np.all((finite >= 0.0) & (finite <= 1.0))
 

@@ -40,6 +40,18 @@ class TestInjectionSpec:
     def test_fixed_resolution(self):
         assert InjectionSpec(start=7, duration=3).resolve() == (7, 3)
 
+    @pytest.mark.parametrize("spec", [
+        InjectionSpec(start_range=10, duration=3),
+        InjectionSpec(start=7, duration_mean=3.0),
+    ], ids=["drawn-start", "drawn-duration"])
+    def test_a_draw_needs_the_callers_generator(self, spec):
+        """A spec holds no seed: a drawn start or duration comes from ``rng`` alone."""
+        with pytest.raises(ValueError, match="rng is required when the start or duration is drawn"):
+            spec.resolve()
+        with pytest.raises(ValueError, match="rng is required"):
+            inject(np.zeros(20), spec)
+        assert spec.resolve(substream(5)) == spec.resolve(substream(5))
+
     def test_drawn_durations_have_the_right_mean(self):
         """Rounded exponential durations average to the mean within 5%
         over 1000 draws."""
@@ -81,9 +93,9 @@ class TestInject:
             inject(np.array([]), InjectionSpec(delta=1.0, start=1, duration=1))
 
     def test_deterministic_given_seed(self):
-        spec = InjectionSpec(delta=1.0, start_range=50, duration_mean=8.0, seed=9)
-        a, mask_a = inject(np.zeros(100), spec)
-        b, mask_b = inject(np.zeros(100), spec)
+        spec = InjectionSpec(delta=1.0, start_range=50, duration_mean=8.0)
+        a, mask_a = inject(np.zeros(100), spec, substream(9))
+        b, mask_b = inject(np.zeros(100), spec, substream(9))
         assert np.array_equal(a, b) and np.array_equal(mask_a, mask_b)
 
 
@@ -250,9 +262,9 @@ class TestRunExperiment:
         assert len(forks) == 1
 
     @pytest.mark.parametrize("overrides,message", [
-        (dict(n=100, num_scales=15), "n 100 is shorter than the largest window 16384"),
-        (dict(n=0), "n 0 is shorter than the largest window 16"),
-        (dict(n=80, base=3), "n 80 is shorter than the largest window 81"),
+        (dict(n=100, num_scales=15), "series of length 100 is shorter than the largest window 16384"),
+        (dict(n=0), "series of length 0 is shorter than the largest window 16"),
+        (dict(n=80, base=3), "series of length 80 is shorter than the largest window 81"),
         (dict(injection=InjectionSpec(start_range=2**10 + 1, duration_mean=10.0)),
          "injection start_range 1025 is beyond the series end 1024"),
         (dict(injection=InjectionSpec(start=2**10 + 1, duration=10)),

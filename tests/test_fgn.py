@@ -269,11 +269,20 @@ class TestHurstEstimator:
         with pytest.raises(ValueError, match="variance"):
             estimate_hurst(np.ones(1024))
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_variance_rejected(self):
-        """The size-2 block means' variance overflows to inf, which made the fit NaN."""
-        x = np.random.default_rng(1).standard_normal(4096) * 1e200
+        """The size-2 block sums overflow to ±inf, so their variance is NaN,
+        which made the fit NaN."""
+        x = np.tile([1.79e308, 1.79e308, -1.79e308, -1.79e308], 16)
         with pytest.raises(ValueError, match="block means of size 2 overflows"):
             estimate_hurst(x)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_huge_series_gives_the_estimate_of_the_plain_one(self, seed):
+        """The squares of block means near 1e200 overflow; the regression then
+        runs on log-variances taken in a power-of-two-scaled domain."""
+        x = synthesize_fgn(LrdModel(0.8), 4096, subseed(44, seed))
+        assert abs(estimate_hurst(1e200 * x) - estimate_hurst(x)) <= 1e-12
 
     def test_result_is_clamped(self):
         x = np.arange(256.0)  # strong trend pushes the raw slope out of range
