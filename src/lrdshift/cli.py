@@ -249,19 +249,33 @@ def _write_slices(fh, pieces, text) -> None:
 def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Returns (pvalues matrix, 1-based time labels); an empty cell is NaN.
 
-    A label or cell that does not parse is an error naming its file, line and field.
+    The labels must be ``1..n`` and every other cell a p-value in [0, 1]
+    (``nan`` and ``inf`` text included are refused).  A label or cell that
+    does not parse, or breaks those rules, is an error naming its file,
+    line and field.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if not header or header[0] != "scale":
             raise ValueError(f"{path}: not a p-value map CSV (missing 'scale' header)")
         labels = np.array(_map_fields(path, 1, header, int, "an integer"))
+        wrong = np.flatnonzero(labels != np.arange(1, len(labels) + 1))
+        if len(wrong):
+            j = int(wrong[0])
+            raise ValueError(f"{path}: line 1: field {j + 2}: expected label {j + 1}, "
+                             f"got {header[j + 1]!r}")
         rows = []
         for lineno, raw in enumerate(fh, start=2):
             fields = raw.rstrip("\n").split(",")
             if len(fields) != len(labels) + 1:
                 raise ValueError(f"{path}: line {lineno}: expected {len(labels) + 1} fields")
-            rows.append(_map_fields(path, lineno, fields, float, "a number"))
+            row = np.array(_map_fields(path, lineno, fields, float, "a number"))
+            # NaN fails both comparisons too: only an empty cell may be NaN.
+            for j in np.flatnonzero(~((row >= 0.0) & (row <= 1.0))).tolist():
+                if fields[j + 1]:
+                    raise ValueError(f"{path}: line {lineno}: field {j + 2}: "
+                                     f"{fields[j + 1]!r} is not a p-value in [0, 1]")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no map rows found")
     return np.array(rows), labels
@@ -475,36 +489,59 @@ def _stdin_lines(stdin):
         yield [partial]
 
 
+def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float | None):
+    """The samples of one read's ``lines``, the first of them being line ``lineno + 1``.
+
+    One numpy call parses the read; it accepts just what ``float()`` does.
+    When that call raises, or a sample is not finite before or after
+    ``--mean/--std``, the read goes through the per-line loop instead, which
+    warns about each line it skips, with its line number, and returns the rest.
+    """
+    try:
+        samples = np.array(lines, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if mean is not None:
+            with np.errstate(over="ignore"):  # an overflow is the fallback's warning
+                samples -= mean
+                samples /= std
+        if np.isfinite(samples).all():
+            return samples
+    samples = []
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.strip()
+        if not line:
+            print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
+            continue
+        try:
+            sample = float(line)
+        except ValueError:
+            print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
+            continue
+        if not math.isfinite(sample):
+            print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
+            continue
+        if mean is not None:
+            sample = (sample - mean) / std
+            if not math.isfinite(sample):
+                print(f"warning: line {lineno}: value {line!r} is not finite after "
+                      "--mean/--std, skipped", file=sys.stderr)
+                continue
+        samples.append(sample)
+    return samples
+
+
 def cmd_stream(args) -> int:
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
     critical = _threshold(args).value
     state = StreamState(scale_config)
-    mean, std = args.mean, args.std
     index = lineno = 0
     for lines in _stdin_lines(sys.stdin):
         # Parse what this read delivered, then run one extend over it.
-        samples = []
-        for lineno, raw in enumerate(lines, start=lineno + 1):
-            line = raw.strip()
-            if not line:
-                print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
-                continue
-            try:
-                sample = float(line)
-            except ValueError:
-                print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
-                continue
-            if not math.isfinite(sample):
-                print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
-                continue
-            if mean is not None:
-                sample = (sample - mean) / std
-                if not math.isfinite(sample):
-                    print(f"warning: line {lineno}: value {line!r} is not finite after "
-                          "--mean/--std, skipped", file=sys.stderr)
-                    continue
-            samples.append(sample)
+        samples = _read_samples(lines, lineno, args.mean, args.std)
+        lineno += len(lines)
         statistics, argmax_scales = state.extend(samples)
         flagged = np.flatnonzero(statistics > critical)
         if len(flagged):

@@ -214,9 +214,10 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
 
 
 # ``StreamState.extend`` pushes a block shorter than this sample by sample:
-# at 15 scales on 2 vCPUs the numpy form cost 5.6-6.0 us a sample at 32
-# samples, 3.6-4.5 at 40 and 2.9 at 64, ``push`` 3.7-5.1 at every length.
-_SHORT_BLOCK = 40
+# at 15 scales on 2 vCPUs the numpy form cost 1.24, 1.07, 0.98 and 0.85
+# times what pushing cost at 24, 26, 28 and 32 samples (medians of 9
+# interleaved rounds), ``push`` 2.8-5.5 us a sample as the host drifted.
+_SHORT_BLOCK = 28
 
 
 class StreamState:
@@ -229,11 +230,14 @@ class StreamState:
     ``(base-1)*L_k`` window sums (``max_window - 1`` slots in all) as C
     doubles.  :meth:`push` is the per-sample form: O(num_scales * base)
     scalar float work on the rings, no numpy call.  :meth:`extend` is the
-    block form: ``_chain`` over the ring and the block, the rings seen
-    through ``np.frombuffer`` with no copy; it pushes a block shorter than
-    ``_SHORT_BLOCK`` samples, where ``push`` is the cheaper form.  Both
-    return bit for bit the batch ``swa`` statistic and argmax, and they may
-    be mixed on one state.
+    block form: ``_chain`` over the ring and the next finer scale's windows
+    writes each scale's windows of the block into one row of a
+    ``(num_scales, block)`` array, the rings seen through ``np.frombuffer``
+    with no copy, and one fold over that array takes the max over scales of
+    every sample at once.  It pushes a block shorter than ``_SHORT_BLOCK``
+    samples, where ``push`` is the cheaper form.  Both return bit for bit
+    the batch ``swa`` statistic and argmax, and they may be mixed on one
+    state.
     """
 
     def __init__(self, config: ScaleConfig):
@@ -242,8 +246,10 @@ class StreamState:
         # Per scale k >= 2: its cover's lead, its normalizer, scale k-1's ring
         # and its size, and the offsets from the earliest window of the chain
         # to the middle ones (none at base 2).
+        norms = _normalizers(config)
+        self._norms = np.array(norms)[:, None]  # the divisors of the block form's rows
         self._scales = []
-        for k, norm in enumerate(_normalizers(config)[1:], start=2):
+        for k, norm in enumerate(norms[1:], start=2):
             sub = config.window(k - 1)
             size = (config.base - 1) * sub
             offsets = tuple(m * sub - size for m in range(1, config.base - 1))
@@ -291,7 +297,8 @@ class StreamState:
         is not one-dimensional raises ``ValueError`` too; either leaves the
         state as it was.  A block shorter than ``_SHORT_BLOCK`` is pushed
         sample by sample, since the block form's fixed cost per call (about
-        a dozen numpy calls per scale) outweighs ``push`` there.
+        six numpy calls per scale, then one fold over all scales) outweighs
+        ``push`` there.
         """
         x = np.asarray(samples, dtype=float)
         if x.ndim != 1:
@@ -309,28 +316,33 @@ class StreamState:
         """:meth:`extend` of the finite float array ``x``, in numpy at any length."""
         n, count = self.samples_seen, len(x)
         self.samples_seen = n + count
-        top = np.abs(x)
-        best = np.ones(count, dtype=int)
         base = self.config.base
-        window = x  # scale k-1's unnormalized windows ending at each sample
+        # Row k-1 holds scale k's windows ending at each sample: unnormalized
+        # while the chain runs, then the magnitudes the fold compares.
+        magnitudes = np.empty((self.config.num_scales, count))
+        magnitudes[0] = x
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
-            for k, lead, norm, ring, size, _ in self._scales:
-                # The ring in time order, then this block: ``chain[size + i]`` is
-                # the window ending at sample i, ``chain[i]`` the one ending
-                # ``size`` samples before it.
+            for k, _, _, ring, size, _ in self._scales:
+                # The ring in time order, then scale k-1's windows of this block:
+                # ``chain[size + i]`` is the window ending at sample i,
+                # ``chain[i]`` the one ending ``size`` samples before it.
                 slots = np.frombuffer(ring)
                 p = n % size
-                chain = np.concatenate((slots[p:], slots[:p], window))
-                window = _chain(chain, size // (base - 1), base, np.empty(count))
+                chain = np.concatenate((slots[p:], slots[:p], magnitudes[k - 2]))
+                _chain(chain, size // (base - 1), base, magnitudes[k - 1])
                 # Keep the newest size sums, the one ending at sample t in slot t % size.
                 newest, q = chain[count:], (n + count) % size
                 slots[q:] = newest[: size - q]
                 slots[:q] = newest[size - q :]
-                # Sample i is 0-based position n + i, so scale k is warm from
-                # i = lead - n on.  A NaN magnitude never compares greater.
-                warm = slice(max(lead - n, 0), None)
-                magnitude = np.abs(window[warm] / norm)
-                greater = magnitude > top[warm]
-                top[warm][greater] = magnitude[greater]
-                best[warm][greater] = k
-        return top, best
+        magnitudes /= self._norms
+        np.abs(magnitudes, out=magnitudes)
+        # A zeroed cell never wins: scale 1 is finite and >= 0, and argmax
+        # takes the first maximum, so ties go to the smallest scale as in push.
+        np.copyto(magnitudes, 0.0, where=np.isnan(magnitudes))
+        # Sample i is 0-based position n + i, so scale k is warm from
+        # i = lead - n on; leads grow with k, so the cold scales are the top ones.
+        for k, lead, *_ in reversed(self._scales):
+            if lead <= n:
+                break
+            magnitudes[k - 1, : lead - n] = 0.0
+        return magnitudes.max(axis=0), magnitudes.argmax(axis=0) + 1

@@ -819,7 +819,15 @@ class TestMapCommand:
         ("scale,1,x,3\n1,0.5,,0.25\n", "line 1: field 3: cannot parse 'x' as an integer"),
         ("scale,1,,3\n1,0.5,,0.25\n", "line 1: field 3: cannot parse '' as an integer"),
         ("scale,1,2,3\n1,0.5,,0.25\n2,0.5,abc,\n", "line 3: field 3: cannot parse 'abc' as a number"),
-    ], ids=["label", "empty-label", "cell"])
+        ("scale,1,2,3\n1,0.5,inf,-3\n", "line 2: field 3: 'inf' is not a p-value in [0, 1]"),
+        ("scale,1,2,3\n1,0.5,,-3\n", "line 2: field 4: '-3' is not a p-value in [0, 1]"),
+        ("scale,1,2,3\n1,0.5,,1\n2,1.0000001,0,0\n",
+         "line 3: field 2: '1.0000001' is not a p-value in [0, 1]"),
+        ("scale,1,2,3\n1,0.5,nan,0\n", "line 2: field 3: 'nan' is not a p-value in [0, 1]"),
+        ("scale,5,9,2\n1,0.5,,0.25\n", "line 1: field 2: expected label 1, got '5'"),
+        ("scale,1,3,2\n1,0.5,,0.25\n", "line 1: field 3: expected label 2, got '3'"),
+    ], ids=["label", "empty-label", "cell", "inf-cell", "negative-cell", "cell-above-one",
+            "nan-cell", "labels-5-9-2", "labels-out-of-order"])
     def test_bad_field_exits_2_naming_file_line_and_field(self, tmp_path, capsys, text, message):
         map_path = tmp_path / "m.csv"
         map_path.write_text(text)
@@ -1370,6 +1378,42 @@ class TestStreamCommand:
         assert completed.stdout.decode() == out
         assert completed.stderr.decode() == err
         assert out.count("\n") > 100 and err.count("\n") == 7 * 20
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+    @pytest.mark.parametrize("extra", [[], ["--mean", "0.2", "--std", "0.8"]],
+                             ids=["plain", "moments"])
+    def test_reads_parsed_at_once_or_line_by_line_match_the_oracle(self, monkeypatch, capsys,
+                                                                   extra):
+        """stdout and stderr equal the per-line loop's whether a read parses in
+        one call or falls back to the loop.  Each read holds at most one odd
+        line, after an all-clean first read: ``1e-5\\x1f``, which only the
+        loop's ``strip`` accepts, ``1_000``, Arabic-Indic digits and a CR,
+        which both parsers accept, an invalid byte, ``1e400``, ``nan``, and
+        a value that is finite but which the moments make infinite."""
+        rng = np.random.default_rng(63)
+        values = rng.standard_normal(9000)
+        values[7000:7400] += 1.5
+        lines = [repr(v).encode() for v in values.tolist()]
+        odd = [b"1e-5\x1f", b"1_000", "\u0661.\u0665".encode(), b"2.5\r", b"\xff", b"1e400",
+               b"nan", b"1.7e308"]
+        for i, line in enumerate(odd):
+            lines.insert(1000 * (i + 1), line)
+        data = b"\n".join(lines) + b"\n"
+        reads = [data.index(b"\n" + line + b"\n") // _STREAM_READ for line in odd]
+        assert 0 < min(reads) and len(set(reads)) == len(odd)
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        code = run(["stream", "--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4",
+                    *extra])
+        captured = capsys.readouterr()
+        moments = {"mean": 0.2, "std": 0.8} if extra else {}
+        out, err = stream_per_line(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                             newline="\n"),
+            ScaleConfig(base=2, num_scales=6, hurst=0.8), 2.4, **moments,
+        )
+        assert code == 0
+        assert (captured.out, captured.err) == (out, err)
+        assert out.count("\n") > 100 and err.count("\n") == (4 if extra else 3)
 
     def test_strict_stdin_decoder_skips_only_the_bad_line(self):
         """Under a strict stdin decoder a byte it rejects is one warned,

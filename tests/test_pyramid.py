@@ -373,6 +373,36 @@ class TestStreaming:
         for feed in FEEDS:
             assert stream_feed(config, x, feed) == batch, feed
 
+    @pytest.mark.parametrize("base, num_scales", [(2, 6), (3, 4), (10, 3)])
+    def test_block_from_each_warm_up_edge_equals_push(self, base, num_scales):
+        """A block starting at a scale's lead, or one sample before or after it,
+        returns bit for bit the statistics and scales that pushing its
+        samples returns, through ±1e308 samples whose windows overflow to
+        ±inf and, where a window holds both signs, to NaN."""
+        config = ScaleConfig(base=base, num_scales=num_scales, hurst=0.8)
+        top = config.max_window
+        x = np.random.default_rng(64).standard_normal(3 * top + 4)
+        x[top // 2 : top] += 3.0
+        for p in (1, top // 2, top + 3, 2 * top + 1):
+            x[p : p + 2] = HUGE[0], HUGE[2]
+            x[p + base + 5 : p + base + 7] = HUGE[1], HUGE[3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            levels = build_swa(x, config).levels
+        assert any(np.isinf(level).any() for level in levels)
+        assert any(np.isnan(level).any() for level in levels)
+        for k in range(1, num_scales + 1):
+            lead = config.cover("swa", k)[0]
+            for start in sorted({max(lead - 1, 0), lead, lead + 1}):
+                state, reference = StreamState(config), StreamState(config)
+                for v in x[:start].tolist():
+                    state.push(v)
+                    reference.push(v)
+                block = x[start : start + 2 * top + 2]
+                statistics, scales = state._extend_block(block)
+                pushed = [reference.push(v) for v in block.tolist()]
+                assert statistics.tobytes() == np.array([s for s, _ in pushed]).tobytes(), start
+                assert scales.tolist() == [scale for _, scale in pushed], start
+
     def test_ties_go_to_the_smallest_scale(self):
         """A constant at hurst 1 ties exactly at every warm scale."""
         config = ScaleConfig(base=2, num_scales=5, hurst=1.0)
@@ -401,11 +431,11 @@ class TestStreaming:
         assert after == [clean.push(v) for v in x[50:]]
         assert after[100] == (pytest.approx(100.0, abs=5.0), 1)
 
-    @pytest.mark.parametrize("rows", [2, _SHORT_BLOCK + 1])
+    @pytest.mark.parametrize("rows", [2, 41])
     def test_rejects_a_block_that_is_not_one_dimensional_and_keeps_state(self, rows):
-        """A 2-D block, short or long, is refused before the state changes:
-        the next block's statistics and scales equal, bit for bit, those of
-        a state that never saw it."""
+        """A 2-D block of fewer rows than ``_SHORT_BLOCK`` or of more is refused
+        before the state changes: the next block's statistics and scales
+        equal, bit for bit, those of a state that never saw it."""
         config = ScaleConfig(base=3, num_scales=4, hurst=0.9)
         x = synthesize_fgn(LrdModel(0.9), 160, seed=61)
         state, clean = StreamState(config), StreamState(config)
