@@ -5,11 +5,11 @@ zero-mean Gaussian series whose autocovariance is determined by a Hurst
 parameter ``H`` and marginal standard deviation ``sigma``.  For ``H > 1/2``
 the autocovariance decays polynomially (long range dependence).
 
-Synthesis uses circulant embedding of the covariance, which is exact in
-distribution and costs ``O(n log n)`` per path.  ``FgnSampler`` embeds one
-model and length once and draws any number of seeded paths from it.  A
-path, like every series in the package, is a plain one-dimensional float64
-array (see :mod:`~lrdshift.pyramid`).
+Synthesis uses circulant embedding of the covariance (Davies & Harte 1987;
+Wood & Chan 1994), exact in distribution.  ``FgnSampler`` embeds one model
+and length once and draws each seeded path with one ``O(n log n)`` real
+inverse FFT of an (n+1)-point half spectrum.  A path, like every series in
+the package, is a plain 1-D float64 array (see :mod:`~lrdshift.pyramid`).
 """
 
 from __future__ import annotations
@@ -50,17 +50,50 @@ class LrdModel:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
+# (first lag, terms) of the binomial series of ``fgn_acf``: from lag ``lo`` on,
+# each term is below ``lo**-2`` times the one before and all have one sign, so
+# ``ceil(27 / log2(lo))`` terms leave a tail below 2^-53 of the sum.
+_SERIES_BANDS = ((2.0, 27), (8.0, 9), (64.0, 5), (4096.0, 3))
+
+
 def fgn_acf(model: LrdModel, h) -> float | np.ndarray:
     """Autocovariance of the noise at integer lag ``h`` (scalar or array).
 
     gamma(h) = sigma^2/2 * [ |h+1|^{2H} - 2|h|^{2H} + |h-1|^{2H} ],
     so gamma(0) = sigma^2 and, for H = 1/2, all positive lags vanish.
+
+    That form cancels at long lags, so for ``|h| >= 2`` the bracket is
+    expanded in powers of ``1/h``: gamma(h) = sigma^2 h^{2H-2}
+    * sum_{j>=1} C(2H, 2j) h^{2-2j}, evaluated by Horner with fewer terms
+    the longer the lag (see ``_SERIES_BANDS``).  It stays within about one
+    unit in the last place of the exact value at every lag.
     """
     h = np.abs(np.asarray(h, dtype=float))
-    two_h = 2.0 * model.hurst
-    gamma = 0.5 * model.sigma**2 * (
-        (h + 1.0) ** two_h - 2.0 * h**two_h + np.abs(h - 1.0) ** two_h
-    )
+    two_h, var = 2.0 * model.hurst, model.sigma**2
+    flat = h.ravel()
+    gamma = np.empty_like(flat)
+    near = ~(flat >= _SERIES_BANDS[0][0])  # NaN takes the closed form
+    x = flat[near]
+    gamma[near] = 0.5 * var * ((x + 1.0) ** two_h - 2.0 * x**two_h + np.abs(x - 1.0) ** two_h)
+    binomial, coefficients = 1.0, []  # C(2H, 2j), j = 1, 2, ...
+    for k in range(1, 2 * _SERIES_BANDS[0][1] + 1):
+        binomial *= (two_h - k + 1) / k
+        if k % 2 == 0:
+            coefficients.append(binomial)
+    uppers = [lo for lo, _ in _SERIES_BANDS[1:]] + [np.inf]
+    for (lo, terms), hi in zip(_SERIES_BANDS, uppers):
+        band = np.flatnonzero((flat >= lo) & (flat < hi))
+        x = flat[band]
+        inverse_square = 1.0 / (x * x)
+        series = np.full(len(x), coefficients[terms - 1])
+        for c in coefficients[terms - 2 :: -1]:
+            series *= inverse_square
+            series += c
+        np.power(x, two_h - 2.0, out=x)
+        x *= var
+        x *= series
+        gamma[band] = x
+    gamma = gamma.reshape(h.shape)
     return float(gamma) if gamma.ndim == 0 else gamma
 
 
@@ -77,14 +110,13 @@ def fbm_cov(model: LrdModel, s: float, t: float) -> float:
 
 
 def _embedding_eigenvalues(model: LrdModel, n: int) -> np.ndarray:
-    """Eigenvalues of the length-2n circulant extension of the covariance.
+    """The distinct eigenvalues 0..n of the length-2n circulant extension of the covariance.
 
     They are provably non-negative for this covariance family; a negative
     entry beyond rounding noise therefore signals an implementation bug.
     """
     gamma = fgn_acf(model, np.arange(n + 1))
-    first_row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigenvalues = np.fft.fft(first_row).real
+    eigenvalues = np.fft.rfft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     tolerance = 1e-8 * eigenvalues.max()
     if eigenvalues.min() < -tolerance:
         raise RuntimeError(
@@ -98,40 +130,41 @@ class FgnSampler:
     """Exact length-``n`` sample paths of one background law.
 
     The circulant-embedding eigenvalues depend only on ``(model, n)``, so
-    their square roots are computed once here and shared by every
-    ``sample`` call, which also reuses the sampler's 2n normals and 2n-point
-    spectrum.  A sampler is therefore not safe to share between threads.
+    their square roots, scaled for the inverse FFT, are computed once here
+    and shared by every ``sample`` call, which also reuses the sampler's 2n
+    normals and (n+1)-point half spectrum.  So a sampler is not thread-safe.
     """
 
     def __init__(self, model: LrdModel, n: int) -> None:
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
         self.n = n
+        # irfft divides by 2n, not sqrt(2n); each part of an interior normal has variance 1/2.
         self._root = np.sqrt(_embedding_eigenvalues(model, n))
+        self._root[1:n] *= np.sqrt(n)
+        self._root[[0, n]] *= np.sqrt(2 * n)
         self._normals = np.empty(2 * n)
-        self._spectrum = np.empty(2 * n, dtype=complex)
+        self._half = np.zeros(n + 1, dtype=complex)
 
     def sample(self, seed: int | np.random.SeedSequence) -> np.ndarray:
         """Draw the path for ``seed``; the same seed gives the same bits.
 
-        One path costs 2n standard normals: two real end points and n - 1
-        complex ones, mirrored into a Hermitian spectrum that is scaled by
-        the root eigenvalues, transformed, and cut to its first n points.
-        The returned path is a fresh array, finite by construction and so
+        One path costs 2n standard normals z.  Scaled by the root
+        eigenvalues, the real parts of the half spectrum are z0, z2..zn and
+        z1 at frequency n, and the imaginary parts of frequencies 1..n-1 are
+        -z(n+1)..-z(2n-1).  Its real inverse FFT over 2n points, cut to the
+        first n, is the path: a fresh array, finite by construction and so
         returned unchecked.
         """
         n = self.n
         z = substream(seed).standard_normal(out=self._normals)
-        w = self._spectrum
-        w[0] = z[0]
-        w[n] = z[1]
-        half = w[1:n]
-        np.multiply(1j, z[n + 1 :], out=half)
-        np.add(z[2 : n + 1], half, out=half)
-        np.divide(half, np.sqrt(2.0), out=half)
-        np.conjugate(half[::-1], out=w[n + 1 :])
-        np.multiply(self._root, w, out=w)
-        return np.fft.fft(w)[:n].real / np.sqrt(2 * n)
+        root, real, imag = self._root, self._half.real, self._half.imag
+        real[0] = root[0] * z[0]
+        real[n] = root[n] * z[1]
+        np.multiply(root[1:n], z[2 : n + 1], out=real[1:n])
+        np.multiply(root[1:n], z[n + 1 :], out=imag[1:n])
+        np.negative(imag[1:n], out=imag[1:n])
+        return np.fft.irfft(self._half, 2 * n)[:n].copy()
 
 
 def synthesize_fgn(

@@ -261,8 +261,27 @@ def estimate_hurst_reshape_mean(series) -> float:
     return float(np.clip(1.0 + slope / 2.0, 0.01, 0.99))
 
 
+def sample_half_spectrum(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One length-n path from the n+1 distinct ``eigenvalues``, built from fresh arrays at every step.
+
+    The real inverse FFT of the (n+1)-point half spectrum, with the
+    sampler's scaling of the root eigenvalues and its order of the normals.
+    """
+    z = rng.standard_normal(2 * n)
+    root = np.sqrt(eigenvalues)
+    root[1:n] *= np.sqrt(n)
+    root[[0, n]] *= np.sqrt(2 * n)
+    half = np.zeros(n + 1, dtype=complex)
+    half.real = root * np.concatenate([z[:1], z[2 : n + 1], z[1:2]])
+    half.imag[1:n] = -(root[1:n] * z[n + 1 :])
+    return np.fft.irfft(half, 2 * n)[:n]
+
+
 def sample_path(eigenvalues: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """One length-n circulant-embedding path built from fresh arrays at every step."""
+    """One length-n path from all 2n circulant ``eigenvalues``, built from fresh arrays at every step.
+
+    A complex FFT of the full 2n-point Hermitian spectrum, mirrored by hand.
+    """
     z = rng.standard_normal(2 * n)
     w = np.zeros(2 * n, dtype=complex)
     w[0] = z[0]

@@ -7,6 +7,7 @@ estimated from the replicates themselves.
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +26,12 @@ from lrdshift import (
     substream,
     synthesize_fgn,
 )
-from oracles import estimate_hurst_reshape_mean, sample_path, synthesize_fgn_cholesky
+from oracles import (
+    estimate_hurst_reshape_mean,
+    sample_half_spectrum,
+    sample_path,
+    synthesize_fgn_cholesky,
+)
 
 # 0.5 * (2**1.8 - 2), the lag-1 autocovariance at H = 0.9
 LAG1_H09 = 0.7411011265922483
@@ -94,17 +100,40 @@ class TestAutocovariance:
     )
     def test_matches_increment_covariance_of_integrated_process(self, hurst, sigma, h):
         """The noise autocovariance is the unit-increment covariance of the
-        integrated process: cov(B(1)-B(0), B(h+1)-B(h))."""
+        integrated process: cov(B(1)-B(0), B(h+1)-B(h)).  ``fbm_cov`` runs on
+        50-digit times here: in doubles its four terms near sigma^2 h^{2H}
+        cancel to an error above the tolerance (1.5e-9 at H = 0.9375,
+        sigma = 2, h = 3699)."""
         model = LrdModel(hurst, sigma)
-        increment_cov = (
-            fbm_cov(model, 1, h + 1) - fbm_cov(model, 1, h) - (fbm_cov(model, 0, h + 1) - fbm_cov(model, 0, h))
-        )
+        with mpmath.workdps(50):
+            one, lag = mpmath.mpf(1), mpmath.mpf(h)
+            increment_cov = float(
+                fbm_cov(model, one, lag + 1) - fbm_cov(model, one, lag)
+                - (fbm_cov(model, 0 * one, lag + 1) - fbm_cov(model, 0 * one, lag))
+            )
         assert fgn_acf(model, h) == pytest.approx(increment_cov, rel=1e-9, abs=1e-9)
 
     @given(hurst=st.floats(min_value=0.05, max_value=0.95), h=st.integers(min_value=1, max_value=1000))
     def test_bounded_by_lag_zero(self, hurst, h):
         model = LrdModel(hurst)
         assert abs(fgn_acf(model, h)) <= fgn_acf(model, 0) + 1e-12
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.75, 0.9, 0.95, 0.99])
+    def test_long_lags_match_mpmath(self, hurst):
+        """The closed form cancels at long lags: at H = 0.9 its relative
+        error was 5.8e-2 at 2^24.  The series form stays within 3e-16 (about
+        one unit in the last place, from the rounding of the power, the sum
+        and their product) at powers of two from 2 to 2^24, their
+        neighbours, and 100 lags spaced evenly in log between them."""
+        mpmath.mp.dps = 50
+        powers = 2 ** np.arange(1, 25)
+        lags = np.unique(np.concatenate([powers, powers[:-1] + 1, powers[1:] - 1,
+                                         np.geomspace(2, 2**24, 100).astype(np.int64)]))
+        two_h = 2 * mpmath.mpf(hurst)
+        got = fgn_acf(LrdModel(hurst), lags)
+        for lag, value in zip(lags.tolist(), got.tolist()):
+            exact = ((lag + 1) ** two_h - 2 * mpmath.mpf(lag) ** two_h + (lag - 1) ** two_h) / 2
+            assert abs(value - exact) <= 3e-16 * exact, f"lag {lag}: {value!r} vs {exact}"
 
 
 class TestIntegratedCovariance:
@@ -183,6 +212,14 @@ class TestSynthesis:
         deviations = np.abs(empirical - theoretical) / se
         assert deviations.max() < 4.0, f"worst entry at {deviations.max():.2f} SE"
 
+    @pytest.mark.parametrize("hurst", [0.9, 0.95])
+    def test_long_paths_pass_the_embedding_guard(self, hurst):
+        """At n = 2^22 the cancelling closed form gave the embedding a
+        negative eigenvalue (-0.33 at H = 0.9, -2.1 at H = 0.95)."""
+        path = synthesize_fgn(LrdModel(hurst), 2**22, seed=1)
+        assert len(path) == 2**22
+        assert np.all(np.isfinite(path))
+
     def test_cholesky_route_rejects_long_paths(self):
         with pytest.raises(ValueError):
             synthesize_fgn_cholesky(LrdModel(0.5), 2048, seed=1)
@@ -210,8 +247,21 @@ class TestSamplerBuffers:
         sampler = FgnSampler(model, n)
         eigenvalues = fgn_module._embedding_eigenvalues(model, n)
         for seed in (subseed(3, 0), subseed(3, 1), 11):
-            expected = sample_path(eigenvalues, n, substream(seed))
+            expected = sample_half_spectrum(eigenvalues, n, substream(seed))
             assert np.array_equal(sampler.sample(seed), expected)
+
+    @pytest.mark.parametrize("hurst", [0.55, 0.9, 0.99])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 2**15])
+    def test_agrees_with_the_complex_fft_path(self, n, hurst):
+        """The half spectrum's real inverse FFT is the full Hermitian
+        spectrum's complex FFT in exact arithmetic; they differ by rounding."""
+        model = LrdModel(hurst)
+        sampler = FgnSampler(model, n)
+        eigenvalues = fgn_module._embedding_eigenvalues(model, n)
+        mirrored = np.concatenate([eigenvalues, eigenvalues[-2:0:-1]])
+        for seed in (subseed(3, 0), subseed(3, 1), 11):
+            expected = sample_path(mirrored, n, substream(seed))
+            assert np.abs(sampler.sample(seed) - expected).max() <= 1e-12 * np.abs(expected).max()
 
     def test_paths_share_no_memory(self):
         sampler = FgnSampler(LrdModel(0.9), 64)
@@ -227,11 +277,12 @@ class TestSamplerBuffers:
         assert np.array_equal(first, kept)
 
     def test_one_sample_is_bounded_in_memory(self):
-        """Besides the 2n-point complex array numpy's FFT returns (32n
+        """Besides the 2n-point real array numpy's inverse FFT returns (16n
         bytes), one ``sample`` call at n = 2^15 allocates below 2 * 8n
         bytes at its peak: the returned path and no per-call copy of the
-        normals, the spectrum or the eigenvalues (the fresh-array path
-        peaks at 4.25 MiB)."""
+        normals, the half spectrum or the eigenvalues.  It peaks at 24n
+        bytes (0.75 MiB), and the fresh-array path at 1.75 MiB; the bound
+        is the one set when the FFT returned a 2n-point complex array."""
         n = 2**15
         sampler = FgnSampler(LrdModel(0.9), n)
         sampler.sample(1)

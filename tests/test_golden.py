@@ -40,7 +40,7 @@ def workdir(tmp_path_factory):
 
 
 def test_synth(workdir):
-    assert digest((workdir / "trace.txt").read_bytes()) == "b49a884a638b69a4"
+    assert digest((workdir / "trace.txt").read_bytes()) == "5db496848b1ef590"
 
 
 def test_detect_swa_improved(workdir, monkeypatch):
@@ -63,8 +63,8 @@ def test_detect_nowa_asymptotic(workdir):
 
 
 @pytest.mark.parametrize("method,expected", [
-    ("swa", ("bf991ccb1a524b7c", "dd22528d5f447364")),
-    ("nowa", ("3cdb0a5c383eec8f", "26fb5024beb37749")),
+    ("swa", ("bf991ccb1a524b7c", "7a6fccc67ef07a86")),
+    ("nowa", ("3cdb0a5c383eec8f", "56bdab9e996ab08c")),
 ])
 def test_detect_map(method, expected, workdir, monkeypatch):
     flags, pvalues = workdir / f"m_{method}.json", workdir / f"m_{method}.csv"
@@ -79,10 +79,10 @@ def test_detect_map(method, expected, workdir, monkeypatch):
 
 
 @pytest.mark.parametrize("method,base,scales,expected", [
-    ("nowa", "3", "6", ("810dc1ed7bf839ae", "0718c4adc1c5d92d")),
-    ("swa", "3", "6", ("ebd67f3f7a3966d7", "2ba3a187a7fe187f")),
-    ("nowa", "10", "4", ("6919068ff2fea448", "8f51bb5ba5b88412")),
-    ("swa", "10", "4", ("6a114b1baa69f7a1", "8776802b90c38431")),
+    ("nowa", "3", "6", ("810dc1ed7bf839ae", "5b3d486e743984ca")),
+    ("swa", "3", "6", ("ebd67f3f7a3966d7", "2a3a325810d52a6f")),
+    ("nowa", "10", "4", ("6919068ff2fea448", "6495f0d45fb1f9f7")),
+    ("swa", "10", "4", ("6a114b1baa69f7a1", "999192a7ac66eb26")),
 ])
 def test_detect_map_base(method, base, scales, expected, workdir):
     """The flags and the map at bases other than 2, where a level is summed
@@ -112,7 +112,7 @@ def test_stream_monte_carlo(workdir, monkeypatch, capsys):
         code = main(["stream", "--hurst", "0.9", "--scales", "10", "--seed", "2"])
         return code, digest(capsys.readouterr().out.encode())
 
-    assert cold_and_warm(monkeypatch, run) == ((0, "004c64cb837b7e52"),) * 2
+    assert cold_and_warm(monkeypatch, run) == ((0, "50fe070e70625bd0"),) * 2
 
 
 def test_stream_jsonl(workdir, monkeypatch, capsys):
@@ -120,7 +120,7 @@ def test_stream_jsonl(workdir, monkeypatch, capsys):
     code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold-value", "2.2",
                  "--format", "jsonl"])
     assert code == 0
-    assert digest(capsys.readouterr().out.encode()) == "facaf86fc2e357d7"
+    assert digest(capsys.readouterr().out.encode()) == "f5b5b5a146f54e88"
 
 
 def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
@@ -128,7 +128,7 @@ def test_stream_csv_asymptotic_with_moments(workdir, monkeypatch, capsys):
     code = main(["stream", "--hurst", "0.9", "--scales", "10", "--threshold", "asymptotic",
                  "--mean", "0.1", "--std", "0.9"])
     assert code == 0
-    assert digest(capsys.readouterr().out.encode()) == "0ff996caa7675884"
+    assert digest(capsys.readouterr().out.encode()) == "e84b9231a4ee446c"
 
 
 def test_eval(tmp_path, monkeypatch):
@@ -164,8 +164,8 @@ def test_eval_layout(argv, expected, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("method,expected", [
-    ("swa", ("dd22528d5f447364", "9a4be4ff9d33f448")),
-    ("nowa", ("26fb5024beb37749", "71213b81465bb5c9")),
+    ("swa", ("7a6fccc67ef07a86", "9a4be4ff9d33f448")),
+    ("nowa", ("56bdab9e996ab08c", "71213b81465bb5c9")),
 ])
 def test_map_svg(method, expected, workdir):
     """``map`` renders the pinned map of ``test_detect_map`` to pinned SVG bytes.
