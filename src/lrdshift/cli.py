@@ -489,41 +489,24 @@ def _stdin_lines(stdin):
         yield [partial]
 
 
-def _parse_at_once(lines: list[str], mean: float | None, std: float | None):
-    """``lines`` parsed by one numpy call and mapped by ``--mean/--std``, or
-    ``None`` when that call raises or a sample is not finite."""
-    try:
-        samples = np.array(lines, dtype=float)
-    except ValueError:
-        return None
-    if mean is not None:
-        with np.errstate(over="ignore"):  # an overflow is the fallback's warning
-            samples -= mean
-            samples /= std
-    return samples if np.isfinite(samples).all() else None
-
-
 def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float | None):
     """The samples of one read's ``lines``, the first of them being line ``lineno + 1``.
 
     One numpy call parses the read; it accepts just what ``float()`` does.
-    When that call raises, the read's blank lines are dropped and one more
-    numpy call parses the rest; if it succeeds, each blank line is warned
-    about, in line order, as the per-line loop would.  Otherwise, or when a
-    sample is not finite before or after ``--mean/--std``, the read goes
-    through the per-line loop, which warns about each line it skips, with
-    its line number, and returns the rest.
+    When that call raises, or a sample is not finite before or after
+    ``--mean/--std``, the read goes through the per-line loop instead, which
+    warns about each line it skips, with its line number, and returns the rest.
     """
-    samples = _parse_at_once(lines, mean, std)
-    if samples is not None:
-        return samples
-    filled = [line for line in lines if line.strip()]
-    if len(filled) < len(lines):
-        samples = _parse_at_once(filled, mean, std)
-        if samples is not None:
-            for lineno, line in enumerate(lines, start=lineno + 1):
-                if not line.strip():
-                    print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
+    try:
+        samples = np.array(lines, dtype=float)
+    except ValueError:
+        pass
+    else:
+        if mean is not None:
+            with np.errstate(over="ignore"):  # an overflow is the fallback's warning
+                samples -= mean
+                samples /= std
+        if np.isfinite(samples).all():
             return samples
     samples = []
     for lineno, raw in enumerate(lines, start=lineno + 1):

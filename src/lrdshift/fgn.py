@@ -50,10 +50,10 @@ class LrdModel:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
 
-# (first lag, terms) of the binomial series of ``fgn_acf``: from lag ``lo`` on,
-# each term is below ``lo**-2`` times the one before and all have one sign, so
-# ``ceil(27 / log2(lo))`` terms leave a tail below 2^-53 of the sum.
-_SERIES_BANDS = ((2.0, 27), (8.0, 9), (64.0, 5), (4096.0, 3))
+# Terms of the binomial series of ``fgn_acf``: from lag 2 on, each term is
+# below 1/4 of the one before and all have one sign, so 27 terms leave a tail
+# below 2^-53 of the sum.
+_SERIES_TERMS = 27
 
 
 def fgn_acf(model: LrdModel, h) -> float | np.ndarray:
@@ -64,35 +64,33 @@ def fgn_acf(model: LrdModel, h) -> float | np.ndarray:
 
     That form cancels at long lags, so for ``|h| >= 2`` the bracket is
     expanded in powers of ``1/h``: gamma(h) = sigma^2 h^{2H-2}
-    * sum_{j>=1} C(2H, 2j) h^{2-2j}, evaluated by Horner with fewer terms
-    the longer the lag (see ``_SERIES_BANDS``).  It stays within about one
-    unit in the last place of the exact value at every lag.
+    * sum_{j>=1} C(2H, 2j) h^{2-2j}, evaluated by Horner.  It stays within
+    about one unit in the last place of the exact value at every lag, and
+    gives 0 at an infinite lag.
     """
     h = np.abs(np.asarray(h, dtype=float))
     two_h, var = 2.0 * model.hurst, model.sigma**2
     flat = h.ravel()
     gamma = np.empty_like(flat)
-    near = ~(flat >= _SERIES_BANDS[0][0])  # NaN takes the closed form
+    far = flat >= 2.0
+    near = ~far  # NaN takes the closed form
     x = flat[near]
     gamma[near] = 0.5 * var * ((x + 1.0) ** two_h - 2.0 * x**two_h + np.abs(x - 1.0) ** two_h)
     binomial, coefficients = 1.0, []  # C(2H, 2j), j = 1, 2, ...
-    for k in range(1, 2 * _SERIES_BANDS[0][1] + 1):
+    for k in range(1, 2 * _SERIES_TERMS + 1):
         binomial *= (two_h - k + 1) / k
         if k % 2 == 0:
             coefficients.append(binomial)
-    uppers = [lo for lo, _ in _SERIES_BANDS[1:]] + [np.inf]
-    for (lo, terms), hi in zip(_SERIES_BANDS, uppers):
-        band = np.flatnonzero((flat >= lo) & (flat < hi))
-        x = flat[band]
-        inverse_square = 1.0 / (x * x)
-        series = np.full(len(x), coefficients[terms - 1])
-        for c in coefficients[terms - 2 :: -1]:
-            series *= inverse_square
-            series += c
-        np.power(x, two_h - 2.0, out=x)
-        x *= var
-        x *= series
-        gamma[band] = x
+    x = flat[far]
+    inverse_square = 1.0 / (x * x)
+    series = np.full(len(x), coefficients[-1])
+    for c in coefficients[-2::-1]:
+        series *= inverse_square
+        series += c
+    np.power(x, two_h - 2.0, out=x)
+    x *= var
+    x *= series
+    gamma[far] = x
     gamma = gamma.reshape(h.shape)
     return float(gamma) if gamma.ndim == 0 else gamma
 

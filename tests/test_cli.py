@@ -1415,49 +1415,6 @@ class TestStreamCommand:
         assert (captured.out, captured.err) == (out, err)
         assert out.count("\n") > 100 and err.count("\n") == (4 if extra else 3)
 
-    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
-    @pytest.mark.parametrize("extra", [[], ["--mean", "0.2", "--std", "0.8"]],
-                             ids=["plain", "moments"])
-    def test_reads_with_blank_lines_parse_at_once_and_match_the_oracle(self, monkeypatch, capsys,
-                                                                       extra):
-        """A blank or whitespace-only line every 500 lines, over several 16 KiB
-        reads: each read holding one is parsed by a second numpy call without
-        its blank lines, and stdout and stderr still equal the per-line
-        loop's.  One of them also holds ``1e400``, so it goes through the loop."""
-        rng = np.random.default_rng(64)
-        values = rng.standard_normal(12000)
-        values[9000:9400] += 1.5
-        lines = [repr(v).encode() for v in values.tolist()]
-        for i in range(len(lines) // 500, 0, -1):
-            lines.insert(500 * i, b"" if i % 2 else b" \t")
-        lines.insert(lines.index(b" \t", 7000) + 1, b"1e400")
-        data = b"\n".join(lines) + b"\n"
-        assert len(data) > 8 * _STREAM_READ
-        parses, parse_at_once = [], cli_module._parse_at_once
-
-        def recording(lines, mean, std):
-            samples = parse_at_once(lines, mean, std)
-            parses.append((sum(not line.strip() for line in lines), samples is not None))
-            return samples
-
-        monkeypatch.setattr(cli_module, "_parse_at_once", recording)
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-        code = run(["stream", "--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4",
-                    *extra])
-        captured = capsys.readouterr()
-        moments = {"mean": 0.2, "std": 0.8} if extra else {}
-        out, err = stream_per_line(
-            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
-                             newline="\n"),
-            ScaleConfig(base=2, num_scales=6, hurst=0.8), 2.4, **moments,
-        )
-        assert code == 0
-        assert (captured.out, captured.err) == (out, err)
-        assert err.count("empty line skipped") == 24 and out.count("\n") > 100
-        with_blanks = [ok for blanks, ok in parses if blanks]
-        assert len(with_blanks) >= 8 and not any(with_blanks)
-        assert [ok for blanks, ok in parses if not blanks].count(False) == 1  # the 1e400 read
-
     def test_strict_stdin_decoder_skips_only_the_bad_line(self):
         """Under a strict stdin decoder a byte it rejects is one warned,
         skipped line, as under the POSIX locale: the lines around it in the

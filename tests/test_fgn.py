@@ -124,16 +124,25 @@ class TestAutocovariance:
         error was 5.8e-2 at 2^24.  The series form stays within 3e-16 (about
         one unit in the last place, from the rounding of the power, the sum
         and their product) at powers of two from 2 to 2^24, their
-        neighbours, and 100 lags spaced evenly in log between them."""
-        mpmath.mp.dps = 50
+        neighbours, and 100 lags spaced evenly in log between them.  No
+        double-precision form meets 2e-16: numpy's power alone errs by up
+        to 1.25e-16, and rounding its product with the series adds 1.1e-16."""
         powers = 2 ** np.arange(1, 25)
         lags = np.unique(np.concatenate([powers, powers[:-1] + 1, powers[1:] - 1,
                                          np.geomspace(2, 2**24, 100).astype(np.int64)]))
-        two_h = 2 * mpmath.mpf(hurst)
         got = fgn_acf(LrdModel(hurst), lags)
-        for lag, value in zip(lags.tolist(), got.tolist()):
-            exact = ((lag + 1) ** two_h - 2 * mpmath.mpf(lag) ** two_h + (lag - 1) ** two_h) / 2
-            assert abs(value - exact) <= 3e-16 * exact, f"lag {lag}: {value!r} vs {exact}"
+        with mpmath.workdps(50):
+            two_h = 2 * mpmath.mpf(hurst)
+            for lag, value in zip(lags.tolist(), got.tolist()):
+                exact = ((lag + 1) ** two_h - 2 * mpmath.mpf(lag) ** two_h
+                         + (lag - 1) ** two_h) / 2
+                assert abs(value - exact) <= 3e-16 * exact, f"lag {lag}: {value!r} vs {exact}"
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.5, 0.9])
+    def test_infinite_lag_is_zero(self, hurst):
+        model = LrdModel(hurst, sigma=2.0)
+        assert fgn_acf(model, np.inf) == 0.0
+        assert fgn_acf(model, np.array([1.0, -np.inf, 2.0]))[1] == 0.0
 
 
 class TestIntegratedCovariance:
