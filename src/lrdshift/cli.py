@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import codecs
-import itertools
 import json
 import math
 import os
@@ -56,19 +55,20 @@ def read_series(path, column: int | None = None) -> np.ndarray:
     is used; other fields (e.g. timestamps) are ignored.  A malformed or
     non-finite value is an error naming its line.
 
-    A seekable file is parsed in C by ``np.loadtxt`` first, without its
-    whitespace-only lines.  loadtxt is given the file's name, not the open
-    file, because only a name gets numpy's chunked C reader; a file object
-    is read one Python ``str`` per line.  numpy opens some names otherwise
-    (it decompresses names ending in ``.gz``, ``.bz2``, ``.xz`` or
-    ``.lzma`` and fetches ``scheme://host/...`` names as URLs), so a file
-    with such a name skips loadtxt and is read as the plain text it is.
-    loadtxt's result is used only when it is non-empty and all finite;
-    otherwise, when loadtxt rejects the text or skips the name, or for a
-    pipe, the file is parsed line by line with ``float()``.  That per-line
-    parser decides which text is accepted (``float()`` also takes
-    ``1_000`` and whitespace-only lines are skipped) and words every error,
-    so both paths return the same array or raise the same message.
+    A seekable file is parsed in C by one ``np.loadtxt`` call first.
+    loadtxt is given the file's name, not the open file, because only a
+    name gets numpy's chunked C reader; a file object is read one Python
+    ``str`` per line.  numpy opens some names otherwise (it decompresses
+    names ending in ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` and fetches
+    ``scheme://host/...`` names as URLs), so a file with such a name skips
+    loadtxt and is read as the plain text it is.  loadtxt's result is used
+    only when it is non-empty and all finite; otherwise, when loadtxt
+    rejects the text (a whitespace-only line included) or cannot open the
+    name again, when the name is skipped, or for a pipe, the file is parsed
+    line by line with ``float()``.  That per-line parser decides which text
+    is accepted (``float()`` also takes ``1_000`` and whitespace-only lines
+    are skipped) and words every error, so both paths return the same array
+    or raise the same message.
     """
     if column is not None and column < 1:
         raise ValueError("--column is 1-based and must be >= 1")
@@ -114,12 +114,11 @@ def _load_series(fh, column: int | None) -> np.ndarray | None:
 
     Returns None unless loadtxt parses the file into one non-empty, all
     finite column of values, and None for a file whose name numpy would
-    not open as plain text (see :func:`_opens_as_plain_file`).  loadtxt
-    gets the name ``fh.name`` and ``fh``'s encoding, so numpy opens the
-    file again and parses it in chunks in C.  loadtxt rejects a
-    whitespace-only line, which the per-line parser skips as blank, so a
-    file it rejects is parsed once more from ``fh`` without those lines; a
-    header is only ever line 1, which is not blank.
+    not open as plain text (see :func:`_opens_as_plain_file`) or cannot
+    open again.  loadtxt gets the name ``fh.name`` and ``fh``'s encoding,
+    so numpy opens the file again and parses it in chunks in C, once.  It
+    rejects a whitespace-only line, which the per-line parser skips as
+    blank, so such a file is left to that parser.
     """
     options = {"delimiter": ",", "comments": None, "ndmin": 2,
                "usecols": None if column is None else column - 1}
@@ -129,12 +128,8 @@ def _load_series(fh, column: int | None) -> np.ndarray | None:
         options["skiprows"] = int(_is_header(fh.readline().strip(), column))
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            try:
-                table = np.loadtxt(fh.name, encoding=fh.encoding, **options)
-            except (ValueError, OSError):  # OSError: numpy could not open the name again
-                fh.seek(0)
-                table = np.loadtxt(itertools.filterfalse(str.isspace, fh), **options)
-    except ValueError:  # UnicodeDecodeError included
+            table = np.loadtxt(fh.name, encoding=fh.encoding, **options)
+    except (ValueError, OSError):  # UnicodeDecodeError included; OSError: numpy could not reopen
         return None
     if table.shape[1] != 1:
         return None  # without a column, a row like ``3,4`` is not one value

@@ -48,10 +48,11 @@ class InjectionSpec:
     Exactly one of ``start``/``start_range`` and one of
     ``duration``/``duration_mean`` must be given: fixed 1-based start or
     a start drawn uniformly from {1, ..., start_range}; fixed duration or
-    a duration drawn from Exponential(duration_mean) and rounded to the
-    nearest integer >= 1.  ``delta`` is the shift in background-sd units.
-    A spec holds no randomness: a drawn start or duration comes from the
-    generator the caller passes to :meth:`resolve` or :func:`inject`.
+    a duration drawn from Exponential(duration_mean), capped at 2**53 and
+    rounded to the nearest integer >= 1.  ``delta`` is the shift in
+    background-sd units.  A spec holds no randomness: a drawn start or
+    duration comes from the generator the caller passes to :meth:`resolve`
+    or :func:`inject`.
     """
 
     delta: float = 1.0
@@ -87,7 +88,8 @@ class InjectionSpec:
         if self.duration is not None:
             duration = self.duration
         else:
-            duration = max(1, int(np.rint(rng.exponential(self.duration_mean))))
+            # Capped so that an inf draw still rounds to an int; _shift clips to the series end.
+            duration = max(1, int(np.rint(min(rng.exponential(self.duration_mean), 2.0**53))))
         return start, duration
 
 

@@ -186,10 +186,11 @@ def estimate_hurst(series) -> float:
     to ``n/64`` (``n/4`` below 256 samples), and a series with fewer than
     two sizes is too short.  The sample variance of the block means scales
     like ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
-    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  Where the
-    squares of huge means overflow, ``log v`` is that of the means divided
-    by a power of two plus twice its log.  A block size whose variance is
-    zero, or not finite even so, raises ``ValueError``.
+    ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  The slope
+    does not depend on the scale of the series, so where the sums or
+    squares of huge values overflow, every variance is taken once more
+    from the series divided by the power of two just above its largest
+    magnitude.  A block size whose variance is zero raises ``ValueError``.
 
     This estimator is simple but biased for strongly dependent data; it is
     offered as a convenience for picking a working ``H`` from a training
@@ -201,20 +202,15 @@ def estimate_hurst(series) -> float:
     largest = len(x) // 64 if len(x) >= 256 else len(x) // 4
     if largest < 4:
         raise ValueError(f"series of length {len(x)} is too short (need length >= 16)")
-    levels = build_nowa(x, ScaleConfig(2, largest.bit_length(), hurst=1.0)).levels[1:]
-    log_m, log_v = [], []
-    for k, means in enumerate(levels, start=1):
-        with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            v, exponent = means.var(ddof=1), 0
-            if not np.isfinite(v):
-                scaled, exponent = _binary_scaled(means)
-                v = scaled.var(ddof=1)
-        if v <= 0.0:
-            raise ValueError("series has zero variance at some block size (constant input?)")
-        if not np.isfinite(v):
-            raise ValueError(f"the variance of the block means of size {2**k} overflows to {v}; "
-                             "rescale the series")
-        log_m.append(np.log(2.0**k))
-        log_v.append(np.log(v) + 2 * exponent * np.log(2.0))
-    slope, _ = np.polyfit(log_m, log_v, 1)
+    config = ScaleConfig(2, largest.bit_length(), hurst=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite variances are refitted
+        variances = [means.var(ddof=1) for means in build_nowa(x, config).levels[1:]]
+    if not np.isfinite(variances).all():
+        # H does not depend on the scale, and block sums of values below 1 cannot overflow.
+        scaled = build_nowa(_binary_scaled(x)[0], config).levels[1:]
+        variances = [means.var(ddof=1) for means in scaled]
+    if min(variances) <= 0.0:
+        raise ValueError("series has zero variance at some block size (constant input?)")
+    log_m = [np.log(2.0**k) for k in range(1, len(variances) + 1)]
+    slope, _ = np.polyfit(log_m, np.log(variances), 1)
     return float(np.clip(1.0 + slope / 2.0, 0.01, 0.99))

@@ -268,8 +268,9 @@ class ThresholdResult:
     mc_standard_error: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.value > 0.0:
-            raise ValueError("threshold value must be positive")
+        if not 0.0 < self.value < math.inf:
+            raise ValueError(f"the {self.kind} threshold value must be positive and finite, "
+                             f"got {self.value}")
 
 
 def cross_scale_corr(hurst: float, base: int, lag: int) -> float:

@@ -3,7 +3,6 @@
 import gzip
 import importlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -21,7 +20,7 @@ from hypothesis import strategies as st
 
 from lrdshift import (
     LrdModel, Pyramid, ScaleConfig, DetectionConfig, build_nowa, build_swa, detect,
-    synthesize_fgn,
+    estimate_hurst, synthesize_fgn,
 )
 import lrdshift.evaluate as evaluate_module
 from lrdshift import cli as cli_module
@@ -348,14 +347,15 @@ class TestDetectCommand:
     @pytest.mark.parametrize("extra,message", [
         (["--hurst", "0.9", "--standardize", "sample"], "the sample standard deviation overflows"),
         (["--hurst", "0.9", "--mean", "0", "--std", "1e-200"], "and std 1e-200 overflows"),
-        (["--estimate-hurst"], "block means of size 2 overflows"),
+        (["--estimate-hurst"], "series has zero variance at some block size"),
     ], ids=["sample", "given", "estimate-hurst"])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_moments_exit_2(self, tmp_path, capsys, extra, message):
         """Moments that overflow name the cause; they used to flag nothing
         (exit 0), print a NaN estimate, or say only that values must be finite.
         The series' exact standard deviation, about 1.804e308, and its
-        size-2 block sums do not fit in a double."""
+        size-2 block sums do not fit in a double.  --estimate-hurst refits on
+        the power-of-two-scaled series, whose size-4 block means are all 0."""
         inp = tmp_path / "huge.txt"
         x = np.tile([1.79e308, 1.79e308, -1.79e308, -1.79e308], 16)
         inp.write_text("".join(repr(float(v)) + "\n" for v in x))
@@ -364,6 +364,17 @@ class TestDetectCommand:
                     "--out-flags", str(flags_path), *extra])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not flags_path.exists()
+
+    def test_estimate_hurst_of_a_series_near_the_largest_double(self, tmp_path, capsys):
+        """Its size-2 block sums overflow; the estimate is that of the series
+        divided by a power of two, which is the estimate of 1 + 0.01 w."""
+        w = np.random.default_rng(0).standard_normal(4096)
+        inp = tmp_path / "huge.txt"
+        inp.write_text("".join(repr(float(v)) + "\n" for v in 1.5e308 * (1 + 0.01 * w)))
+        flags_path = tmp_path / "f.json"
+        assert run(["detect", "--in", str(inp), "--estimate-hurst", "--out-flags", str(flags_path)]) == 0
+        assert abs(float(capsys.readouterr().out) - estimate_hurst(1 + 0.01 * w)) <= 1e-12
         assert not flags_path.exists()
 
     def test_short_series_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -581,7 +592,7 @@ READ_SERIES_FIXTURES = [
     ("extra-fields", b"1,2,3\n4,5\n", 2, True),
     ("hash-header", b"#value\n1\n2\n", None, True),
     ("short-header", b"value\n1,2\n3,4\n", 2, True),
-    ("whitespace-only-line", b"1\n   \n2\n", None, True),
+    ("whitespace-only-line", b"1\n   \n2\n", None, False),
     ("underscore", b"1_000\n2\n", None, False),
     ("underscore-in-column", b"t,v\n1,1_000\n2,3\n", 2, False),
     ("hash", b"1\n#2\n3\n", None, False),
@@ -659,36 +670,23 @@ class TestReadSeries:
         path.write_text("\n".join(lines))
         assert outcome(read_series, path, column) == outcome(parse_lines, path, column)
 
-    @pytest.mark.parametrize("text,column", [
-        (" \n\t\n1.5\n-2\n \n\n3e-3\n\r\n4\n \n", None),
-        ("t,bytes\n \n1,10\n2,20\n\t\n3,30\n4,40\n  \n", 2),
-    ], ids=["plain", "header-and-column"])
-    def test_blank_lines_stay_on_the_c_path(self, tmp_path, monkeypatch, text, column):
-        """Whitespace-only lines at the start, in the middle and at the end
-        are dropped before loadtxt, which then parses the file: the per-line
-        parser is never called and its values are returned."""
-        path = tmp_path / "blanks.csv"
-        path.write_text(text)
-        expected = parse_lines(path, column).tolist()
-
-        def refuse(*args):
-            raise AssertionError("the per-line parser was used")
-
-        monkeypatch.setattr("lrdshift.cli._parse_lines", refuse)
-        assert read_series(path, column).tolist() == expected
-
-    def test_loadtxt_gets_the_name_and_blank_lines_the_filtered_file(self, tmp_path, monkeypatch):
+    def test_loadtxt_gets_the_name_once(self, tmp_path, monkeypatch):
         """A clean file reaches np.loadtxt once, as its name (numpy's chunked
-        C reader); one with a whitespace-only line is parsed again from the
-        open file, through the iterator that drops those lines."""
+        C reader); one with a whitespace-only line reaches it once too, by
+        name, and is then read by the per-line parser."""
         calls = []
-        loadtxt = np.loadtxt
+        loadtxt, parse = np.loadtxt, cli_module._parse_lines
 
         def spy(fname, *args, **kwargs):
             calls.append(fname)
             return loadtxt(fname, *args, **kwargs)
 
+        def parse_spy(fh, path, column):
+            calls.append("per-line")
+            return parse(fh, path, column)
+
         monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr(cli_module, "_parse_lines", parse_spy)
         clean = tmp_path / "clean.csv"
         clean.write_text("t,b\n1,2\n3,4\n")
         assert read_series(clean, 2).tolist() == [2.0, 4.0]
@@ -697,8 +695,7 @@ class TestReadSeries:
         blanks = tmp_path / "blanks.csv"
         blanks.write_text("1\n \n2\n")
         assert read_series(blanks).tolist() == [1.0, 2.0]
-        assert calls[0] == str(blanks)
-        assert [type(fname) for fname in calls[1:]] == [itertools.filterfalse]
+        assert calls == [str(blanks), "per-line"]
 
     @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
     def test_compressed_suffix_is_read_as_plain_text(self, tmp_path, suffix):
@@ -1088,6 +1085,34 @@ class TestThresholdCommand:
         assert run([*argv, "--threshold", "single"]) == 2
         assert "invalid choice: 'single'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind,alpha,finite", [
+        ("asymptotic", "1e-15", False), ("single", "1e-17", False),
+        ("asymptotic", "1e-14", True), ("single", "1e-15", True),
+    ])
+    def test_never_prints_infinity(self, kind, alpha, finite, capsys):
+        """A value that rounds to inf exits 2 with empty stdout: ``Infinity``
+        is not JSON (RFC 8259).  A finite value parses as strict JSON."""
+
+        def refuse_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        code = run(["threshold", "--kind", kind, "--alpha", alpha])
+        out, err = capsys.readouterr()
+        if finite:
+            assert code == 0
+            assert 0.0 < json.loads(out, parse_constant=refuse_constant)["value"] < np.inf
+        else:
+            assert (code, out) == (2, "")
+            assert "threshold value must be positive and finite, got inf" in err
+
+    def test_detect_names_the_kind_of_an_infinite_threshold(self, tmp_path, spiked_series, capsys):
+        inp, _ = spiked_series
+        flags_path = tmp_path / "f.json"
+        assert run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "10", "--threshold",
+                    "asymptotic", "--alpha", "1e-15", "--out-flags", str(flags_path)]) == 2
+        assert "the asymptotic threshold value must be positive and finite, got inf" in capsys.readouterr().err
+        assert not flags_path.exists()
+
     @pytest.mark.parametrize("kind", ["improved", "asymptotic", "single"])
     def test_zero_scales_exits_2(self, kind, capsys):
         assert run(["threshold", "--scales", "0", "--kind", kind]) == 2
@@ -1108,6 +1133,15 @@ class TestEvalCommand:
         assert len(rows) == 1 + 2 * 2
         summary = json.loads((prefix.parent / "study.json").read_text())
         assert set(summary["detectors"]) == {"multiscale", "naive"}
+
+    def test_huge_duration_mean_runs(self, tmp_path):
+        """Some Exponential(1e308) draws are inf; the capped draw still
+        rounds to an int, and the shift runs to the series end."""
+        prefix = tmp_path / "study"
+        assert run(["eval", "--sets", "1", "--sims", "40", "--n", "4096", "--scales", "12",
+                    "--mc-reps", "10000", "--start-range", "1000", "--duration-mean", "1e308",
+                    "--out", str(prefix)]) == 0
+        assert len((prefix.parent / "study.csv").read_text().splitlines()) == 1 + 2
 
     @pytest.mark.parametrize("argv,message", [
         (["--n", "100", "--scales", "15"],

@@ -60,6 +60,16 @@ class TestInjectionSpec:
         assert np.mean(durations) == pytest.approx(4000.0, rel=0.05)
         assert min(durations) >= 1
 
+    def test_inf_draws_are_capped(self):
+        """Exponential(1e308) draws past the largest double are inf; each
+        duration is an int of at most 2**53, and the shift ends at the series end."""
+        spec = InjectionSpec(start=3, duration_mean=1e308)
+        durations = [spec.resolve(substream(303, i))[1] for i in range(40)]
+        assert all(type(d) is int and 1 <= d <= 2**53 for d in durations)
+        assert 2**53 in durations
+        _, truth = inject(np.zeros(20), spec, substream(303, durations.index(2**53)))
+        assert truth[2:].all() and not truth[:2].any()
+
     def test_drawn_starts_are_uniform_over_range(self):
         spec = InjectionSpec(start_range=100, duration=1)
         starts = [spec.resolve(substream(302, i))[0] for i in range(2000)]

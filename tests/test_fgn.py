@@ -329,20 +329,37 @@ class TestHurstEstimator:
         with pytest.raises(ValueError, match="variance"):
             estimate_hurst(np.ones(1024))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     def test_overflowing_variance_rejected(self):
         """The size-2 block sums overflow to ±inf, so their variance is NaN,
-        which made the fit NaN."""
+        which made the fit NaN.  The refit on the power-of-two-scaled series
+        finds its size-4 block means all 0."""
         x = np.tile([1.79e308, 1.79e308, -1.79e308, -1.79e308], 16)
-        with pytest.raises(ValueError, match="block means of size 2 overflows"):
+        with pytest.raises(ValueError, match="zero variance at some block size"):
             estimate_hurst(x)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_huge_series_gives_the_estimate_of_the_plain_one(self, seed):
         """The squares of block means near 1e200 overflow; the regression then
-        runs on log-variances taken in a power-of-two-scaled domain."""
+        runs on the variances of the power-of-two-scaled series."""
         x = synthesize_fgn(LrdModel(0.8), 4096, subseed(44, seed))
         assert abs(estimate_hurst(1e200 * x) - estimate_hurst(x)) <= 1e-12
+
+    def test_overflowing_block_sums_give_the_estimate_of_the_scaled_series(self):
+        """Block sums of values near 1.5e308 overflow before any variance is
+        taken; H does not depend on the scale, so the estimate is that of
+        1 + 0.01 w."""
+        w = np.random.default_rng(0).standard_normal(4096)
+        assert abs(estimate_hurst(1.5e308 * (1 + 0.01 * w)) - estimate_hurst(1 + 0.01 * w)) <= 1e-12
+
+    @pytest.mark.parametrize("hurst,n,seed,expected", [
+        (0.7, 4096, 1, "0.6685020746799653"),
+        (0.9, 2**15, 2, "0.857305670013468"),
+        (0.55, 1000, 3, "0.5040850221072843"),
+    ])
+    def test_ordinary_estimates_are_pinned(self, hurst, n, seed, expected):
+        """Series whose variances are all finite take no refit, so their
+        estimates keep their bits."""
+        assert repr(estimate_hurst(synthesize_fgn(LrdModel(hurst), n, seed))) == expected
 
     def test_result_is_clamped(self):
         x = np.arange(256.0)  # strong trend pushes the raw slope out of range
