@@ -188,9 +188,10 @@ def estimate_hurst(series) -> float:
     like ``m^{2H-2}``, so regressing log-variance on log-m gives ``H`` via
     ``H = 1 + slope/2``.  The result is clamped to (0.01, 0.99).  The slope
     does not depend on the scale of the series, so where the sums or
-    squares of huge values overflow, every variance is taken once more
-    from the series divided by the power of two just above its largest
-    magnitude.  A block size whose variance is zero raises ``ValueError``.
+    squares of huge values overflow, or the squares of tiny ones underflow
+    to 0, every variance is taken once more from the series divided by the
+    power of two just above its largest magnitude.  A block size whose
+    variance is zero even so raises ``ValueError``.
 
     This estimator is simple but biased for strongly dependent data; it is
     offered as a convenience for picking a working ``H`` from a training
@@ -203,10 +204,11 @@ def estimate_hurst(series) -> float:
     if largest < 4:
         raise ValueError(f"series of length {len(x)} is too short (need length >= 16)")
     config = ScaleConfig(2, largest.bit_length(), hurst=1.0)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite variances are refitted
+    with np.errstate(over="ignore", invalid="ignore"):  # such variances are refitted
         variances = [means.var(ddof=1) for means in build_nowa(x, config).levels[1:]]
-    if not np.isfinite(variances).all():
-        # H does not depend on the scale, and block sums of values below 1 cannot overflow.
+    if not all(0.0 < v < np.inf for v in variances):
+        # H does not depend on the scale.  Block sums of values below 1 cannot overflow,
+        # and their variance underflows only where the series is all but constant.
         scaled = build_nowa(_binary_scaled(x)[0], config).levels[1:]
         variances = [means.var(ddof=1) for means in scaled]
     if min(variances) <= 0.0:

@@ -344,12 +344,13 @@ class TestHurstEstimator:
         x = synthesize_fgn(LrdModel(0.8), 4096, subseed(44, seed))
         assert abs(estimate_hurst(1e200 * x) - estimate_hurst(x)) <= 1e-12
 
-    def test_overflowing_block_sums_give_the_estimate_of_the_scaled_series(self):
+    @pytest.mark.parametrize("scale", [1.5e308, 1e-200], ids=["sums-overflow", "squares-underflow"])
+    def test_a_series_at_either_end_of_the_doubles_gives_the_estimate_of_the_plain_one(self, scale):
         """Block sums of values near 1.5e308 overflow before any variance is
-        taken; H does not depend on the scale, so the estimate is that of
-        1 + 0.01 w."""
+        taken, and the squared deviations of values near 1e-200 underflow to
+        0; H does not depend on the scale, so the estimate is that of 1 + 0.01 w."""
         w = np.random.default_rng(0).standard_normal(4096)
-        assert abs(estimate_hurst(1.5e308 * (1 + 0.01 * w)) - estimate_hurst(1 + 0.01 * w)) <= 1e-12
+        assert abs(estimate_hurst(scale * (1 + 0.01 * w)) - estimate_hurst(1 + 0.01 * w)) <= 1e-12
 
     @pytest.mark.parametrize("hurst,n,seed,expected", [
         (0.7, 4096, 1, "0.6685020746799653"),
