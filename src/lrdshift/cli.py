@@ -29,6 +29,7 @@ from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_rows, st
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
 from .fgn import LrdModel, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
+from .reprtext import repr_join
 from .svgmap import render_pvalue_map_svg
 from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
 from .workers import in_turns
@@ -171,8 +172,9 @@ def write_pvalue_csv(path, rows) -> None:
     fills the cells ``lead + j*repeat .. lead + (j+1)*repeat - 1`` (0-based)
     and the row's other cells are absent.  The first row covers every
     position, so it gives n; a dense row is ``(0, 1, row)``.  A cell holds
-    ``repr`` of its p-value, or nothing where it is absent (NaN).  Each
-    p-value is formatted once and its text repeated over its cells.
+    ``repr`` of its p-value, or nothing where it is absent (NaN), as
+    :func:`~lrdshift.reprtext.repr_join` writes it.  Each p-value is
+    formatted once and its text repeated over its cells.
 
     :func:`_write_slices` formats about ``_SLICE`` cells at a time, in turns
     through :func:`~lrdshift.workers.in_turns`: on a host with two or more
@@ -183,8 +185,8 @@ def write_pvalue_csv(path, rows) -> None:
     Both processes iterate ``rows`` from where this one left it, so an
     iterator must compute the rows, not read them from a shared file.  The
     worker computes every row again: for an M = 15, n = 2^16 ``swa`` map on
-    2 vCPUs, about 0.7 s of CPU and 2k minor faults, and the writer's wall
-    time falls by about a third (0.97 to 0.65 s, medians of 10 alternating
+    2 vCPUs, about 0.19 s of CPU and 8k minor faults, and the writer's wall
+    time falls by about a fourth (0.33 to 0.25 s, medians of 10 alternating
     runs).  Its memory is this process's pages, copy-on-write.
     """
     with open(path, "wb") as fh:
@@ -212,32 +214,28 @@ def _map_pieces(rows):
         yield "," * (n - lead - len(pvalues) * repeat) + "\n"
 
 
-def _series_lines(values: np.ndarray) -> str:
-    """The ``repr`` of each value, one per line."""
-    return "\n".join(map(repr, values.tolist())) + "\n"
+def _series_lines(values: np.ndarray) -> bytes:
+    """The ``repr`` of each (finite) value, one per line."""
+    return repr_join(values, b"\n", lead=False)
 
 
-def _map_cells(piece) -> str:
+def _map_cells(piece) -> bytes:
     """For ``(values, repeat)``: a comma and each repr, ``repeat`` times; nothing for NaN."""
     values, repeat = piece
-    texts = map(repr, values.tolist())
-    if repeat > 1:
-        texts = np.repeat(np.array(list(texts), dtype=object), repeat).tolist()
-    # repr of a float contains "nan" only when it is NaN.
-    return "," + ",".join(texts).replace("nan", "")
+    return repr_join(values, b",", lead=True, repeat=repeat)
 
 
 def _write_slices(fh, pieces, text) -> None:
     """Write ``pieces`` in order to the binary file ``fh``.
 
-    A ``str`` piece is written as it is and an array piece as
-    ``text(piece)``; both are ASCII.  The pieces are formatted in turns by
+    A ``str`` piece is written as ASCII and an array piece as the bytes
+    ``text(piece)``.  The pieces are formatted in turns by
     :func:`~lrdshift.workers.in_turns` (this process and, on a host with two
     or more usable CPUs, one forked worker), and this process writes every
     piece, so the bytes do not depend on who formatted them.
     """
     fh.flush()  # leave nothing buffered for the forked worker to inherit
-    in_turns(pieces, lambda piece: (piece if isinstance(piece, str) else text(piece)).encode(),
+    in_turns(pieces, lambda piece: piece.encode() if isinstance(piece, str) else text(piece),
              fh.write)
 
 
@@ -250,40 +248,57 @@ def read_pvalue_csv(path) -> tuple[np.ndarray, np.ndarray]:
     line and field.
     """
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if not header or header[0] != "scale":
-            raise ValueError(f"{path}: not a p-value map CSV (missing 'scale' header)")
-        labels = np.array(_map_fields(path, 1, header, int, "an integer"))
-        wrong = np.flatnonzero(labels != np.arange(1, len(labels) + 1))
-        if len(wrong):
-            j = int(wrong[0])
-            raise ValueError(f"{path}: line 1: field {j + 2}: expected label {j + 1}, "
-                             f"got {header[j + 1]!r}")
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            fields = raw.rstrip("\n").split(",")
-            if len(fields) != len(labels) + 1:
-                raise ValueError(f"{path}: line {lineno}: expected {len(labels) + 1} fields")
-            row = np.array(_map_fields(path, lineno, fields, float, "a number"))
-            # NaN fails both comparisons too: only an empty cell may be NaN.
-            for j in np.flatnonzero(~((row >= 0.0) & (row <= 1.0))).tolist():
-                if fields[j + 1]:
-                    raise ValueError(f"{path}: line {lineno}: field {j + 2}: "
-                                     f"{fields[j + 1]!r} is not a p-value in [0, 1]")
-            rows.append(row)
+        labels = _map_labels(path, fh)
+        return _map_window(path, fh, len(labels), 0, len(labels)), labels
+
+
+def _map_labels(path, fh) -> np.ndarray:
+    """The time labels of the map CSV open as ``fh``, read from its header line."""
+    header = fh.readline().strip().split(",")
+    if not header or header[0] != "scale":
+        raise ValueError(f"{path}: not a p-value map CSV (missing 'scale' header)")
+    labels = np.array(_map_fields(path, 1, header[1:], 2, int, "an integer"))
+    wrong = np.flatnonzero(labels != np.arange(1, len(labels) + 1))
+    if len(wrong):
+        j = int(wrong[0])
+        raise ValueError(f"{path}: line 1: field {j + 2}: expected label {j + 1}, "
+                         f"got {header[j + 1]!r}")
+    return labels
+
+
+def _map_window(path, fh, n: int, start: int, stop: int) -> np.ndarray:
+    """The map rows left in ``fh`` at columns ``start:stop``; NaN for an empty cell.
+
+    Every line must hold ``n + 1`` fields, but only the window's cells are
+    converted and checked, so a bad cell outside it is never read.
+    """
+    rows = []
+    for lineno, raw in enumerate(fh, start=2):
+        line = raw.rstrip("\n")
+        if line.count(",") != n:
+            raise ValueError(f"{path}: line {lineno}: expected {n + 1} fields")
+        cells = line.split(",", stop + 1)[start + 1:stop + 1]
+        row = np.array(_map_fields(path, lineno, cells, start + 2, float, "a number"))
+        # NaN fails both comparisons too: only an empty cell may be NaN.
+        for j in np.flatnonzero(~((row >= 0.0) & (row <= 1.0))).tolist():
+            if cells[j]:
+                raise ValueError(f"{path}: line {lineno}: field {start + j + 2}: "
+                                 f"{cells[j]!r} is not a p-value in [0, 1]")
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no map rows found")
-    return np.array(rows), labels
+    return np.array(rows)
 
 
-def _map_fields(path, lineno: int, fields: list[str], parse, what: str) -> list:
-    """``parse`` of each field but the first, an empty one read as ``"nan"``;
-    the field it rejects is looked for only once the line has failed."""
+def _map_fields(path, lineno: int, fields: list[str], first: int, parse, what: str) -> list:
+    """``parse`` of each field, an empty one read as ``"nan"``; ``fields[0]`` is
+    field number ``first`` of its line.  The field ``parse`` rejects is looked
+    for only once the line has failed."""
     try:
-        return [parse(text or "nan") for text in fields[1:]]
+        return [parse(text or "nan") for text in fields]
     except ValueError:
         pass
-    for number, text in enumerate(fields[1:], start=2):
+    for number, text in enumerate(fields, start=first):
         try:
             parse(text or "nan")
         except ValueError:
@@ -396,12 +411,14 @@ def _json_list(items) -> str:
 
 
 def cmd_map(args) -> int:
-    pvalues, labels = read_pvalue_csv(args.in_map)
-    n = pvalues.shape[1]
-    start, stop = args.from_, n if args.to is None else args.to
-    if not 0 <= start < stop <= n:
-        raise ValueError(f"need 0 <= start < stop <= {n}, got [{start}, {stop})")
-    svg = render_pvalue_map_svg(pvalues[:, start:stop], labels[start:stop])
+    with open(args.in_map) as fh:
+        labels = _map_labels(args.in_map, fh)
+        n = len(labels)
+        start, stop = args.from_, n if args.to is None else args.to
+        if not 0 <= start < stop <= n:
+            raise ValueError(f"need 0 <= start < stop <= {n}, got [{start}, {stop})")
+        pvalues = _map_window(args.in_map, fh, n, start, stop)
+    svg = render_pvalue_map_svg(pvalues, labels[start:stop])
     with open(args.out_svg, "w") as fh:
         fh.write(svg)
     return 0

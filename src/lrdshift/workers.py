@@ -76,8 +76,8 @@ def _worker(items, compute, fork: bool):
     read_fd, write_fd = os.pipe()
     with contextlib.suppress(AttributeError, OSError):
         # A 1 MiB pipe lets the worker run about a dozen map slices ahead:
-        # the M = 15, n = 2^16 map took 0.48 s against 0.56 s with the
-        # 64 KiB default (medians of 8 alternating runs on 2 vCPUs).
+        # the M = 15, n = 2^16 map took 0.25 s against 0.28 s with the
+        # 64 KiB default (medians of 10 alternating runs on 2 vCPUs).
         fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 1 << 20)
     try:
         with warnings.catch_warnings():

@@ -832,6 +832,22 @@ class TestMapCommand:
         assert code == 2
         assert capsys.readouterr().err == f"error: {map_path}: {message}\n"
 
+    @pytest.mark.parametrize("window,last,message", [
+        (["--from", "2"], "3,1,1,1,1", None),
+        (["--from", "1", "--to", "3"], "3,1,1,1,1", "line 3: field 3: cannot parse 'abc' as a number"),
+        (["--to", "1"], "3,1,1,1,1", "line 2: field 2: '-3' is not a p-value in [0, 1]"),
+        (["--from", "3"], "3,1,1", "line 4: expected 5 fields"),
+    ], ids=["bad-cells-outside", "bad-cell-inside", "out-of-range-inside", "short-line"])
+    def test_only_the_window_is_read(self, tmp_path, capsys, window, last, message):
+        """A cell outside ``--from``/``--to`` is never converted or checked;
+        one inside is named by its field in the whole line, and every line
+        must still hold n + 1 fields."""
+        map_path = tmp_path / "m.csv"
+        map_path.write_text(f"scale,1,2,3,4\n1,-3,0.5,0.25,0.125\n2,0.5,abc,0.25,\n{last}\n")
+        code = run(["map", "--in-map", str(map_path), *window, "--out-svg", str(tmp_path / "m.svg")])
+        assert (code, capsys.readouterr().err) == \
+            ((0, "") if message is None else (2, f"error: {map_path}: {message}\n"))
+
     def test_deterministic_bytes(self, tmp_path):
         map_path = tmp_path / "m.csv"
         self.write_map(map_path, np.linspace(0, 1, 12).reshape(3, 4))
@@ -912,13 +928,26 @@ class TestMapWorker:
         return dense(pvalues), pvalues
 
     @staticmethod
-    def level_case(method):
+    def fallback_case():
+        """A dense map whose cells beside every slice edge take ``repr``
+        (below 1e-4, 0, 1, powers of two, 5e-324) or are NaN runs across it."""
+        pvalues = np.random.default_rng(8).uniform(size=(3, 3 * _SLICE + 7))
+        for edge in (_SLICE, 2 * _SLICE, 3 * _SLICE):
+            pvalues[0, edge - 2:edge + 2] = [3.5e-5, 0.0, 1.0, 0.25]
+            pvalues[1, edge - 1:edge + 1] = [2.0**-13, 5e-324]
+            pvalues[2, edge - 3:edge + 3] = np.nan
+        return dense(pvalues), pvalues
+
+    @staticmethod
+    def level_case(method, fallbacks=False):
         """The level-form rows of a base-70, 3-scale pyramid of 3 * 4900 + 37
         samples, with NaN entries on both sides of every piece edge and
         5e-324 in the last entry of scale 3.  Under ``nowa`` a scale-3 entry
         covers 4900 > _SLICE cells and scales 2 and 3 end in an incomplete
         block; under ``swa`` scale 3 starts with 4899 > _SLICE blank cells.
-        The expected map is expanded cell by cell by the oracle."""
+        With ``fallbacks``, the entries beside those NaN are 0.0 and 2.5e-5,
+        which take ``repr``, repeated over their cells.  The expected map is
+        expanded cell by cell by the oracle."""
         config = ScaleConfig(base=70, num_scales=3, hurst=0.9)
         build = build_nowa if method == "nowa" else build_swa
         pyramid = build(np.random.default_rng(70).standard_normal(3 * 4900 + 37), config)
@@ -929,6 +958,8 @@ class TestMapWorker:
         for lead, repeat, pvalues in rows:
             step = max(_SLICE // repeat, 1)
             pvalues[[step - 1, step]] = np.nan
+            if fallbacks:
+                pvalues[[step - 2, step + 1]] = (0.0, 2.5e-5)
         rows[-1][2][-1] = 5e-324
         return rows, expand_levels(pvalue_levels)
 
@@ -941,8 +972,10 @@ class TestMapWorker:
         lambda: TestMapWorker.dense_case((1, 100), [50]),
         lambda: TestMapWorker.level_case("nowa"),
         lambda: TestMapWorker.level_case("swa"),
+        lambda: TestMapWorker.fallback_case(),
+        lambda: TestMapWorker.level_case("nowa", fallbacks=True),
     ], ids=["odd-slice-count", "rows-shorter-than-a-slice", "one-long-row", "one-slice",
-            "nowa-levels", "swa-levels"])
+            "nowa-levels", "swa-levels", "fallback-cells", "nowa-levels-with-fallbacks"])
     def test_bytes_match_per_cell_writer_both_ways(self, tmp_path, monkeypatch, forks, case):
         """One process or two, the bytes are the per-cell writer's: NaN cells
         on both sides of slice boundaries, 5e-324, rows shorter than a slice,
