@@ -25,7 +25,9 @@ import warnings
 
 import numpy as np
 
-from .detect import DetectionConfig, detect, flags_to_intervals, pvalue_rows, standardize
+from .detect import (
+    DetectionConfig, detect, flags_to_intervals, level_rows, standardize, two_sided_pvalues,
+)
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
 from .fgn import LrdModel, estimate_hurst, synthesize_fgn
 from .pyramid import ScaleConfig, StreamState
@@ -167,27 +169,30 @@ def write_series(path, values: np.ndarray) -> None:
 def write_pvalue_csv(path, rows) -> None:
     """Map CSV: first column is the scale index, then one column per position.
 
-    ``rows`` holds one ``(lead, repeat, pvalues)`` triple per scale, scale 1
-    first, as :func:`~lrdshift.detect.pvalue_rows` yields them: ``pvalues[j]``
-    fills the cells ``lead + j*repeat .. lead + (j+1)*repeat - 1`` (0-based)
-    and the row's other cells are absent.  The first row covers every
-    position, so it gives n; a dense row is ``(0, 1, row)``.  A cell holds
-    ``repr`` of its p-value, or nothing where it is absent (NaN), as
+    ``rows`` holds one ``(lead, repeat, level)`` triple per scale, scale 1
+    first, as :func:`~lrdshift.detect.level_rows` yields them: the p-value
+    of ``level[j]`` (:func:`~lrdshift.detect.two_sided_pvalues`) fills the
+    cells ``lead + j*repeat .. lead + (j+1)*repeat - 1`` (0-based) and the
+    row's other cells are absent.  The first row covers every position, so
+    it gives n; a dense row is ``(0, 1, level)``.  A cell holds ``repr`` of
+    its p-value, or nothing where it is absent (NaN), as
     :func:`~lrdshift.reprtext.repr_join` writes it.  Each p-value is
     formatted once and its text repeated over its cells.
 
-    :func:`_write_slices` formats about ``_SLICE`` cells at a time, in turns
-    through :func:`~lrdshift.workers.in_turns`: on a host with two or more
-    usable CPUs, this process formats the even pieces of the map (counted
-    over all rows, scale 1 first) and one forked worker the odd ones, and
+    :func:`_write_slices` writes the map in pieces of about ``_SLICE``
+    cells, in turns through :func:`~lrdshift.workers.in_turns`: on a host
+    with two or more usable CPUs, this process computes the p-values of the
+    even pieces of the map (counted over all rows, scale 1 first) and
+    formats them, one forked worker does the same for the odd ones, and
     this process writes every piece in order, so the bytes are those of one
-    process.  Each process holds one row and the text of a few slices.
-    Both processes iterate ``rows`` from where this one left it, so an
-    iterator must compute the rows, not read them from a shared file.  The
-    worker computes every row again: for an M = 15, n = 2^16 ``swa`` map on
-    2 vCPUs, about 0.19 s of CPU and 8k minor faults, and the writer's wall
-    time falls by about a fourth (0.33 to 0.25 s, medians of 10 alternating
-    runs).  Its memory is this process's pages, copy-on-write.
+    process.  A piece holds a slice of a level, so each process computes
+    only the p-values it formats, and holds one slice's p-values and text
+    at a time.  Both processes iterate ``rows`` from where this one left
+    it, so an iterator must compute the rows, not read them from a shared
+    file.  For an M = 15, n = 2^16 ``swa`` map on 2 vCPUs the writer took
+    0.15 s against 0.24 s in one process (medians of 10 alternating runs),
+    and the worker about 0.13 s of CPU.  Its memory is this process's pages,
+    copy-on-write.
     """
     with open(path, "wb") as fh:
         _write_slices(fh, _map_pieces(rows), _map_cells)
@@ -197,21 +202,21 @@ def _map_pieces(rows):
     """The map CSV as :func:`_write_slices` pieces.
 
     The header comes first.  Each row is its scale index and ``lead``
-    blank cells, then ``(pvalues, repeat)`` pieces of about ``_SLICE``
+    blank cells, then ``(statistics, repeat)`` pieces of about ``_SLICE``
     cells in whole entries, then its trailing blank cells and a newline.
     """
-    for k, (lead, repeat, pvalues) in enumerate(rows, start=1):
+    for k, (lead, repeat, level) in enumerate(rows, start=1):
         if k == 1:
             yield "scale"
-            n = lead + len(pvalues) * repeat
+            n = lead + len(level) * repeat
             for lo in range(1, n + 1, _SLICE):
                 yield "," + ",".join(map(str, range(lo, min(lo + _SLICE, n + 1))))
             yield "\n"
         yield str(k) + "," * lead
         step = max(_SLICE // repeat, 1)
-        for lo in range(0, len(pvalues), step):
-            yield pvalues[lo:lo + step], repeat
-        yield "," * (n - lead - len(pvalues) * repeat) + "\n"
+        for lo in range(0, len(level), step):
+            yield level[lo:lo + step], repeat
+        yield "," * (n - lead - len(level) * repeat) + "\n"
 
 
 def _series_lines(values: np.ndarray) -> bytes:
@@ -220,9 +225,10 @@ def _series_lines(values: np.ndarray) -> bytes:
 
 
 def _map_cells(piece) -> bytes:
-    """For ``(values, repeat)``: a comma and each repr, ``repeat`` times; nothing for NaN."""
-    values, repeat = piece
-    return repr_join(values, b",", lead=True, repeat=repeat)
+    """For ``(statistics, repeat)``: a comma and the repr of each p-value,
+    ``repeat`` times; nothing for NaN."""
+    statistics, repeat = piece
+    return repr_join(two_sided_pvalues(statistics), b",", lead=True, repeat=repeat)
 
 
 def _write_slices(fh, pieces, text) -> None:
@@ -379,7 +385,7 @@ def cmd_detect(args) -> int:
     with open(args.out_flags, "w") as fh:
         fh.write(_flags_json(payload))
     if args.out_map:
-        write_pvalue_csv(args.out_map, pvalue_rows(result.pyramid))
+        write_pvalue_csv(args.out_map, level_rows(result.pyramid))
     return 0
 
 

@@ -27,6 +27,8 @@ __all__ = [
     "Interval",
     "standardize",
     "detect",
+    "level_rows",
+    "two_sided_pvalues",
     "pvalue_rows",
     "flags_to_intervals",
 ]
@@ -122,22 +124,37 @@ def standardize(series, mean: float | None = None, std: float | None = None):
     return values, math.ldexp(mean, exponent), math.ldexp(std, exponent)
 
 
+def level_rows(pyramid: Pyramid):
+    """Each scale's ``(lead, repeat, level)``, scale 1 first: entry ``j`` of
+    the level covers the positions its
+    :meth:`~lrdshift.pyramid.ScaleConfig.cover` ``(lead, repeat)`` gives."""
+    for k, level in enumerate(pyramid.levels, start=1):
+        yield (*pyramid.config.cover(pyramid.method, k), level)
+
+
+def two_sided_pvalues(statistics: np.ndarray) -> np.ndarray:
+    """The marginal two-sided p-value ``2 Phi(-|Y|)`` of each of ``statistics``.
+
+    A new array; a NaN (overflowed) entry stays NaN.  ``Phi`` is the
+    package's port of Cephes' ``ndtr`` (:func:`~lrdshift.thresholds._ndtr`),
+    so the map needs no scipy.  It is elementwise, so a slice of a level
+    gives the bits of the same entries of the whole level.
+    """
+    pvalues = _ndtr(-np.abs(statistics))
+    pvalues *= 2.0  # not folded into the port's 0.5: the pair rounds subnormal p-values
+    return pvalues
+
+
 def pvalue_rows(pyramid: Pyramid):
     """The p-value map: each scale's ``(lead, repeat, pvalues)``, scale 1 first.
 
-    ``pvalues[j]``, the marginal two-sided p-value ``2 Phi(-|Y|)`` of entry
-    ``j`` of the scale's level, covers the positions its
-    :meth:`~lrdshift.pyramid.ScaleConfig.cover` ``(lead, repeat)`` gives; a
-    position no entry covers has no p-value (absent, never zero).  A caller
-    that writes each triple out before asking for the next never holds the
-    (M, n) map.  ``Phi`` is the package's port of Cephes' ``ndtr``
-    (:func:`~lrdshift.thresholds._ndtr`), so the map needs no scipy; a NaN
-    (overflowed) entry stays NaN.
+    ``pvalues[j]``, the :func:`two_sided_pvalues` of entry ``j`` of the
+    scale's level, covers the positions of :func:`level_rows`; a position no
+    entry covers has no p-value (absent, never zero).  A caller that writes
+    each triple out before asking for the next never holds the (M, n) map.
     """
-    for k, level in enumerate(pyramid.levels, start=1):
-        row = _ndtr(-np.abs(level))
-        row *= 2.0  # not folded into the port's 0.5: the pair rounds subnormal p-values
-        yield (*pyramid.config.cover(pyramid.method, k), row)
+    for lead, repeat, level in level_rows(pyramid):
+        yield lead, repeat, two_sided_pvalues(level)
 
 
 def _max_over_scales(pyramid: Pyramid, work: list[np.ndarray]) -> np.ndarray:

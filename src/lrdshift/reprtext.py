@@ -2,9 +2,13 @@
 
 The CSV writers of :mod:`lrdshift.cli` format every float they write here:
 ``repr`` costs about 0.55 us a value, and a 15 x 2^16 map has about 10^6.
-It is not part of ``cli.py``: a command run without cached bytecode
-compiles its modules one at a time, and compiling them as one module
-raised every command's peak memory by about 0.7 MiB.
+:func:`repr_join` decides every value with 1e-30 <= |x| < 1e16 but a few
+(powers of two, near-ties) in numpy: 157-178 ns a value on the detect-map
+benchmark's maps at seeds 1, 7 and 951, whose p-values reach 6.8e-21 and
+of which none is left to ``repr``.  It is not part of ``cli.py``: a
+command run without cached bytecode compiles its modules one at a time,
+and compiling them as one module raised every command's peak memory by
+about 0.7 MiB.
 """
 
 from __future__ import annotations
@@ -23,23 +27,30 @@ def repr_join(values: np.ndarray, sep: bytes, lead: bool, repeat: int = 1) -> by
     The bytes equal those of the ``repr`` join.  Each value takes one
     28-byte slot row: the separator if it leads, ``-``, ``0.000``, the 17
     digits of :func:`_shortest_decimal`, one spare byte, the separator if
-    it trails, 2 bytes of padding.  The value's text is the row's bytes that
-    :func:`_text_masks` keeps, and all rows are compacted at once.  A value
-    :func:`_shortest_decimal` leaves undecided has ``repr`` written into its
-    row instead.
+    it trails, 2 bytes of padding.  From 1 on the ``.`` is moved after the
+    integer digits, and below 1e-4 the first digit, the ``.``, the other
+    digits and ``e-XX`` are gathered from byte 2 on.  The value's text is
+    the row's bytes that :func:`_text_masks` keeps, and all rows are
+    compacted at once.  A value :func:`_shortest_decimal` leaves undecided
+    has ``repr`` written into its row instead.
     """
     x = np.asarray(values, dtype=np.float64)
     digits, e, ok = _shortest_decimal(np.abs(x))
     slots, significant = _digit_slots(digits)
     slots[:, 0] = np.frombuffer(sep + b"-0.", np.uint32)[0]
     slots[:, 6] = np.frombuffer(b"0" + sep + b"\0\0", np.uint32)[0]
-    code = ((x < 0) * 20 + e + 4) * 18 + significant
+    code = ((x < 0) * 46 + e + 30) * 18 + significant
     code[~ok] = 0
     keep = np.take(_text_masks(), code, axis=0)
     row = slots.view(np.uint8)
     large = np.flatnonzero(ok & (e >= 0))
     if len(large):
         row[large, 7:25] = np.take_along_axis(row[large], _point_after()[e[large]], axis=1)
+    scientific = np.flatnonzero(ok & (e < -4))
+    if len(scientific):
+        source = np.concatenate([row[scientific], _exponent_text()[-e[scientific]]], axis=1)
+        order = _scientific_order()[significant[scientific]]
+        row[scientific, 2:25] = np.take_along_axis(source, order, axis=1)
     other = np.flatnonzero(~ok)
     if len(other):
         texts = np.array([b"" if v != v else repr(v).encode() for v in x[other].tolist()], "S24")
@@ -56,13 +67,15 @@ def repr_join(values: np.ndarray, sep: bytes, lead: bool, repeat: int = 1) -> by
 
 
 @functools.cache
-def _powers_of_ten() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """10.0**k for k = 0..22, each exact, and its Veltkamp split into two
-    26-bit halves, with which its product with a double is formed exactly."""
-    power = np.array([10.0**k for k in range(23)])
+def _powers_of_ten() -> tuple[np.ndarray, ...]:
+    """For k = 0..47: hi = fl(10^k), lo = fl(10^k - hi) (0 up to k = 22,
+    where 10^k is exact), and hi's Veltkamp split into two 26-bit halves,
+    with which hi's product with a double is formed exactly."""
+    power = np.array([float(10**k) for k in range(48)])
+    tail = np.array([float(10**k - int(v)) for k, v in enumerate(power.tolist())])
     high = power * 134217729.0  # 2**27 + 1
     high -= high - power
-    return power, high, power - high
+    return power, tail, high, power - high
 
 
 def _shortest_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -70,27 +83,36 @@ def _shortest_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     digits as a 17-digit int64, trailing zeros included, its exponent e, and
     whether the two are decided.  ``a`` is overwritten.
 
-    Values in [1e-4, 1e16), which ``repr`` writes positionally, are decided.
-    ``repr`` writes the shortest decimal that reads back as a, the nearest
-    of that length, ties to even (Steele & White 1990; Gay 1990).  With
-    e = floor(log10 a), V = a 10^(16-e) is formed exactly as ``p + err``
-    (Dekker's two-product; p is an even integer >= 2^53 and |err| <= 8), so
-    V rounded to a multiple of 1, 10 and 100 gives the 17-, 16- and 15-digit
-    decimals.  The shortest is the first of the 15- and 16-digit ones within
-    h, half an ulp of a in the same units (0.55 < h < 11.1), else the
-    17-digit one.  Those distances are known to about 1e-14, so a value
-    whose distance lies within 1e-9 of h, or whose 16-digit rounding lies
-    within 1e-9 of a tie, is left undecided, as are one whose e was
-    misjudged, 0 and NaN.  Below a power of two the interval is h/2 wide,
-    but no decimal falls between h/2 and h below any power of two in the
-    range (``tests/test_reprtext.py::TestReprJoin::test_powers_of_two``).
+    Values in [1e-30, 1e16) are decided.  ``repr`` writes the shortest
+    decimal that reads back as a, the nearest of that length, ties to even
+    (Steele & White 1990; Gay 1990).  With e = floor(log10 a), V = a 10^(16-e)
+    is formed as ``p + err``: p = fl(a hi) is an even integer >= 2^53, and
+    err, with |err| <= 20, is Dekker's exact residual of ``a hi`` plus
+    ``a lo`` in plain double, where 10^(16-e) = hi + lo to about 2^-106
+    relative (:func:`_powers_of_ten`; lo = 0 down to e = -6).  So err is
+    exact from 1e-6 on and within about 3e-15 below.  V rounded to a
+    multiple of 1, 10 and 100 gives the 17-, 16- and 15-digit decimals.  The
+    shortest is the first of the 15- and 16-digit ones within h, half an ulp
+    of a in the same units (0.55 < h < 11.1), else the 17-digit one.  Those
+    distances are known to about 1e-14, so a value whose distance lies within
+    1e-9 of h, or whose 16-digit rounding lies within 1e-9 of a tie, is left
+    undecided, as are one whose e was misjudged, 0 and NaN.  So is a power
+    of two, below which the interval is only h/2 wide: from 2^-44 down, a
+    15- or 16-digit decimal falls between h/2 and h below some
+    (``tests/test_reprtext.py::TestReprJoin::test_powers_of_two``).  A
+    17-digit tie needs V = (odd) 5^(16-e) / 2 >= 1e16, so where err is
+    inexact there are nine, m 2^-24 and m 2^-25, and each rounds to even as
+    computed (``EDGES`` in the same file).
     """
-    ok = (a >= 1e-4) & (a < 1e16)
+    ok = (a >= 1e-30) & (a < 1e16)
     a[~ok] = 1.5
     e = np.floor(np.log10(a)).astype(np.intp)
-    power, power_hi, power_lo = (table[16 - e] for table in _powers_of_ten())
-    h = np.ldexp(power, np.frexp(a)[1] - 54)
+    power, tail, power_hi, power_lo = (table[16 - e] for table in _powers_of_ten())
+    mantissa, exponent = np.frexp(a)
+    ok &= mantissa != 0.5  # a power of two
+    h = np.ldexp(power, exponent - 54)
     p = a * power
+    tail *= a
     a_hi = a * 134217729.0
     a_hi -= a_hi - a
     a -= a_hi  # the low half
@@ -99,6 +121,7 @@ def _shortest_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     err += a_hi * power_lo
     err += a * power_hi
     err += a * power_lo
+    err += tail
     ok &= p - 1e16 + err >= 0  # e is not too large
     whole = p.astype(np.int64)
     step = np.rint(err)  # the 17-digit decimal is whole + step; a tie goes to even
@@ -156,16 +179,19 @@ def _digit_slots(digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _text_masks() -> np.ndarray:
     """Which of a slot row's 28 bytes the text of a decided value keeps, by code.
 
-    The code is ``(negative * 20 + e + 4) * 18 + j`` for a value with
-    exponent e (-4..15) and j significant digits (1..17); code 0 keeps
-    nothing.  Below 1 the text is ``0.``, -e-1 zeros and the digits.  From
-    1 on it is the digits with a ``.`` after digit e and at least one digit
-    after that; :func:`repr_join` moves the ``.`` there (:func:`_point_after`).
+    The code is ``(negative * 46 + e + 30) * 18 + j`` for a value with
+    exponent e (-30..15) and j significant digits (1..17); code 0 keeps
+    nothing.  From 1 on the text is the digits with a ``.`` after digit e
+    and at least one digit after that; :func:`repr_join` moves the ``.``
+    there (:func:`_point_after`).  From 1e-4 to 1 it is ``0.``, -e-1 zeros
+    and the digits.  Below 1e-4 it is ``d[.ddd]e-XX`` from byte 2 on, which
+    :func:`repr_join` gathers there (:func:`_scientific_order`).
     """
-    negative, e, j, col = np.ix_(range(2), range(-4, 16), range(18), range(28))
+    negative, e, j, col = np.ix_(range(2), range(-30, 16), range(18), range(28))
+    scientific = (2 <= col) & (col < 6 + j + (j > 1))
     small = (col == 2) | (col == 3) | ((4 <= col) & (col < 3 - e)) | ((7 <= col) & (col < 7 + j))
     large = (7 <= col) & (col < 8 + np.maximum(j, e + 2))
-    keep = ((negative == 1) & (col == 1)) | np.where(e < 0, small, large)
+    keep = ((negative == 1) & (col == 1)) | np.where(e < -4, scientific, np.where(e < 0, small, large))
     return (keep & (j > 0)).reshape(-1, 28)
 
 
@@ -175,3 +201,22 @@ def _point_after() -> np.ndarray:
     ``.`` of byte 3 after digit e."""
     e, col = np.ix_(range(16), range(18))
     return np.where(col <= e, 7 + col, np.where(col == e + 1, 3, 6 + col))
+
+
+@functools.cache
+def _exponent_text() -> np.ndarray:
+    """``e-XX`` for XX = 00..30, one row of 4 bytes each."""
+    return np.frombuffer(b"".join(b"e-%02d" % k for k in range(31)), np.uint8).reshape(31, 4)
+
+
+@functools.cache
+def _scientific_order() -> np.ndarray:
+    """For j = 0..17 significant digits, the bytes of a slot row extended by
+    its :func:`_exponent_text` (bytes 28..31) that make bytes 2..24: the
+    first digit, the ``.`` of byte 3 and the other j - 1 digits if j > 1,
+    then the exponent."""
+    order = np.zeros((18, 23), np.intp)
+    for j in range(18):
+        text = [7] + ([3, *range(8, 7 + j)] if j > 1 else []) + [28, 29, 30, 31]
+        order[j, :len(text)] = text
+    return order

@@ -25,7 +25,7 @@ from lrdshift import (
 import lrdshift.evaluate as evaluate_module
 from lrdshift import cli as cli_module
 from lrdshift import workers
-from lrdshift.detect import pvalue_rows
+from lrdshift.detect import level_rows, two_sided_pvalues
 from lrdshift.cli import (
     _SLICE, _STREAM_READ, _flags_json, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
     write_pvalue_csv, write_series,
@@ -37,9 +37,26 @@ def run(argv):
     return main(argv)
 
 
-def dense(pvalues):
-    """The rows of a dense (M, n) map as ``write_pvalue_csv`` takes them."""
-    return [(0, 1, row) for row in pvalues]
+def dense(statistics):
+    """The rows of a dense (M, n) map of statistics as ``write_pvalue_csv`` takes them."""
+    return [(0, 1, row) for row in statistics]
+
+
+def pvalues_of(statistics):
+    """The map's p-values of ``statistics`` by scipy: ``2 ndtr(-|Y|)``, NaN kept."""
+    from scipy.special import ndtr
+
+    return 2.0 * ndtr(-np.abs(statistics))
+
+
+# Statistics whose p-values take ``repr``: 0 (40), a subnormal (37.6 gives
+# 2.1e-309; ``exp`` underflows before 5e-324 is reached), one below 1e-30
+# (12 gives 3.6e-33) and 1, a power of two (0).
+ZERO, SUBNORMAL, BELOW_1E30, ONE = 40.0, 37.6, 12.0, 0.0
+
+
+def has_subnormal(pvalues) -> bool:
+    return bool(((0.0 < pvalues) & (pvalues < np.finfo(float).tiny)).any())
 
 
 def refuse_threshold(*args):
@@ -308,7 +325,7 @@ class TestDetectCommand:
         pyramid = build_swa(np.random.default_rng(0).standard_normal(1 << 16), ScaleConfig(2, 15, 0.9))
         tracemalloc.start()
         try:
-            write_pvalue_csv(tmp_path / "map.csv", pvalue_rows(pyramid))
+            write_pvalue_csv(tmp_path / "map.csv", level_rows(pyramid))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -422,14 +439,15 @@ class TestDetectCommand:
         assert f"{inp}: line 2: non-finite value nan" in capsys.readouterr().err
 
     def test_flags_only_run_never_builds_the_map(self, tmp_path, spiked_series, monkeypatch):
-        def refuse(pyramid):
+        def refuse(*args):
             raise AssertionError("refused map function called")
 
         inp, _ = spiked_series
         # The package re-exports the function `detect`, which shadows the module name.
         detect_module = importlib.import_module("lrdshift.detect")
-        monkeypatch.setattr(detect_module, "pvalue_rows", refuse)
-        monkeypatch.setattr("lrdshift.cli.pvalue_rows", refuse)
+        monkeypatch.setattr(detect_module, "two_sided_pvalues", refuse)
+        for name in ("write_pvalue_csv", "level_rows", "two_sided_pvalues"):
+            monkeypatch.setattr(cli_module, name, refuse)
         assert run(self.detect_args(inp, tmp_path / "f.json")) == 0
         monkeypatch.undo()
         map_path = tmp_path / "map.csv"
@@ -774,9 +792,7 @@ class TestReadSeries:
 
 class TestMapCommand:
     def write_map(self, path, pvalues):
-        from lrdshift.cli import write_pvalue_csv
-
-        write_pvalue_csv(path, dense(np.asarray(pvalues, dtype=float)))
+        write_pvalue_csv_per_cell(path, np.asarray(pvalues, dtype=float))
 
     def test_single_hot_cell(self, tmp_path):
         map_path, svg_path = tmp_path / "m.csv", tmp_path / "m.svg"
@@ -859,26 +875,28 @@ class TestMapCommand:
 
 class TestMapCsvWriter:
     def test_bytes_match_per_cell_formatting(self, tmp_path):
-        """Row-wise repr agrees with repr(float(p)) cell by cell, NaN written empty."""
-        cells = [np.nan, 0.0, 1.0, 5e-324, 1e-300, 1e-05, 0.1, 0.30000000000000004]
-        pvalues = np.array([cells, cells[::-1], [np.nan] * len(cells)])
+        """Row-wise repr agrees with repr(float(p)) cell by cell, NaN written empty:
+        p-values 0, 1, subnormal, 1e-299, below 1e-30, 1.1e-5 and two in [0.1, 1)."""
+        cells = [np.nan, ZERO, ONE, SUBNORMAL, 37.0, BELOW_1E30, 4.4, 1.6448536269514722, 1.0]
+        statistics = np.array([cells, cells[::-1], [np.nan] * len(cells)])
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_pvalue_csv(fast, dense(pvalues))
-        write_pvalue_csv_per_cell(slow, pvalues)
+        write_pvalue_csv(fast, dense(statistics))
+        write_pvalue_csv_per_cell(slow, pvalues_of(statistics))
         assert fast.read_bytes() == slow.read_bytes()
-        assert fast.read_text().splitlines()[1] == "1,,0.0,1.0,5e-324,1e-300,1e-05,0.1,0.30000000000000004"
+        assert fast.read_text().splitlines()[1].startswith("1,,0.0,1.0,2.1")
+        assert has_subnormal(pvalues_of(statistics))
 
 
     def test_rows_longer_than_a_slice(self, tmp_path):
         """Rows are written in slices of cells: the bytes equal the per-cell
         writer's, with absent cells on both sides of each slice boundary."""
         n = 2 * _SLICE + 3
-        row = np.random.default_rng(5).uniform(size=n)
+        row = np.random.default_rng(5).standard_normal(n)
         row[[0, _SLICE - 1, _SLICE, 2 * _SLICE, n - 1]] = np.nan
-        pvalues = np.array([row, row[::-1]])
+        statistics = np.array([row, row[::-1]])
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
-        write_pvalue_csv(fast, dense(pvalues))
-        write_pvalue_csv_per_cell(slow, pvalues)
+        write_pvalue_csv(fast, dense(statistics))
+        write_pvalue_csv_per_cell(slow, pvalues_of(statistics))
         assert fast.read_bytes() == slow.read_bytes()
 
     def test_one_long_row_is_written_in_bounded_memory(self, tmp_path):
@@ -921,47 +939,49 @@ class TestMapWorker:
 
     @staticmethod
     def dense_case(shape, nan_at):
-        """A dense map with NaN columns at ``nan_at`` and a 5e-324 cell."""
-        pvalues = np.random.default_rng(shape[1]).uniform(size=shape)
-        pvalues[:, nan_at] = np.nan
-        pvalues[-1, 1] = 5e-324
-        return dense(pvalues), pvalues
+        """A dense map of N(0, 9) statistics with NaN columns at ``nan_at``
+        and a subnormal p-value."""
+        statistics = 3.0 * np.random.default_rng(shape[1]).standard_normal(shape)
+        statistics[:, nan_at] = np.nan
+        statistics[-1, 1] = SUBNORMAL
+        return dense(statistics), pvalues_of(statistics)
 
     @staticmethod
     def fallback_case():
         """A dense map whose cells beside every slice edge take ``repr``
-        (below 1e-4, 0, 1, powers of two, 5e-324) or are NaN runs across it."""
-        pvalues = np.random.default_rng(8).uniform(size=(3, 3 * _SLICE + 7))
+        (0, 1, below 1e-30, subnormal) or the scientific layout (1.1e-5, 5.5e-89),
+        or are NaN runs across it."""
+        statistics = np.random.default_rng(8).standard_normal((3, 3 * _SLICE + 7))
         for edge in (_SLICE, 2 * _SLICE, 3 * _SLICE):
-            pvalues[0, edge - 2:edge + 2] = [3.5e-5, 0.0, 1.0, 0.25]
-            pvalues[1, edge - 1:edge + 1] = [2.0**-13, 5e-324]
-            pvalues[2, edge - 3:edge + 3] = np.nan
-        return dense(pvalues), pvalues
+            statistics[0, edge - 2:edge + 2] = [4.4, ZERO, ONE, BELOW_1E30]
+            statistics[1, edge - 1:edge + 1] = [20.0, SUBNORMAL]
+            statistics[2, edge - 3:edge + 3] = np.nan
+        return dense(statistics), pvalues_of(statistics)
 
     @staticmethod
     def level_case(method, fallbacks=False):
-        """The level-form rows of a base-70, 3-scale pyramid of 3 * 4900 + 37
-        samples, with NaN entries on both sides of every piece edge and
-        5e-324 in the last entry of scale 3.  Under ``nowa`` a scale-3 entry
+        """The rows of a base-70, 3-scale pyramid of 3 * 4900 + 37 samples,
+        with NaN entries on both sides of every piece edge and a subnormal
+        p-value in the last entry of scale 3.  Under ``nowa`` a scale-3 entry
         covers 4900 > _SLICE cells and scales 2 and 3 end in an incomplete
         block; under ``swa`` scale 3 starts with 4899 > _SLICE blank cells.
-        With ``fallbacks``, the entries beside those NaN are 0.0 and 2.5e-5,
-        which take ``repr``, repeated over their cells.  The expected map is
-        expanded cell by cell by the oracle."""
+        With ``fallbacks``, the entries beside those NaN have p-values 0 and
+        below 1e-30, which take ``repr``, repeated over their cells.  The
+        expected map is expanded cell by cell by the oracle."""
         config = ScaleConfig(base=70, num_scales=3, hurst=0.9)
         build = build_nowa if method == "nowa" else build_swa
         pyramid = build(np.random.default_rng(70).standard_normal(3 * 4900 + 37), config)
-        rows = list(pvalue_rows(pyramid))
-        pvalue_levels = Pyramid(method, config, [pvalues for *_, pvalues in rows])
+        pvalue_levels = Pyramid(method, config, [pvalues_of(level) for level in pyramid.levels])
         assert np.array_equal(expand_levels(pvalue_levels), pvalue_map_per_cell(pyramid),
                               equal_nan=True)
-        for lead, repeat, pvalues in rows:
+        for lead, repeat, level in level_rows(pyramid):
             step = max(_SLICE // repeat, 1)
-            pvalues[[step - 1, step]] = np.nan
+            level[[step - 1, step]] = np.nan
             if fallbacks:
-                pvalues[[step - 2, step + 1]] = (0.0, 2.5e-5)
-        rows[-1][2][-1] = 5e-324
-        return rows, expand_levels(pvalue_levels)
+                level[[step - 2, step + 1]] = (ZERO, BELOW_1E30)
+        pyramid.levels[-1][-1] = SUBNORMAL
+        pvalue_levels = Pyramid(method, config, [pvalues_of(level) for level in pyramid.levels])
+        return list(level_rows(pyramid)), expand_levels(pvalue_levels)
 
     @pytest.mark.parametrize("case", [
         lambda: TestMapWorker.dense_case((3, 2 * _SLICE + 3),
@@ -978,9 +998,9 @@ class TestMapWorker:
             "nowa-levels", "swa-levels", "fallback-cells", "nowa-levels-with-fallbacks"])
     def test_bytes_match_per_cell_writer_both_ways(self, tmp_path, monkeypatch, forks, case):
         """One process or two, the bytes are the per-cell writer's: NaN cells
-        on both sides of slice boundaries, 5e-324, rows shorter than a slice,
-        an odd number of slices, a single row, and level-form rows whose
-        entries or leads are longer than a slice."""
+        on both sides of slice boundaries, a subnormal p-value, rows shorter
+        than a slice, an odd number of slices, a single row, and level-form
+        rows whose entries or leads are longer than a slice."""
         rows, pvalues = case()
         expected = tmp_path / "expected.csv"
         write_pvalue_csv_per_cell(expected, pvalues)
@@ -990,7 +1010,39 @@ class TestMapWorker:
             write_pvalue_csv(got, rows)
             assert got.read_bytes() == expected.read_bytes(), cpus
             assert len(forks) == cpus - 1
-        assert b"5e-324" in expected.read_bytes() and b",," in expected.read_bytes()
+        assert has_subnormal(pvalues) and b",," in expected.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_each_process_computes_the_pvalues_it_formats(self, tmp_path, monkeypatch, forks,
+                                                          spiked_series, cpus):
+        """``detect --out-map`` computes p-values in the command's process for
+        the entries of the even pieces of the map only, or for every entry on
+        one CPU: the worker computes those of the pieces it formats."""
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        parent, received, pyramids = os.getpid(), [], []
+
+        def counted(statistics):
+            if os.getpid() == parent:
+                received.append(len(statistics))
+            return two_sided_pvalues(statistics)
+
+        def kept(pyramid):
+            pyramids.append(pyramid)
+            return level_rows(pyramid)
+
+        monkeypatch.setattr(cli_module, "two_sided_pvalues", counted)
+        monkeypatch.setattr(cli_module, "level_rows", kept)
+        inp, _ = spiked_series
+        assert run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6", "--method",
+                    "swa", "--threshold", "asymptotic", "--out-flags", str(tmp_path / "f.json"),
+                    "--out-map", str(tmp_path / "map.csv")]) == 0
+        pieces = list(cli_module._map_pieces(level_rows(*pyramids)))
+        expected = [len(piece[0]) for index, piece in enumerate(pieces)
+                    if not isinstance(piece, str) and (cpus == 1 or index % 2 == 0)]
+        assert received == expected
+        entries = sum(map(len, pyramids[0].levels))
+        assert sum(received) == entries if cpus == 1 else 0 < sum(received) < entries
+        assert len(forks) == cpus - 1
 
     def test_error_in_the_rows_propagates_unchanged(self, tmp_path, monkeypatch, forks):
         """An exception raised by the row iterable after some slices of both
@@ -1028,12 +1080,12 @@ class TestMapWorker:
         assert len(forks) == 1
 
     @pytest.mark.parametrize("fail,message", [
-        (lambda monkeypatch: fail_in_worker(monkeypatch, cli_module, "_map_cells",
-                                            lambda piece: 1 / 0),
+        (lambda monkeypatch: fail_in_worker(monkeypatch, cli_module, "two_sided_pvalues",
+                                            lambda statistics: 1 / 0),
          "error: the worker process stopped before sending all of its items\n"),
         # The rows are made before the fork, so the worker exits after its last slice.
-        (lambda monkeypatch: monkeypatch.setattr(cli_module, "pvalue_rows",
-                                                 exit_in_worker_after(pvalue_rows, 3)),
+        (lambda monkeypatch: monkeypatch.setattr(cli_module, "level_rows",
+                                                 exit_in_worker_after(level_rows, 3)),
          "error: the worker process exited with code 3\n"),
     ], ids=["mid-map", "after-its-last-slice"])
     def test_failed_worker_makes_detect_exit_1(self, tmp_path, monkeypatch, capsys, forks,
@@ -1119,12 +1171,15 @@ class TestThresholdCommand:
         assert "invalid choice: 'single'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind,alpha,finite", [
-        ("asymptotic", "1e-15", False), ("single", "1e-17", False),
+        ("asymptotic", "5e-324", False), ("single", "5e-324", False),
         ("asymptotic", "1e-14", True), ("single", "1e-15", True),
+        ("asymptotic", "1e-300", True), ("single", "1e-300", True),
     ])
     def test_never_prints_infinity(self, kind, alpha, finite, capsys):
         """A value that rounds to inf exits 2 with empty stdout: ``Infinity``
-        is not JSON (RFC 8259).  A finite value parses as strict JSON."""
+        is not JSON (RFC 8259).  A finite value parses as strict JSON.  The
+        closed forms are finite down to alpha = 1e-300; at 5e-324 their tail
+        probability underflows to 0."""
 
         def refuse_constant(name):
             raise ValueError(f"{name} is not JSON")
@@ -1142,7 +1197,7 @@ class TestThresholdCommand:
         inp, _ = spiked_series
         flags_path = tmp_path / "f.json"
         assert run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "10", "--threshold",
-                    "asymptotic", "--alpha", "1e-15", "--out-flags", str(flags_path)]) == 2
+                    "asymptotic", "--alpha", "5e-324", "--out-flags", str(flags_path)]) == 2
         assert "the asymptotic threshold value must be positive and finite, got inf" in capsys.readouterr().err
         assert not flags_path.exists()
 

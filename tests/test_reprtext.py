@@ -24,27 +24,31 @@ def sliced_repr_join(values) -> bytes:
 def sweep(kind: str, n: int = 2**20) -> np.ndarray:
     """``n`` seeded values of one class for the formatter sweeps."""
     rng = np.random.default_rng(list(SWEEPS).index(kind))
-    if kind == "binades":  # every binade from 2^-20 < 1e-6 up to 2^57 > 1e17
-        return np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-20, 58, n))
+    if kind == "binades":  # every binade from 2^-110 < 1e-33 up to 2^57 > 1e17
+        return np.ldexp(rng.uniform(1.0, 2.0, n), rng.integers(-110, 58, n))
     if kind == "negatives":
-        return -(10.0 ** rng.uniform(-6.0, 17.0, n))
+        return -(10.0 ** rng.uniform(-33.0, 17.0, n))
     if kind == "integers":
         return np.round(10.0 ** rng.uniform(0.0, 17.0, n)) * rng.choice([-1.0, 1.0], n)
     if kind == "short-decimals":  # round(x, d) for d = 0..7
         return np.concatenate([np.round(rng.uniform(-1e3, 1e3, n // 8), d) for d in range(8)])
-    from scipy.special import ndtr  # p-values of N(0, 1) and N(0, 9) statistics
+    from scipy.special import ndtr  # p-values of N(0, 1), N(0, 9) and N(0, 100) statistics
 
-    return 2.0 * ndtr(-np.abs(rng.standard_normal(n) * rng.choice([1.0, 3.0], n)))
+    return 2.0 * ndtr(-np.abs(rng.standard_normal(n) * rng.choice([1.0, 3.0, 10.0], n)))
 
 
 SWEEPS = ("binades", "negatives", "integers", "short-decimals", "pvalues")
-# Zeros, powers of two, the ends of the positional range and their
-# neighbours, ties of 17 digits, NaN, and values next to powers of ten.
+# Zeros, powers of two, the ends of the decided and the positional range
+# and their neighbours, ties of 17 digits, NaN, and powers of ten from 1e-31
+# to 1e17 with their neighbours.
 EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, 2.0**-13, 1e-4, -1e-4, 9.999999999999998e15, 1e16, 5e-324,
          np.nan, 1234567890123456.25, 1234567890123456.75, 0.1, 0.3, 1 / 3, 2.0**53, 2.0**53 + 2,
          float(2**53 - 1), 123.0, 1e15, 0.09999999999999999, 2.2250738585072014e-308]
-EDGES += [np.nextafter(v, toward) for v in (1e-4, 1e16, 1e15, 0.1) for toward in (0.0, np.inf)]
-EDGES += [v for k in range(-5, 18) for v in (10.0**k, np.nextafter(10.0**k, 0.0),
+EDGES += [np.nextafter(v, toward) for v in (1e-30, 1e-4, 1e16, 1e15, 0.1)
+          for toward in (0.0, np.inf)]
+# The 17-digit ties where the power of ten is inexact: m 2^-24 and m 2^-25.
+EDGES += [m * 2.0**-(n + 1) for n in (23, 24) for m in range(1, 17, 2) if 2e16 <= m * 5**n < 2e17]
+EDGES += [v for k in range(-31, 18) for v in (10.0**k, np.nextafter(10.0**k, 0.0),
                                                np.nextafter(10.0**k, np.inf))]
 
 
@@ -68,9 +72,9 @@ class TestReprJoin:
         assert repr_join(values, sep.encode(), lead) == repr_oracle(values, sep, lead)
 
     def test_powers_of_two(self):
-        """Every power of two in and around the positional range, whose
+        """Every power of two in and around the decided range, whose
         rounding interval is narrower below it than above."""
-        values = np.ldexp(1.0, np.arange(-20, 60))
+        values = np.ldexp(1.0, np.arange(-110, 60))
         values = np.concatenate([values, -values, np.nextafter(values, 0.0)])
         assert repr_join(values, b",", True) == repr_oracle(values, ",", True)
 
@@ -81,8 +85,8 @@ class TestReprJoin:
 
     def test_decides_all_but_a_few_values_in_range(self):
         """The vectorized path, not ``repr``, formats the values it covers:
-        of 2^16 p-values in [1e-4, 1), none but the ties and near-ties (a
-        share below 1e-4) is left to ``repr``."""
+        of 2^16 p-values in [1e-30, 1), none but the ties, near-ties and
+        powers of two (a share below 1e-4) is left to ``repr``."""
         values = sweep("pvalues", 2**16)
-        values = values[values >= 1e-4]
+        values = values[values >= 1e-30]
         assert np.mean(~_shortest_decimal(values.copy())[2]) < 1e-4

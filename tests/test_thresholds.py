@@ -67,6 +67,15 @@ def mp_phi(x: float) -> float:
     return float(mp.ncdf(x))
 
 
+def mp_upper_quantile(y: mp.mpf) -> mp.mpf:
+    """The ``c`` with ``P(Z > c) = y``, by Newton on ``log ncdf(-c)`` in 40
+    digits, which holds for ``y`` far below ``1 - y``'s rounding."""
+    with mp.workdps(40):
+        y = mp.mpf(y)
+        start = mp.sqrt(-2 * mp.log(y)) if y < 0.3 else mp.mpf(0.5)
+        return mp.findroot(lambda c: mp.log(mp.ncdf(-c)) - mp.log(y), start)
+
+
 def brute_force_window_corr(hurst: float, small: int, big: int) -> float:
     """Correlation of two backward windows ending at the same position,
     by direct double summation of the autocovariance."""
@@ -309,6 +318,23 @@ class TestClosedFormThresholds:
     def test_alpha_validation(self, alpha):
         with pytest.raises(ValueError):
             asymptotic_threshold(alpha, 3)
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-3, 1e-6, 1e-9, 1e-12, 1e-15, 1e-20, 1e-50,
+                                       1e-100, 1e-200, 1e-300])
+    def test_closed_forms_match_mpmath_down_to_tiny_alpha(self, alpha):
+        """Both closed forms lie within 1e-15 relative of their formulas in
+        340 digits, where ``1 - alpha`` is exact.  Rounding ``1 - alpha``
+        cost 1.4e-5 at m = 15, alpha = 1e-12, and gave an infinite value
+        from alpha = 1.1e-16 down."""
+        with mp.workdps(340):
+            a = mp.mpf(alpha)
+            expected = {0: mp_upper_quantile(a / 2)}
+            for m in (1, 2, 15, 40):
+                expected[m] = mp_upper_quantile(1 - (1 - a) ** (mp.mpf(1) / (2 * m)))
+        got = {m: asymptotic_threshold(alpha, m).value for m in (1, 2, 15, 40)}
+        got[0] = single_scale_threshold(alpha).value
+        for m, value in got.items():
+            assert abs(value - expected[m]) <= 1e-15 * expected[m], (m, value)
 
 
 class TestImprovedThreshold:
