@@ -95,14 +95,14 @@ def _shortest_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     shortest is the first of the 15- and 16-digit ones within h, half an ulp
     of a in the same units (0.55 < h < 11.1), else the 17-digit one.  Those
     distances are known to about 1e-14, so a value whose distance lies within
-    1e-9 of h, or whose 16-digit rounding lies within 1e-9 of a tie, is left
-    undecided, as are one whose e was misjudged, 0 and NaN.  So is a power
-    of two, below which the interval is only h/2 wide: from 2^-44 down, a
-    15- or 16-digit decimal falls between h/2 and h below some
-    (``tests/test_reprtext.py::TestReprJoin::test_powers_of_two``).  A
-    17-digit tie needs V = (odd) 5^(16-e) / 2 >= 1e16, so where err is
-    inexact there are nine, m 2^-24 and m 2^-25, and each rounds to even as
-    computed (``EDGES`` in the same file).
+    1e-9 of h, or whose 16- or 17-digit rounding lies within 1e-9 of a tie,
+    is left undecided, as are one whose e was misjudged, 0 and NaN.  Where
+    err is inexact, rounding it can move a value within 3e-15 of a
+    17-digit tie to the tie and then to the far neighbour
+    (``NEAR_TIES`` in ``tests/test_reprtext.py``).  A power of two is left
+    undecided too, since below it the interval is only h/2 wide: from
+    2^-44 down, a 15- or 16-digit decimal falls between h/2 and h below
+    some (``tests/test_reprtext.py::TestReprJoin::test_powers_of_two``).
     """
     ok = (a >= 1e-30) & (a < 1e16)
     a[~ok] = 1.5
@@ -124,7 +124,8 @@ def _shortest_decimal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     err += tail
     ok &= p - 1e16 + err >= 0  # e is not too large
     whole = p.astype(np.int64)
-    step = np.rint(err)  # the 17-digit decimal is whole + step; a tie goes to even
+    step = np.rint(err)  # the 17-digit decimal is whole + step
+    ok &= np.abs(err - step) < 0.5 - 1e-9  # not within 1e-9 of a tie
     for unit in (10, 100):  # the 16-, then the 15-digit decimal
         residue = whole % unit
         distance = residue + err

@@ -876,14 +876,18 @@ class TestMapCommand:
 class TestMapCsvWriter:
     def test_bytes_match_per_cell_formatting(self, tmp_path):
         """Row-wise repr agrees with repr(float(p)) cell by cell, NaN written empty:
-        p-values 0, 1, subnormal, 1e-299, below 1e-30, 1.1e-5 and two in [0.1, 1)."""
+        p-values 0, 1, subnormal, 1e-299, below 1e-30, 1.1e-5 and two in [0.1, 1).
+        The line is also pinned as text; scipy's ndtr and the package's port
+        (which takes exp from libm) give these p-values the same bits."""
         cells = [np.nan, ZERO, ONE, SUBNORMAL, 37.0, BELOW_1E30, 4.4, 1.6448536269514722, 1.0]
         statistics = np.array([cells, cells[::-1], [np.nan] * len(cells)])
         fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
         write_pvalue_csv(fast, dense(statistics))
         write_pvalue_csv_per_cell(slow, pvalues_of(statistics))
         assert fast.read_bytes() == slow.read_bytes()
-        assert fast.read_text().splitlines()[1].startswith("1,,0.0,1.0,2.1")
+        assert fast.read_text().splitlines()[1] == (
+            "1,,0.0,1.0,2.149622499173733e-309,1.1451142445047853e-299,3.552964224155306e-33,"
+            "1.0825087815407681e-05,0.10000000000000009,0.31731050786291415")
         assert has_subnormal(pvalues_of(statistics))
 
 

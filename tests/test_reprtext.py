@@ -1,5 +1,7 @@
 """The writers' float formatter, ``repr_join``, against one ``repr`` per value."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,29 @@ EDGES += [v for k in range(-31, 18) for v in (10.0**k, np.nextafter(10.0**k, 0.0
                                                np.nextafter(10.0**k, np.inf))]
 
 
+
+
+def near_ties(spread: int = 2048) -> np.ndarray:
+    """Values a = M 2^E in [1e-30, 1e-6), where the power of ten is inexact,
+    within j 2^-s (|j| < ``spread``) of a 17-digit tie: with e = floor(log10 a),
+    V = a 10^(16-e) = M 5^(16-e) / 2^s has M 5^(16-e) = 2^(s-1) + j (mod 2^s).
+    The formatter's residual of V is only known to about 3e-15, and some of
+    these, such as 2.2422607587866907e-07 (j = 1, s = 52), it rounds onto the
+    tie and then to the far 17-digit neighbour."""
+    values = []
+    for e in range(-30, -6):
+        k = 16 - e
+        for E in range(math.floor(e * math.log2(10)) - 53, math.ceil((e + 1) * math.log2(10)) - 52):
+            s = -(E + k)
+            inverse = pow(5**k, -1, 2**s)
+            for j in range(1 - spread, spread):
+                M = (2**(s - 1) + j) * inverse % 2**s
+                M += 2**52 if s <= 52 else 0
+                if 2**52 <= M < 2**53 and 10.0**e <= math.ldexp(M, E) < 10.0**(e + 1):
+                    values.append(math.ldexp(M, E))
+    return np.array(values)
+
+
 class TestReprJoin:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_infinity=False), max_size=40), st.booleans())
@@ -70,6 +95,11 @@ class TestReprJoin:
         values = np.array(EDGES + [-v for v in EDGES])
         sep = "," if lead else "\n"
         assert repr_join(values, sep.encode(), lead) == repr_oracle(values, sep, lead)
+
+    def test_near_ties_of_17_digits(self):
+        values = near_ties()
+        assert len(values) > 10_000
+        assert repr_join(values, b",", True) == repr_oracle(values, ",", True)
 
     def test_powers_of_two(self):
         """Every power of two in and around the decided range, whose
