@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import argparse
 import codecs
+import contextlib
 import json
 import math
 import os
+import pickle
 import sys
 import urllib.parse
 import warnings
@@ -34,7 +36,7 @@ from .pyramid import ScaleConfig, StreamState
 from .reprtext import repr_join
 from .svgmap import render_pvalue_map_svg
 from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
-from .workers import in_turns
+from .workers import ahead, in_turns
 
 __all__ = ["main"]
 
@@ -479,10 +481,8 @@ def _stdin_text(stdin):
     and skipped like any line that does not parse.  Newlines are not
     translated: CPython opens stdin on POSIX with ``newline="\\n"``, so a
     lone ``\\r`` is part of a line.  A text stream without ``.buffer`` is
-    read with ``.read``.  Without stdin (``<&-``), ``sys.stdin`` is None.
+    read with ``.read``.
     """
-    if stdin is None:
-        raise ValueError("stdin is closed")
     raw = getattr(stdin, "buffer", None)
     if raw is None:
         yield from iter(lambda: stdin.read(_STREAM_READ), "")
@@ -494,26 +494,38 @@ def _stdin_text(stdin):
 
 
 def _stdin_lines(stdin):
-    """The lines of ``stdin``, newlines dropped: one list per read, of the lines it completed.
+    """The lines of ``stdin``, newlines dropped: one ``(lineno, lines)`` per read.
 
-    The text after the last newline is carried into the next read; at the
-    end of input it is the last line.
+    ``lines`` are the lines the read completed and ``lineno`` the number of
+    lines before them.  The text after the last newline is carried into the
+    next read; at the end of input it is the last line.  An ``OSError`` in
+    reading ends the reads as the last ``lines``, so that a worker reading
+    stdin can send it on with its message.
     """
-    partial = ""
-    for text in _stdin_text(stdin):
-        *lines, partial = (partial + text).split("\n")
-        yield lines
+    partial, lineno = "", 0
+    try:
+        for text in _stdin_text(stdin):
+            *lines, partial = (partial + text).split("\n")
+            yield lineno, lines
+            lineno += len(lines)
+    except OSError as error:
+        yield lineno, error
+        return
     if partial:
-        yield [partial]
+        yield lineno, [partial]
 
 
 def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float | None):
-    """The samples of one read's ``lines``, the first of them being line ``lineno + 1``.
+    """The samples of one read's ``lines``, the first of them being line ``lineno + 1``, and the
+    text of its warnings.
 
     One numpy call parses the read; it accepts just what ``float()`` does.
     When that call raises, or a sample is not finite before or after
     ``--mean/--std``, the read goes through the per-line loop instead, which
-    warns about each line it skips, with its line number, and returns the rest.
+    skips each line that is blank, does not parse or is not finite, and
+    returns the rest with one warning line for each skipped line, naming its
+    line number.  Nothing is printed here: in ``stream`` this may run in a
+    worker process.
     """
     try:
         samples = np.array(lines, dtype=float)
@@ -525,54 +537,82 @@ def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float 
                 samples -= mean
                 samples /= std
         if np.isfinite(samples).all():
-            return samples
-    samples = []
+            return samples, ""
+    samples, skipped = [], []
     for lineno, raw in enumerate(lines, start=lineno + 1):
         line = raw.strip()
         if not line:
-            print(f"warning: line {lineno}: empty line skipped", file=sys.stderr)
+            skipped.append(f"warning: line {lineno}: empty line skipped\n")
             continue
         try:
             sample = float(line)
         except ValueError:
-            print(f"warning: line {lineno}: cannot parse {line!r}, skipped", file=sys.stderr)
+            skipped.append(f"warning: line {lineno}: cannot parse {line!r}, skipped\n")
             continue
         if not math.isfinite(sample):
-            print(f"warning: line {lineno}: non-finite value {line!r}, skipped", file=sys.stderr)
+            skipped.append(f"warning: line {lineno}: non-finite value {line!r}, skipped\n")
             continue
         if mean is not None:
             sample = (sample - mean) / std
             if not math.isfinite(sample):
-                print(f"warning: line {lineno}: value {line!r} is not finite after "
-                      "--mean/--std, skipped", file=sys.stderr)
+                skipped.append(f"warning: line {lineno}: value {line!r} is not finite after "
+                               "--mean/--std, skipped\n")
                 continue
         samples.append(sample)
-    return samples
+    return samples, "".join(skipped)
+
+
+def _parsed_read(read, mean: float | None, std: float | None) -> bytes:
+    """One ``(lineno, lines)`` of :func:`_stdin_lines` as the bytes ``stream`` passes on: the
+    pickle of its samples and warning text, or of its read error."""
+    lineno, lines = read
+    parsed = lines if isinstance(lines, OSError) else _read_samples(lines, lineno, mean, std)
+    return pickle.dumps(parsed, pickle.HIGHEST_PROTOCOL)
 
 
 def cmd_stream(args) -> int:
+    """Online detection on stdin, one read at a time.
+
+    Each read's lines are parsed by :func:`_read_samples`, its warnings
+    printed to stderr, its samples pushed with one ``StreamState.extend``
+    call and its flagged rows written to stdout with one write and one
+    flush.  The parsing runs ahead through :func:`~lrdshift.workers.ahead`:
+    on a host with two or more usable CPUs a forked worker reads, decodes,
+    splits and parses stdin while this process extends the windows over the
+    reads it has already sent; on one CPU this process parses each read
+    itself before extending it.  Either way stdout, stderr and their order
+    are the same, and an error in reading stdin ends the run with its
+    message after the reads before it.
+    """
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
     critical = _threshold(args).value
+    if sys.stdin is None:  # run with ``<&-``
+        raise ValueError("stdin is closed")
     state = StreamState(scale_config)
-    index = lineno = 0
-    for lines in _stdin_lines(sys.stdin):
-        # Parse what this read delivered, then run one extend over it.
-        samples = _read_samples(lines, lineno, args.mean, args.std)
-        lineno += len(lines)
-        statistics, argmax_scales = state.extend(samples)
-        flagged = np.flatnonzero(statistics > critical)
-        if len(flagged):
-            rows = zip((index + 1 + flagged).tolist(), statistics[flagged].tolist(),
-                       argmax_scales[flagged].tolist())
-            if args.format == "jsonl":
-                out = "".join(json.dumps({"index": i, "statistic": s, "argmax_scale": k},
-                                         sort_keys=True) + "\n" for i, s, k in rows)
-            else:
-                out = "".join(f"{i},{s!r},{k}\n" for i, s, k in rows)
-            sys.stdout.write(out)
-            sys.stdout.flush()
-        index += len(samples)
+    index = 0
+    reads = ahead(_stdin_lines(sys.stdin), lambda read: _parsed_read(read, args.mean, args.std))
+    with contextlib.closing(reads):
+        for data in reads:
+            parsed = pickle.loads(data)
+            if isinstance(parsed, OSError):
+                raise parsed
+            samples, skipped = parsed
+            if skipped:
+                sys.stderr.write(skipped)
+            statistics, argmax_scales = state.extend(samples)
+            flagged = np.flatnonzero(statistics > critical)
+            if len(flagged):
+                rows = zip((index + 1 + flagged).tolist(), statistics[flagged].tolist(),
+                           argmax_scales[flagged].tolist())
+                if args.format == "jsonl":
+                    out = "".join(json.dumps({"index": i, "statistic": s, "argmax_scale": k},
+                                             sort_keys=True) + "\n" for i, s, k in rows)
+                else:
+                    out = "".join(f"{i},{s!r},{k}\n" for i, s, k in rows)
+                sys.stdout.write(out)
+                sys.stdout.flush()
+            index += len(samples)
     return 0
 
 

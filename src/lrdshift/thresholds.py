@@ -73,6 +73,10 @@ def _block_rows(m: int) -> int:
 
 
 _CACHE_VERSION = 2  # bump when the Monte-Carlo samples or their quantile change
+# The smallest alpha ``power_two_scale`` takes.  Its threshold solves
+# ``P(|X| <= c, |Y| <= c) = 1 - alpha``, and ``1 - alpha`` is a multiple of
+# 2^-53 there, so it holds alpha to about 1e-16 / alpha relative: 1e-4 here.
+_PAIR_ALPHA_MIN = 1e-12
 
 
 # Cephes ndtri: sqrt(2 pi), then the rational forms P/Q in y^2 for
@@ -612,8 +616,12 @@ def _rectangle(c: float, means: tuple[float, float], rho: float) -> float:
 
 def _two_scale_threshold(alpha: float, rho: float) -> float:
     """The ``c`` with ``P(|X| <= c, |Y| <= c) = 1 - alpha``: bisection between the single-scale and
-    the Bonferroni values, which bracket it, until the midpoint equals an end; returns the upper."""
-    lo, hi = _ndtri(1.0 - alpha / 2.0), _ndtri(1.0 - alpha / 4.0)
+    the Bonferroni values, which bracket it, until the midpoint equals an end; returns the upper.
+
+    The brackets come from the complement, ``-Phi^{-1}(alpha / 2)`` and ``-Phi^{-1}(alpha / 4)``,
+    so they stay finite and exact at any alpha; the target ``1 - alpha`` still rounds (see
+    ``_PAIR_ALPHA_MIN``)."""
+    lo, hi = -_ndtri(alpha / 2.0), -_ndtri(alpha / 4.0)
     while lo < (mid := (lo + hi) / 2.0) < hi:
         lo, hi = (mid, hi) if _rectangle(mid, (0.0, 0.0), rho) < 1.0 - alpha else (lo, mid)
     return hi
@@ -625,8 +633,14 @@ def power_two_scale(alpha: float, delta: float, hurst: float, big_window: int, s
     The pair is (scale 1, backward window of length ``big_window``) with ``shifted_count`` of
     its samples shifted by ``delta``: means ``(delta, shifted_count * delta / big_window**hurst)``,
     correlation ``cross_scale_corr(hurst, big_window, 1)`` and the exact two-scale threshold.
+    Both the threshold and the power are found through ``1 - alpha``, which resolves alpha to
+    about 1e-16 / alpha relative, so an alpha below ``_PAIR_ALPHA_MIN`` (1e-12) raises
+    :class:`ValueError`.
     """
     ThresholdQuery(alpha, 2, hurst, base=big_window)  # checks alpha, hurst and big_window
+    if alpha < _PAIR_ALPHA_MIN:
+        raise ValueError(f"power_two_scale needs alpha >= {_PAIR_ALPHA_MIN:g}, where 1 - alpha "
+                         f"still resolves alpha, got {alpha}")
     if not 1 <= shifted_count <= big_window:
         raise ValueError("shifted_count must be in 1..big_window")
     rho = cross_scale_corr(hurst, big_window, 1)

@@ -1,13 +1,22 @@
-"""Ordered work on two cores: this process and one forked worker take turns.
+"""Ordered work on two cores: this process and one forked worker.
 
-The callers' items (a writer's slices, the study's simulations, the
-Monte-Carlo threshold's chunks) are ordered, and each item's bytes depend on
-the item alone, so the output does not depend on which process computed what.
+Two patterns share one worker and one pipe protocol (an 8-byte length, then
+the item's bytes):
+
+- Taking turns (:func:`in_turns`): this process computes the even items and
+  the worker the odd ones.  The callers' items (a writer's slices, the
+  study's simulations, the Monte-Carlo threshold's chunks) are ordered, and
+  each item's bytes depend on the item alone, so the output does not depend
+  on which process computed what.
+- Running ahead (:func:`ahead`): the worker takes every item and this
+  process uses the bytes of each as they arrive, while the worker computes
+  the next ones (``stream`` parses stdin there and extends the windows here).
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import gc
 import itertools
 import os
@@ -15,7 +24,7 @@ import signal
 import warnings
 from typing import NoReturn
 
-__all__ = ["in_turns"]
+__all__ = ["ahead", "in_turns"]
 
 
 def _usable_cpus() -> int:
@@ -48,7 +57,7 @@ def in_turns(items, compute, emit=None, into=None) -> None:
     items = iter(items)
     first = list(itertools.islice(items, 2))
     items = itertools.chain(first, items)
-    with _worker(items, compute, len(first) == 2) as pipe:
+    with _worker(itertools.islice(items, 1, None, 2), compute, len(first) == 2) as pipe:
         for index, item in enumerate(items):
             if pipe is None or index % 2 == 0:
                 data = compute(item)
@@ -58,9 +67,37 @@ def in_turns(items, compute, emit=None, into=None) -> None:
                 emit(data)
 
 
+def ahead(items, compute):
+    """Yield ``compute(item)`` for each of ``items``, in item order, computed ahead in a worker.
+
+    ``compute`` returns a bytes-like object.  With two or more usable CPUs
+    and ``os.fork``, one forked worker iterates ``items``, computes every
+    item and sends its bytes through a pipe; this process yields each as a
+    new ``bytes`` as soon as it has arrived, and the worker goes on with the
+    next items meanwhile, at most a pipe's worth (1 MiB where the system
+    allows) ahead.  Otherwise this process computes each item as it is
+    asked for.  The end of the pipe ends the items.
+
+    Only one process iterates ``items``, so they may be read from a shared
+    file (stdin).  Close the generator (``contextlib.closing``) when it may
+    be left before its end: that kills the worker.  The worker is reaped
+    before the generator finishes or closes.  An exception raised here
+    kills the worker first and propagates unchanged; otherwise a worker
+    that failed, in ``compute`` or in ``items``, raises
+    :class:`RuntimeError`.  So a caller that must keep the message of an
+    error in its items carries it in an item's bytes.
+    """
+    with _worker(items, compute, True) as pipe:
+        if pipe is None:
+            yield from map(compute, items)
+            return
+        while pipe.peek(1):
+            yield _receive(pipe)
+
+
 @contextlib.contextmanager
 def _worker(items, compute, fork: bool):
-    """The read end of the pipe from a forked worker computing the odd ``items``.
+    """The read end of the pipe from a forked worker computing each of ``items``.
 
     Yields None, and forks nothing, unless ``fork`` holds, two or more CPUs
     are usable and ``os.fork`` exists.  The worker is reaped before the
@@ -71,8 +108,6 @@ def _worker(items, compute, fork: bool):
     if not fork or not hasattr(os, "fork") or _usable_cpus() < 2:
         yield None
         return
-    import fcntl
-
     read_fd, write_fd = os.pipe()
     with contextlib.suppress(AttributeError, OSError):
         # A 1 MiB pipe lets the worker run about a dozen map slices ahead:
@@ -108,7 +143,7 @@ def _worker(items, compute, fork: bool):
 
 
 def _worker_main(items, compute, write_fd) -> NoReturn:
-    """The forked worker: send the bytes of each odd item as an 8-byte length and its bytes.
+    """The forked worker: send the bytes of each item as an 8-byte length and its bytes.
 
     It leaves through ``os._exit``, so it never returns into the caller's
     stack or flushes the parent's buffers.  Its garbage collector is off,
@@ -119,12 +154,11 @@ def _worker_main(items, compute, write_fd) -> NoReturn:
     try:
         gc.disable()
         with open(write_fd, "wb") as pipe:
-            for index, item in enumerate(items):
-                if index % 2:
-                    data = memoryview(compute(item)).cast("B")
-                    pipe.write(len(data).to_bytes(8, "little"))
-                    pipe.write(data)
-                    pipe.flush()
+            for item in items:
+                data = memoryview(compute(item)).cast("B")
+                pipe.write(len(data).to_bytes(8, "little"))
+                pipe.write(data)
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)

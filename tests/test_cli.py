@@ -3,6 +3,7 @@
 import gzip
 import importlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -110,6 +111,26 @@ print(json.dumps({"codes": codes, "refused": refused}))
 """
 
 
+# Runs the CLI on argv[2:] with ``workers._usable_cpus`` returning argv[1]
+# (1: no worker; 2: a worker, however many CPUs the host has) and memory
+# traced, and prints its exit code, the traced peak in bytes and the number
+# of forks as the last stdout line.
+STREAM_PROBE = """
+import os, sys, tracemalloc
+from lrdshift import workers
+from lrdshift.cli import main
+workers._usable_cpus = lambda: int(sys.argv[1])
+forks, fork = [], os.fork
+def counted_fork():
+    forks.append(None)
+    return fork()
+os.fork = counted_fork
+tracemalloc.start()
+code = main(sys.argv[2:])
+print(code, tracemalloc.get_traced_memory()[1], len(forks))
+"""
+
+
 def lrdshift_env(**extra):
     """``os.environ`` with lrdshift importable, updated by ``extra``."""
     src = Path(importlib.import_module("lrdshift").__file__).resolve().parent.parent
@@ -130,6 +151,15 @@ def run_probe(argv, stdin=""):
     assert completed.stderr == ""
     *lines, probe = completed.stdout.splitlines()
     return lines, json.loads(probe)
+
+
+def stream_probe(cpus, argv, stdin: bytes, **env):
+    """Runs STREAM_PROBE with ``cpus`` on ``argv`` and ``stdin``; returns (stdout before the
+    probe line, stderr, (exit code, traced peak, forks))."""
+    completed = subprocess.run([sys.executable, "-c", STREAM_PROBE, str(cpus), *argv], input=stdin,
+                               capture_output=True, env=lrdshift_env(**env), timeout=120)
+    head, newline, probe = completed.stdout.removesuffix(b"\n").rpartition(b"\n")
+    return head + newline, completed.stderr, tuple(map(int, probe.split()))
 
 
 @pytest.fixture
@@ -1473,10 +1503,11 @@ class TestStreamCommand:
     ], ids=["csv", "jsonl", "moments"])
     def test_stdin_bytes_match_the_per_line_oracle(self, extra):
         """On real stdin bytes, stdout and stderr equal those of the per-line
-        loop over the text stream CPython makes of them.  The bytes hold
-        CRLF and a lone CR, blank and whitespace-only lines, an invalid
-        UTF-8 byte, two-byte characters, nan, 1e400, sums that overflow and
-        a last line with no newline, over several reads."""
+        loop over the text stream CPython makes of them, with the parsing
+        worker off and on.  The bytes hold CRLF and a lone CR, blank and
+        whitespace-only lines, an invalid UTF-8 byte, two-byte characters,
+        nan, 1e400, sums that overflow and a last line with no newline, over
+        several reads."""
         rng = np.random.default_rng(61)
         values = rng.standard_normal(4000)
         values[1500:1900] += 1.5
@@ -1488,12 +1519,6 @@ class TestStreamCommand:
         data = b"\n".join(lines)
         assert len(data) > 4 * _STREAM_READ and not data.endswith(b"\n")
         argv = ["--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4", *extra]
-        completed = subprocess.run(
-            [sys.executable, "-m", "lrdshift.cli", "stream", *argv], input=data,
-            capture_output=True, timeout=120,
-            env=lrdshift_env(PYTHONIOENCODING="utf-8:surrogateescape"),
-        )
-        assert completed.returncode == 0
         moments = {"mean": 0.2, "std": 0.8} if "--mean" in extra else {}
         out, err = stream_per_line(
             io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
@@ -1501,9 +1526,12 @@ class TestStreamCommand:
             ScaleConfig(base=2, num_scales=6, hurst=0.8), 2.4,
             "jsonl" if "jsonl" in extra else "csv", **moments,
         )
-        assert completed.stdout.decode() == out
-        assert completed.stderr.decode() == err
         assert out.count("\n") > 100 and err.count("\n") == 7 * 20
+        for cpus in (1, 2):
+            stdout, stderr, (code, _, forks) = stream_probe(
+                cpus, ["stream", *argv], data, PYTHONIOENCODING="utf-8:surrogateescape")
+            assert (code, forks) == (0, cpus - 1)
+            assert (stdout.decode(), stderr.decode()) == (out, err)
 
     @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
     @pytest.mark.parametrize("extra", [[], ["--mean", "0.2", "--std", "0.8"]],
@@ -1540,6 +1568,87 @@ class TestStreamCommand:
         assert code == 0
         assert (captured.out, captured.err) == (out, err)
         assert out.count("\n") > 100 and err.count("\n") == (4 if extra else 3)
+
+    @pytest.mark.filterwarnings("error")  # a numpy warning would reach stderr
+    def test_odd_lines_at_read_boundaries_match_the_oracle_worker_off_and_on(
+            self, monkeypatch, forks):
+        """stdout and stderr equal the per-line loop's, with the parsing worker
+        off and on, when blank, unparseable, non-finite, ``--mean/--std``-
+        overflowing and undecodable lines (and a two-byte character) sit at
+        the ends of 16 KiB reads: each kind once as the last line of a read,
+        once as the first line of the next and once across the boundary.
+        Each read's warnings come before its flags, with the worker or without."""
+        odd = [b"", b"  ", b"huh", b"nan", b"-1e400", b"1.7e308", b"\xff", b"\xc3\xa9"]
+        rng = np.random.default_rng(64)
+        values = iter(rng.standard_normal(40000) + np.repeat([0.0, 1.5], 20000))
+        data = bytearray()
+        for boundary, (line, start) in enumerate(itertools.product(odd, (-1, 0, 1)), start=1):
+            # The odd line starts ``len(line) + 1`` bytes before the boundary
+            # (its newline ends the read), at it, or one byte before it.
+            at = boundary * _STREAM_READ - {-1: len(line) + 1, 0: 0, 1: 1}[start]
+            while len(data) + 40 < at:
+                data += repr(float(next(values))).encode() + b"\n"
+            data += b"0." + b"0" * (at - len(data) - 3) + b"\n" + line + b"\n"
+            assert data.index(b"\n" + line + b"\n", at - 1) == at - 1
+        data = bytes(data) + b"".join(repr(float(v)).encode() + b"\n" for v in values)
+        moments = {"mean": 0.2, "std": 0.8}
+        expected = stream_per_line(
+            io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape",
+                             newline="\n"),
+            ScaleConfig(base=2, num_scales=6, hurst=0.8), 2.4, **moments,
+        )
+        flags, warnings = (text.splitlines(keepends=True) for text in expected)
+        assert len(flags) > 100 and len(warnings) == 3 * len(odd)
+        # The oracle's lines in the order of the reads that complete their
+        # input lines, each read's warnings before its flags.
+        read_of_line = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n")) // _STREAM_READ
+        warned = [int(line.split()[2].rstrip(":")) for line in warnings]
+        sample_lines = np.setdiff1d(np.arange(1, len(read_of_line) + 1), warned)
+
+        def order(line):
+            if line.startswith("warning: "):
+                number = int(line.split()[2].rstrip(":"))
+                return read_of_line[number - 1], 0, number
+            number = sample_lines[int(line.split(",")[0]) - 1]
+            return read_of_line[number - 1], 1, number
+
+        merged = "".join(sorted(flags + warnings, key=order))
+        for cpus in (1, 2):
+            # stdout and stderr into one stream, to compare their order too.
+            both = io.StringIO()
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            monkeypatch.setattr("sys.stdout", both)
+            monkeypatch.setattr("sys.stderr", both)
+            code = run(["stream", "--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4",
+                        "--mean", "0.2", "--std", "0.8"])
+            assert code == 0
+            assert both.getvalue() == merged
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["worker-off", "worker-on"])
+    def test_read_error_exits_1_with_its_message(self, monkeypatch, capsys, forks, cpus):
+        """An ``OSError`` in reading stdin, in this process or in the worker,
+        ends the run with its message and exit code 1, after the flags of the
+        reads before it."""
+
+        class FailingStdin:
+            encoding = "utf-8"
+
+            def __init__(self):
+                self.buffer, self.reads = self, [b"0\n0\n100\n"]
+
+            def read1(self, size):
+                if self.reads:
+                    return self.reads.pop()
+                raise OSError("boom")
+
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr("sys.stdin", FailingStdin())
+        code = run(["stream", "--hurst", "0.9", "--scales", "2", "--threshold-value", "2.2"])
+        assert code == 1
+        assert capsys.readouterr() == ("3,100.0,1\n", "error: boom\n")
+        assert len(forks) == cpus - 1
 
     def test_strict_stdin_decoder_skips_only_the_bad_line(self):
         """Under a strict stdin decoder a byte it rejects is one warned,
@@ -1585,20 +1694,17 @@ class TestStreamCommand:
         assert proc.returncode == 0
 
     def test_stream_runs_in_bounded_memory(self):
-        """2^17 lines at 15 scales peak below 1 MiB of traced memory: stdin
-        is read a bounded piece at a time, not all at once."""
+        """2^17 lines at 15 scales peak below 1 MiB of traced memory, with
+        stdin parsed in this process (one CPU) or in the worker: stdin is
+        read a bounded piece at a time, not all at once."""
         x = synthesize_fgn(LrdModel(0.9), 1 << 17, seed=62)
-        completed = python_with_lrdshift(
-            "import sys, tracemalloc\nfrom lrdshift.cli import main\ntracemalloc.start()\n"
-            "code = main(sys.argv[1:])\nprint(code, tracemalloc.get_traced_memory()[1])",
-            "stream", "--hurst", "0.9", "--threshold-value", "3.5",
-            stdin="".join(repr(v) + "\n" for v in x.tolist()),
-        )
-        *flags, probe = completed.stdout.splitlines()
-        code, peak = map(int, probe.split())
-        assert code == 0 and completed.stderr == ""
-        assert flags, "the bound holds on a stream that writes flags"
-        assert peak < 1 << 20, f"traced peak {peak} B"
+        stdin = "".join(repr(v) + "\n" for v in x.tolist()).encode()
+        for cpus in (1, 2):
+            flags, err, (code, peak, forks) = stream_probe(
+                cpus, ["stream", "--hurst", "0.9", "--threshold-value", "3.5"], stdin)
+            assert (code, err, forks) == (0, b"", cpus - 1)
+            assert flags, "the bound holds on a stream that writes flags"
+            assert peak < 1 << 20, f"traced peak {peak} B with {cpus} CPU(s)"
 
     def test_closed_stdin_exits_2(self, monkeypatch, capsys):
         """Without stdin (``<&-``), ``sys.stdin`` is None."""

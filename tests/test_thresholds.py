@@ -40,6 +40,7 @@ from lrdshift.thresholds import (
     _corr_factor,
     _max_abs_gaussian_samples,
     _P,
+    _PAIR_ALPHA_MIN,
     _Q,
     _ndtr,
     _ndtri,
@@ -791,6 +792,30 @@ class TestPowerTwoScale:
         monkeypatch.setattr(np.random, "default_rng", None)
         power_two_scale(0.01, 1.0, 0.9, 2**10, 2**10)
         assert forks == []
+
+    def test_alpha_floor_is_where_one_minus_alpha_still_resolves_alpha(self):
+        """Against mpmath, the rejection level of the two-scale threshold, and
+        the power with no shift, are alpha within 1e-3 (relative) from 1e-3
+        down to the floor, at two correlations.  Below the floor they are not
+        (the level is 0.11 off at 1e-15), and ``power_two_scale`` refuses such
+        an alpha, naming it, where it returned NaN from infinite brackets."""
+
+        def level(c, rho):
+            return 1 - (mp_corner(c, c, rho) - mp_corner(-c, c, rho) - mp_corner(c, -c, rho)
+                        + mp_corner(-c, -c, rho))
+
+        for hurst, big in [(0.9, 64), (0.6, 1024)]:
+            rho = cross_scale_corr(hurst, big, 1)
+            above = [1e-3, 1e-6, 1e-9, 1e-10, 1e-11, _PAIR_ALPHA_MIN]
+            errors = {alpha: abs(float(level(_two_scale_threshold(alpha, rho), rho) / alpha) - 1)
+                      for alpha in [*above, 1e-13, 1e-14, 1e-15]}
+            assert max(errors[alpha] for alpha in above) <= 1e-3, errors
+            assert max(errors[alpha] for alpha in (1e-13, 1e-14, 1e-15)) > 1e-3, errors
+            for alpha in above:
+                assert abs(power_two_scale(alpha, 0.0, hurst, big, 1) / alpha - 1) <= 1e-3, alpha
+        for alpha in (math.nextafter(_PAIR_ALPHA_MIN, 0.0), 1e-17, 5e-324):
+            with pytest.raises(ValueError, match=f"alpha >= 1e-12, .* got {alpha}$"):
+                power_two_scale(alpha, 1.0, 0.9, 64, 32)
 
     def test_shifted_count_validation(self):
         for count in (0, 17):
