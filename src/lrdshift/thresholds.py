@@ -619,7 +619,7 @@ def _two_scale_threshold(alpha: float, rho: float) -> float:
     the Bonferroni values, which bracket it, until the midpoint equals an end; returns the upper.
 
     The brackets come from the complement, ``-Phi^{-1}(alpha / 2)`` and ``-Phi^{-1}(alpha / 4)``,
-    so they stay finite and exact at any alpha; the target ``1 - alpha`` still rounds (see
+    so no rounding of ``1 - alpha / 2`` moves them; the target ``1 - alpha`` still rounds (see
     ``_PAIR_ALPHA_MIN``)."""
     lo, hi = -_ndtri(alpha / 2.0), -_ndtri(alpha / 4.0)
     while lo < (mid := (lo + hi) / 2.0) < hi:
