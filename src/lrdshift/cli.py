@@ -20,7 +20,6 @@ import contextlib
 import json
 import math
 import os
-import pickle
 import sys
 import urllib.parse
 import warnings
@@ -365,14 +364,14 @@ def cmd_detect(args) -> int:
     scale_config.check_length(len(values))
     threshold = _threshold(args)
     if args.mean is not None or args.standardize == "sample":
-        # Rebinding frees the raw values before the pyramid is built.
+        # Rebinding frees the raw values before detection.
         values = standardize(values, args.mean, args.std)[0]
     result = detect(values, DetectionConfig(scale_config, threshold.value, args.method))
     intervals = flags_to_intervals(result, args.gap_tolerance)
     payload = {
         "alpha": args.alpha,
         "base": args.base,
-        "flagged_indices": result.flags.tolist(),
+        "flagged_indices": result.flags,
         "hurst": args.hurst,
         "intervals": [
             {"start": iv.start, "end": iv.end, "peak_scale": iv.peak_scale} for iv in intervals
@@ -397,13 +396,16 @@ def _flags_json(payload: dict) -> str:
     With ``indent``, ``json`` encodes in pure Python, one call per list
     item; here the scalars go through ``json.dumps`` and the two lists,
     which may be long, are joined from text: ``flagged_indices`` holds
-    ints and ``intervals`` dicts with the int fields of ``_INTERVAL``.
+    ints (an int array or a list), formatted ``_SLICE`` at a time so that
+    no Python int or str is made for every flag at once, and ``intervals``
+    dicts with the int fields of ``_INTERVAL``.
     """
     fields = []
     for key in sorted(payload):
         value = payload[key]
         if key == "flagged_indices":
-            text = _json_list(map(str, value))
+            text = _json_list(",\n    ".join(map(str, np.asarray(value[lo:lo + _SLICE]).tolist()))
+                              for lo in range(0, len(value), _SLICE))
         elif key == "intervals":
             text = _json_list(_INTERVAL.format_map(interval) for interval in value)
         else:
@@ -562,12 +564,11 @@ def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float 
     return samples, "".join(skipped)
 
 
-def _parsed_read(read, mean: float | None, std: float | None) -> bytes:
-    """One ``(lineno, lines)`` of :func:`_stdin_lines` as the bytes ``stream`` passes on: the
-    pickle of its samples and warning text, or of its read error."""
+def _parsed_read(read, mean: float | None, std: float | None):
+    """One ``(lineno, lines)`` of :func:`_stdin_lines` as ``stream`` passes it on: its samples
+    and warning text, or its read error."""
     lineno, lines = read
-    parsed = lines if isinstance(lines, OSError) else _read_samples(lines, lineno, mean, std)
-    return pickle.dumps(parsed, pickle.HIGHEST_PROTOCOL)
+    return lines if isinstance(lines, OSError) else _read_samples(lines, lineno, mean, std)
 
 
 def cmd_stream(args) -> int:
@@ -579,10 +580,10 @@ def cmd_stream(args) -> int:
     flush.  The parsing runs ahead through :func:`~lrdshift.workers.ahead`:
     on a host with two or more usable CPUs a forked worker reads, decodes,
     splits and parses stdin while this process extends the windows over the
-    reads it has already sent; on one CPU this process parses each read
-    itself before extending it.  Either way stdout, stderr and their order
-    are the same, and an error in reading stdin ends the run with its
-    message after the reads before it.
+    reads it has already sent, each as a pickle; on one CPU this process
+    parses each read itself before extending it, and pickles nothing.
+    Either way stdout, stderr and their order are the same, and an error in
+    reading stdin ends the run with its message after the reads before it.
     """
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
@@ -593,8 +594,7 @@ def cmd_stream(args) -> int:
     index = 0
     reads = ahead(_stdin_lines(sys.stdin), lambda read: _parsed_read(read, args.mean, args.std))
     with contextlib.closing(reads):
-        for data in reads:
-            parsed = pickle.loads(data)
+        for parsed in reads:
             if isinstance(parsed, OSError):
                 raise parsed
             samples, skipped = parsed

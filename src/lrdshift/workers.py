@@ -9,8 +9,8 @@ the item's bytes):
   each item's bytes depend on the item alone, so the output does not depend
   on which process computed what.
 - Running ahead (:func:`ahead`): the worker takes every item and this
-  process uses the bytes of each as they arrive, while the worker computes
-  the next ones (``stream`` parses stdin there and extends the windows here).
+  process uses each as it arrives, pickled, while the worker computes the
+  next ones (``stream`` parses stdin there and extends the windows here).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import fcntl
 import gc
 import itertools
 import os
+import pickle
 import signal
 import warnings
 from typing import NoReturn
@@ -70,13 +71,14 @@ def in_turns(items, compute, emit=None, into=None) -> None:
 def ahead(items, compute):
     """Yield ``compute(item)`` for each of ``items``, in item order, computed ahead in a worker.
 
-    ``compute`` returns a bytes-like object.  With two or more usable CPUs
+    ``compute`` returns a picklable object.  With two or more usable CPUs
     and ``os.fork``, one forked worker iterates ``items``, computes every
-    item and sends its bytes through a pipe; this process yields each as a
-    new ``bytes`` as soon as it has arrived, and the worker goes on with the
+    item and sends its pickle through a pipe; this process yields it
+    unpickled as soon as it has arrived, and the worker goes on with the
     next items meanwhile, at most a pipe's worth (1 MiB where the system
     allows) ahead.  Otherwise this process computes each item as it is
-    asked for.  The end of the pipe ends the items.
+    asked for and yields the object ``compute`` returned, pickling nothing.
+    The end of the pipe ends the items.
 
     Only one process iterates ``items``, so they may be read from a shared
     file (stdin).  Close the generator (``contextlib.closing``) when it may
@@ -85,14 +87,18 @@ def ahead(items, compute):
     kills the worker first and propagates unchanged; otherwise a worker
     that failed, in ``compute`` or in ``items``, raises
     :class:`RuntimeError`.  So a caller that must keep the message of an
-    error in its items carries it in an item's bytes.
+    error in its items carries it in an item.
     """
-    with _worker(items, compute, True) as pipe:
+
+    def pickled(item):
+        return pickle.dumps(compute(item), pickle.HIGHEST_PROTOCOL)
+
+    with _worker(items, pickled, True) as pipe:
         if pipe is None:
             yield from map(compute, items)
             return
         while pipe.peek(1):
-            yield _receive(pipe)
+            yield pickle.loads(_receive(pipe))
 
 
 @contextlib.contextmanager

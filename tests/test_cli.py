@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -24,6 +25,7 @@ from lrdshift import (
     estimate_hurst, synthesize_fgn,
 )
 import lrdshift.evaluate as evaluate_module
+import lrdshift.pyramid as pyramid_module
 from lrdshift import cli as cli_module
 from lrdshift import workers
 from lrdshift.detect import level_rows, two_sided_pvalues
@@ -360,6 +362,31 @@ class TestDetectCommand:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    def test_flags_only_detect_runs_in_bounded_memory(self, monkeypatch, method):
+        """A flags-only detect at n = 2^20 and 15 scales holds the statistic
+        and one block's buffers, under 1.5 x the series (8n bytes) of traced
+        memory, and builds no pyramid.  Building the whole pyramid took 3x
+        the series in nowa and 16x in swa."""
+        n = 1 << 20
+        x = np.random.default_rng(0).standard_normal(n)
+        built, build = [], pyramid_module._build
+
+        def counted_build(method, series, config):
+            built.append(method)
+            return build(method, series, config)
+
+        monkeypatch.setattr(pyramid_module, "_build", counted_build)
+        tracemalloc.start()
+        try:
+            result = detect(x, DetectionConfig(ScaleConfig(2, 15, 0.9), 2.6, method))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.flags) > 1000
+        assert peak < 1.5 * 8 * n, f"{peak / (8 * n):.2f} x the series"
+        assert built == []
 
     def test_map_under_warnings_as_errors(self, tmp_path, spiked_series):
         """``python -W error -m lrdshift.cli detect --out-map`` exits 0, says
@@ -1624,6 +1651,38 @@ class TestStreamCommand:
                         "--mean", "0.2", "--std", "0.8"])
             assert code == 0
             assert both.getvalue() == merged
+        assert len(forks) == 1
+
+    def test_reads_are_pickled_only_across_the_pipe(self, monkeypatch, capsys, forks):
+        """With the worker off no read is pickled or unpickled; with it on,
+        this process unpickles each read the worker sends.  stdout and stderr
+        are the same either way, warnings included."""
+        values = np.random.default_rng(65).standard_normal(20000)
+        values[9000:9400] += 2.0
+        data = ("".join(repr(v) + "\n" for v in values.tolist()) + "huh\n1e400\n").encode()
+        calls, dumps, loads = [], pickle.dumps, pickle.loads
+
+        def counted_dumps(*args, **kwargs):
+            calls.append("dumps")
+            return dumps(*args, **kwargs)
+
+        def counted_loads(*args, **kwargs):
+            calls.append("loads")
+            return loads(*args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counted_dumps)
+        monkeypatch.setattr(pickle, "loads", counted_loads)
+        outputs = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(workers, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+            assert run(["stream", "--hurst", "0.8", "--scales", "6", "--threshold-value", "2.4"]) == 0
+            outputs.append(capsys.readouterr())
+            if cpus == 1:
+                assert calls == []
+        assert len(calls) > len(data) // _STREAM_READ and set(calls) == {"loads"}
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out.count("\n") > 100 and outputs[0].err.count("\n") == 2
         assert len(forks) == 1
 
     @pytest.mark.parametrize("cpus", [1, 2], ids=["worker-off", "worker-on"])

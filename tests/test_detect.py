@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import lrdshift.pyramid as pyramid_module
 from lrdshift import (
     DetectionConfig,
     DetectionResult,
@@ -26,7 +27,7 @@ from lrdshift import (
     synthesize_fgn,
     ThresholdQuery,
 )
-from lrdshift.detect import Interval, pvalue_rows
+from lrdshift.detect import _NOWA_BLOCK, _SWA_BLOCK, Interval, _max_over_scales, pvalue_rows
 from oracles import (
     FEEDS, HUGE, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag,
     pvalue_map_per_cell, stream_feed,
@@ -251,6 +252,60 @@ class TestDetect:
             flags = detect(x, config).flags
             rates.append(np.sum(flags >= biggest) / (n - biggest + 1))
         assert abs(np.mean(rates) - alpha) < 0.02, f"rate {np.mean(rates):.4f}"
+
+
+class TestBlockEdges:
+    """detect folds the statistic a block at a time and builds the pyramid on first read."""
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["nowa", "swa"])
+    @pytest.mark.parametrize("base,num_scales", [(2, 5), (3, 4)])
+    def test_bits_match_the_whole_pyramid_at_block_edges(self, method, base, num_scales):
+        """The statistic's bits, the flags and the argmax scales equal the fold
+        over the whole pyramid and the dense oracle, at lengths one top window
+        (L_M), L_M + 1, around one block, and three blocks and a tail of
+        L_M - 1 samples, which has fewer scales.  Past one top window, huge
+        samples end just before each block edge and the tail, so windows
+        there and across the edge overflow to inf and NaN.  The result's
+        pyramid is the one the builder makes."""
+        config = make_config(num_scales=num_scales, hurst=0.8, method=method,
+                             threshold_value=1.5, base=base)
+        top = config.scale_config.max_window
+        block = max(_NOWA_BLOCK // top, 1) * top if method == "nowa" else _SWA_BLOCK
+        build = build_nowa if method == "nowa" else build_swa
+        for n in (top, top + 1, block - 1, block, block + 1, 3 * block + top - 1):
+            x = synthesize_fgn(LrdModel(0.8), n, seed=n)
+            x[n // 2 : n // 2 + top] += 2.0
+            for edge in {*range(block, n + 1, block), n - n % top}:
+                if edge > top:
+                    x[edge - 2 * base : edge] = [1.5e308] * base + [-1.5e308] * base
+            pyramid = build(x, config.scale_config)
+            assert n <= top + 1 or any(np.isnan(level).any() for level in pyramid.levels[1:]), n
+            result = detect(x, config)
+            whole = _max_over_scales(pyramid, [np.empty(n), np.empty(n)])
+            statistic, flags, argmax_scale = dense_detect(pyramid, 1.5)
+            assert result.statistic.tobytes() == whole.tobytes() == statistic.tobytes(), n
+            assert np.array_equal(result.flags, flags), n
+            assert np.array_equal(result.argmax_scale, argmax_scale), n
+            assert (result.pyramid.method, result.pyramid.config) == (method, config.scale_config)
+            assert [level.tobytes() for level in result.pyramid.levels] == [
+                level.tobytes() for level in pyramid.levels], n
+        assert len(set(argmax_scale.tolist())) >= 3
+
+    def test_pyramid_is_built_once_on_first_read(self, monkeypatch):
+        built, build = [], pyramid_module._build
+
+        def counted_build(method, series, config):
+            built.append(method)
+            return build(method, series, config)
+
+        monkeypatch.setattr(pyramid_module, "_build", counted_build)
+        x = synthesize_fgn(LrdModel(0.8), 300, seed=11)
+        result = detect(x, make_config(num_scales=5, method="swa"))
+        assert built == []
+        assert result.pyramid is result.pyramid
+        assert built == ["swa"]
+        assert result.pyramid.levels[0] is x
 
 
 class TestOverflowingWindows:
