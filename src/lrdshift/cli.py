@@ -31,7 +31,7 @@ from .detect import (
 )
 from .evaluate import ExperimentConfig, InjectionSpec, run_experiment
 from .fgn import LrdModel, estimate_hurst, synthesize_fgn
-from .pyramid import ScaleConfig, StreamState
+from .pyramid import ScaleConfig, StreamState, build_nowa, build_swa
 from .reprtext import repr_join
 from .svgmap import render_pvalue_map_svg
 from .thresholds import ThresholdQuery, ThresholdResult, compute_threshold
@@ -384,40 +384,53 @@ def cmd_detect(args) -> int:
         "threshold_se": threshold.mc_standard_error,
     }
     with open(args.out_flags, "w") as fh:
-        fh.write(_flags_json(payload))
+        fh.writelines(_flags_json_pieces(payload))
     if args.out_map:
-        write_pvalue_csv(args.out_map, level_rows(result.pyramid))
+        build = build_nowa if args.method == "nowa" else build_swa
+        write_pvalue_csv(args.out_map, level_rows(build(values, scale_config)))
     return 0
 
 
 def _flags_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the payload of ``detect``.
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the payload of ``detect``."""
+    return "".join(_flags_json_pieces(payload))
+
+
+def _flags_json_pieces(payload: dict):
+    """The text of :func:`_flags_json` in pieces, each of at most ``_SLICE`` list items.
 
     With ``indent``, ``json`` encodes in pure Python, one call per list
     item; here the scalars go through ``json.dumps`` and the two lists,
-    which may be long, are joined from text: ``flagged_indices`` holds
-    ints (an int array or a list), formatted ``_SLICE`` at a time so that
-    no Python int or str is made for every flag at once, and ``intervals``
-    dicts with the int fields of ``_INTERVAL``.
+    which may be long, are made from text ``_SLICE`` items at a time:
+    ``flagged_indices`` holds ints (an int array or a list) and
+    ``intervals`` dicts with the int fields of ``_INTERVAL``.  A writer
+    that writes each piece before asking for the next never holds a Python
+    int or str for every flag, nor the whole text.
     """
-    fields = []
+    separator = "{\n"
     for key in sorted(payload):
         value = payload[key]
+        yield f"{separator}  {json.dumps(key)}: "
+        separator = ",\n"
         if key == "flagged_indices":
-            text = _json_list(",\n    ".join(map(str, np.asarray(value[lo:lo + _SLICE]).tolist()))
-                              for lo in range(0, len(value), _SLICE))
+            yield from _json_list(map(str, np.asarray(value[lo:lo + _SLICE]).tolist())
+                                  for lo in range(0, len(value), _SLICE))
         elif key == "intervals":
-            text = _json_list(_INTERVAL.format_map(interval) for interval in value)
+            yield from _json_list(map(_INTERVAL.format_map, value[lo:lo + _SLICE])
+                                  for lo in range(0, len(value), _SLICE))
         else:
-            text = json.dumps(value)
-        fields.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(fields) + "\n}\n"
+            yield json.dumps(value)
+    yield "\n}\n"
 
 
-def _json_list(items) -> str:
-    """A list of a top-level key as ``json.dumps(indent=2)`` writes it, from its items' text."""
-    text = ",\n    ".join(items)
-    return "[\n    " + text + "\n  ]" if text else "[]"
+def _json_list(slices):
+    """A list of a top-level key as ``json.dumps(indent=2)`` writes it, one piece per
+    slice of its items' text."""
+    separator = "[\n    "
+    for texts in slices:
+        yield separator + ",\n    ".join(texts)
+        separator = ",\n    "
+    yield "\n  ]" if separator == ",\n    " else "[]"
 
 
 def cmd_map(args) -> int:
@@ -495,26 +508,26 @@ def _stdin_text(stdin):
     yield decoder.decode(b"", final=True)
 
 
-def _stdin_lines(stdin):
-    """The lines of ``stdin``, newlines dropped: one ``(lineno, lines)`` per read.
+def _stdin_reads(stdin, mean: float | None, std: float | None):
+    """The samples of ``stdin`` and their warning text: one :func:`_read_samples` per read.
 
-    ``lines`` are the lines the read completed and ``lineno`` the number of
-    lines before them.  The text after the last newline is carried into the
-    next read; at the end of input it is the last line.  An ``OSError`` in
-    reading ends the reads as the last ``lines``, so that a worker reading
-    stdin can send it on with its message.
+    A read's lines are the lines it completed, newlines dropped.  The text
+    after the last newline is carried into the next read; at the end of
+    input it is the last line.  An ``OSError`` in reading ends the reads as
+    the last item, so that a worker reading stdin can send it on with its
+    message.
     """
     partial, lineno = "", 0
     try:
         for text in _stdin_text(stdin):
             *lines, partial = (partial + text).split("\n")
-            yield lineno, lines
+            yield _read_samples(lines, lineno, mean, std)
             lineno += len(lines)
     except OSError as error:
-        yield lineno, error
+        yield error
         return
     if partial:
-        yield lineno, [partial]
+        yield _read_samples([partial], lineno, mean, std)
 
 
 def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float | None):
@@ -564,26 +577,19 @@ def _read_samples(lines: list[str], lineno: int, mean: float | None, std: float 
     return samples, "".join(skipped)
 
 
-def _parsed_read(read, mean: float | None, std: float | None):
-    """One ``(lineno, lines)`` of :func:`_stdin_lines` as ``stream`` passes it on: its samples
-    and warning text, or its read error."""
-    lineno, lines = read
-    return lines if isinstance(lines, OSError) else _read_samples(lines, lineno, mean, std)
-
-
 def cmd_stream(args) -> int:
     """Online detection on stdin, one read at a time.
 
-    Each read's lines are parsed by :func:`_read_samples`, its warnings
-    printed to stderr, its samples pushed with one ``StreamState.extend``
-    call and its flagged rows written to stdout with one write and one
-    flush.  The parsing runs ahead through :func:`~lrdshift.workers.ahead`:
-    on a host with two or more usable CPUs a forked worker reads, decodes,
-    splits and parses stdin while this process extends the windows over the
-    reads it has already sent, each as a pickle; on one CPU this process
-    parses each read itself before extending it, and pickles nothing.
-    Either way stdout, stderr and their order are the same, and an error in
-    reading stdin ends the run with its message after the reads before it.
+    :func:`_stdin_reads` parses each read; its warnings are printed to
+    stderr, its samples pushed with one ``StreamState.extend`` call and its
+    flagged rows written to stdout with one write and one flush.  The reads
+    are taken through :func:`~lrdshift.workers.ahead`: on a host with two or
+    more usable CPUs a forked worker reads, decodes, splits and parses stdin
+    while this process extends the windows over the reads it has already
+    sent, each as a pickle; on one CPU this process parses each read itself
+    before extending it, and pickles nothing.  Either way stdout, stderr and
+    their order are the same, and an error in reading stdin ends the run
+    with its message after the reads before it.
     """
     scale_config = ScaleConfig(base=args.base, num_scales=args.scales, hurst=args.hurst)
     _check_usage(args)
@@ -592,7 +598,7 @@ def cmd_stream(args) -> int:
         raise ValueError("stdin is closed")
     state = StreamState(scale_config)
     index = 0
-    reads = ahead(_stdin_lines(sys.stdin), lambda read: _parsed_read(read, args.mean, args.std))
+    reads = ahead(_stdin_reads(sys.stdin, args.mean, args.std))
     with contextlib.closing(reads):
         for parsed in reads:
             if isinstance(parsed, OSError):

@@ -6,22 +6,20 @@ scales that provide a value there, and positions whose statistic strictly
 exceeds the family-wise threshold (calibrated for unit variance at every
 scale) are flagged.  :func:`standardize` is the separate data-preparation
 step for raw counters.  The p-value map is a separate, deliberately marginal
-layer built on request from the pyramid a detection result carries: each
+layer, read off a pyramid of the tested series built on request: each
 valid (scale, time) cell gets its own two-sided normal p-value for display,
 while flagging always uses the family-wise threshold.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .pyramid import (
     Pyramid, ScaleConfig, StreamState, _aggregate, _binary_scaled, _level_lengths, as_values,
-    build_nowa, build_swa,
 )
 from .thresholds import _ndtr
 
@@ -57,35 +55,21 @@ class DetectionConfig:
         self.scale_config.cover(self.method, 1)  # checks the layout name
 
 
+@dataclass(frozen=True, eq=False)
 class DetectionResult:
-    """Per-position statistics, the flag set, and the pyramid behind them.
+    """Per-position statistics and the flag set.
 
     ``statistic[i-1]`` is the statistic at 1-based position ``i``;
     ``flags`` are the sorted 1-based positions where it exceeds the
     threshold, and ``argmax_scale[j]`` is the scale achieving the max at
-    ``flags[j]``.  ``pyramid`` is the multiscale series the statistic was
-    taken over (its layout tag is the method); pass it to
-    :func:`pvalue_rows` for the p-value map, one scale at a time.
-
-    ``pyramid`` may be given as a :class:`~lrdshift.pyramid.Pyramid`, as
-    None, or as a function of no arguments that builds one; the function is
-    called on the first read of ``pyramid`` and its pyramid kept.
-    :func:`detect` passes such a function, so a caller that reads only the
-    flags never builds the pyramid.
+    ``flags[j]``.  For the p-value map, build the pyramid of the series
+    that was tested (:func:`~lrdshift.pyramid.build_nowa` or
+    :func:`~lrdshift.pyramid.build_swa`) and pass it to :func:`pvalue_rows`.
     """
 
-    def __init__(self, statistic: np.ndarray, flags: np.ndarray, argmax_scale: np.ndarray,
-                 pyramid=None):
-        self.statistic = statistic
-        self.flags = flags
-        self.argmax_scale = argmax_scale
-        self._pyramid = pyramid
-
-    @property
-    def pyramid(self) -> Pyramid | None:
-        if callable(self._pyramid):
-            self._pyramid = self._pyramid()
-        return self._pyramid
+    statistic: np.ndarray
+    flags: np.ndarray
+    argmax_scale: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -212,51 +196,48 @@ _NOWA_BLOCK = 1 << 17
 _SWA_BLOCK = 1 << 13
 
 
-def _nowa_blocks(x: np.ndarray, config: ScaleConfig, statistic: np.ndarray):
+def _nowa_blocks(x: np.ndarray, config: ScaleConfig, threshold: float, statistic: np.ndarray):
     """Fold the ``nowa`` statistic of ``x`` into ``statistic`` one block at a time.
 
-    The blocks are runs of whole top windows, about ``_NOWA_BLOCK`` samples
-    each, then the trailing samples that fill no top window, with only the
-    scales whose windows fit in them.  Every window lies inside one block,
-    so each level entry is the sum :func:`build_nowa` makes, with the same
-    additions in the same order.  The level buffers and the fold's second
-    workspace are allocated once, for the largest block.  After each block
-    is folded this yields ``(lo, hi, argmax)``: the block's positions and a
-    function from 0-based offsets into it to their argmax scales.
+    Each block is a run of whole top windows, about ``_NOWA_BLOCK`` samples,
+    and the last one also takes the samples that fill no top window, so no
+    block is shorter than one top window or longer than a run and one top
+    window less a sample.  Every window lies inside one block, so each level
+    entry is the sum :func:`~lrdshift.pyramid.build_nowa` makes, with the
+    same additions in the same order.  The level buffers and the fold's
+    second workspace are allocated once, for the longest block.  After each
+    block is folded this yields its 1-based flags, the positions whose
+    statistic exceeds ``threshold``, and their argmax scales.
     """
     n, top = len(x), config.max_window
     size = max(_NOWA_BLOCK // top, 1) * top
-    whole = n - n % top
-    edges = [*range(0, whole, size), whole, n]
-    buffers = [np.empty(m) for m in _level_lengths("nowa", size, config)]
-    spare = np.empty(size // config.base)
+    edges = [*range(0, n - top + 1, size), n]
+    buffers = [np.empty(m) for m in _level_lengths("nowa", size + top - 1, config)]
+    spare = np.empty((size + top - 1) // config.base)
     for lo, hi in zip(edges, edges[1:]):
-        if lo == hi:
-            continue
-        # Only the scales whose windows fit: their normalizers are those of config.
-        levels = [buffer[: (hi - lo) // config.window(k)]
-                  for k, buffer in enumerate(buffers, start=2) if config.window(k) <= hi - lo]
-        block_config = replace(config, num_scales=len(levels) + 1)
-        _aggregate("nowa", x[lo:hi], block_config, levels)
-        block = Pyramid("nowa", block_config, [x[lo:hi], *levels])
+        levels = [buffer[:m] for buffer, m in zip(buffers, _level_lengths("nowa", hi - lo, config))]
+        _aggregate("nowa", x[lo:hi], config, levels)
+        block = Pyramid("nowa", config, [x[lo:hi], *levels])
         _max_over_scales(block, [statistic[lo:hi], spare])
-        yield lo, hi, functools.partial(_argmax_scale, block)
+        flagged = np.flatnonzero(statistic[lo:hi] > threshold)
+        yield flagged + (lo + 1), _argmax_scale(block, flagged)
 
 
-def _swa_blocks(x: np.ndarray, config: ScaleConfig, statistic: np.ndarray):
+def _swa_blocks(x: np.ndarray, config: ScaleConfig, threshold: float, statistic: np.ndarray):
     """Write the ``swa`` statistic of ``x`` into ``statistic``, ``_SWA_BLOCK`` samples at a time.
 
     One :class:`~lrdshift.pyramid.StreamState` takes the blocks in turn in
     its block form, which gives the batch statistic and argmax bit for bit,
     under the caller's ``np.errstate``: a window that overflows warns as
     :func:`~lrdshift.pyramid.build_swa` makes it warn.  After each block this
-    yields ``(lo, hi, argmax)`` as :func:`_nowa_blocks` does.
+    yields its flags and their argmax scales as :func:`_nowa_blocks` does.
     """
     state = StreamState(config)
     for lo in range(0, len(x), _SWA_BLOCK):
-        hi = min(lo + _SWA_BLOCK, len(x))
+        hi = lo + _SWA_BLOCK
         statistic[lo:hi], scales = state._extend_numpy(x[lo:hi])
-        yield lo, hi, scales.take
+        flagged = np.flatnonzero(statistic[lo:hi] > threshold)
+        yield flagged + (lo + 1), scales.take(flagged)
 
 
 def _argmax_scale(pyramid: Pyramid, flagged: np.ndarray) -> np.ndarray:
@@ -296,10 +277,7 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     flagged positions only.  ``swa`` runs
     :meth:`~lrdshift.pyramid.StreamState.extend`'s block form over
     ``_SWA_BLOCK`` samples at a time.  Both give the bits of the max over
-    the whole pyramid.  The result's ``pyramid`` is built from the series
-    (kept by reference, not copied) on its first read, as
-    :func:`~lrdshift.pyramid.build_nowa` or
-    :func:`~lrdshift.pyramid.build_swa` builds it.
+    the whole pyramid.
 
     Huge finite samples can overflow a window's sum to ``inf`` or, as
     ``inf - inf``, to NaN.  The folds skip a NaN window like an absent one,
@@ -311,22 +289,11 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     they are the only report that a window overflowed.
     """
     x = as_values(series)
-    scale_config = config.scale_config
-    scale_config.check_length(len(x))
+    config.scale_config.check_length(len(x))
     statistic = np.empty(len(x))
     blocks = _nowa_blocks if config.method == "nowa" else _swa_blocks
-    flags, argmax_scales = [], []
-    for lo, hi, argmax in blocks(x, scale_config, statistic):
-        flagged = np.flatnonzero(statistic[lo:hi] > config.threshold)
-        flags.append(flagged + (lo + 1))
-        argmax_scales.append(argmax(flagged))
-    build = build_nowa if config.method == "nowa" else build_swa
-    return DetectionResult(
-        statistic=statistic,
-        flags=np.concatenate(flags),
-        argmax_scale=np.concatenate(argmax_scales),
-        pyramid=functools.partial(build, x, scale_config),
-    )
+    flags, argmax_scales = zip(*blocks(x, config.scale_config, config.threshold, statistic))
+    return DetectionResult(statistic, np.concatenate(flags), np.concatenate(argmax_scales))
 
 
 def flags_to_intervals(result: DetectionResult, gap_tolerance: int = 0) -> list[Interval]:

@@ -310,16 +310,13 @@ class StreamState:
             pairs = [self.push(sample) for sample in x.tolist()]
             return (np.array([top for top, _ in pairs], dtype=float),
                     np.array([best for _, best in pairs], dtype=int))
-        return self._extend_block(x)
-
-    def _extend_block(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`extend` of the finite float array ``x``, in numpy at any length."""
         with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
             return self._extend_numpy(x)
 
     def _extend_numpy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_extend_block` under the caller's ``np.errstate``: a window
-        sum that overflows warns as it does in :func:`build_swa`."""
+        """:meth:`extend` of the finite float array ``x`` in numpy, at any length,
+        under the caller's ``np.errstate``: a window sum that overflows warns
+        as it does in :func:`build_swa`."""
         n, count = self.samples_seen, len(x)
         self.samples_seen = n + count
         base = self.config.base

@@ -8,7 +8,7 @@ the item's bytes):
   study's simulations, the Monte-Carlo threshold's chunks) are ordered, and
   each item's bytes depend on the item alone, so the output does not depend
   on which process computed what.
-- Running ahead (:func:`ahead`): the worker takes every item and this
+- Running ahead (:func:`ahead`): the worker iterates the items and this
   process uses each as it arrives, pickled, while the worker computes the
   next ones (``stream`` parses stdin there and extends the windows here).
 """
@@ -68,34 +68,29 @@ def in_turns(items, compute, emit=None, into=None) -> None:
                 emit(data)
 
 
-def ahead(items, compute):
-    """Yield ``compute(item)`` for each of ``items``, in item order, computed ahead in a worker.
+def ahead(items):
+    """Yield each of ``items``, in item order, taken ahead in a worker.
 
-    ``compute`` returns a picklable object.  With two or more usable CPUs
-    and ``os.fork``, one forked worker iterates ``items``, computes every
-    item and sends its pickle through a pipe; this process yields it
-    unpickled as soon as it has arrived, and the worker goes on with the
-    next items meanwhile, at most a pipe's worth (1 MiB where the system
-    allows) ahead.  Otherwise this process computes each item as it is
-    asked for and yields the object ``compute`` returned, pickling nothing.
-    The end of the pipe ends the items.
+    With two or more usable CPUs and ``os.fork``, one forked worker
+    iterates ``items`` and sends each item's pickle through a pipe; this
+    process yields it unpickled as soon as it has arrived, and the worker
+    goes on with the next items meanwhile, at most a pipe's worth (1 MiB
+    where the system allows) ahead.  Otherwise this process iterates
+    ``items`` as they are asked for, pickling nothing.  The end of the pipe
+    ends the items.  Items that compute themselves (a generator, ``map``)
+    are so computed in the worker.
 
     Only one process iterates ``items``, so they may be read from a shared
     file (stdin).  Close the generator (``contextlib.closing``) when it may
     be left before its end: that kills the worker.  The worker is reaped
     before the generator finishes or closes.  An exception raised here
     kills the worker first and propagates unchanged; otherwise a worker
-    that failed, in ``compute`` or in ``items``, raises
-    :class:`RuntimeError`.  So a caller that must keep the message of an
-    error in its items carries it in an item.
+    that failed in ``items`` raises :class:`RuntimeError`.  So a caller that
+    must keep the message of an error in its items carries it in an item.
     """
-
-    def pickled(item):
-        return pickle.dumps(compute(item), pickle.HIGHEST_PROTOCOL)
-
-    with _worker(items, pickled, True) as pipe:
+    with _worker(items, lambda item: pickle.dumps(item, pickle.HIGHEST_PROTOCOL), True) as pipe:
         if pipe is None:
-            yield from map(compute, items)
+            yield from items
             return
         while pipe.peek(1):
             yield pickle.loads(_receive(pipe))

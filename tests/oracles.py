@@ -141,8 +141,9 @@ def stream_feed(config: ScaleConfig, values, feed: str, seed: int = 0) -> list[t
         if feed == "mixed" and rng.random() < 0.5:
             out += [state.push(v) for v in block]
         else:
-            extend = state._extend_block if feed == "blocks" else state.extend
-            statistics, argmax_scales = extend(np.array(block))
+            extend = state._extend_numpy if feed == "blocks" else state.extend
+            with np.errstate(over="ignore", invalid="ignore"):
+                statistics, argmax_scales = extend(np.array(block))
             out += zip(statistics.tolist(), argmax_scales.tolist())
         lo += len(block)
     return out

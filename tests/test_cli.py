@@ -28,7 +28,7 @@ import lrdshift.evaluate as evaluate_module
 import lrdshift.pyramid as pyramid_module
 from lrdshift import cli as cli_module
 from lrdshift import workers
-from lrdshift.detect import level_rows, two_sided_pvalues
+from lrdshift.detect import DetectionResult, Interval, level_rows, two_sided_pvalues
 from lrdshift.cli import (
     _SLICE, _STREAM_READ, _flags_json, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
     write_pvalue_csv, write_series,
@@ -654,6 +654,30 @@ class TestFlagsJson:
         }
         assert _flags_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
+    def test_flags_json_is_written_in_bounded_memory(self, tmp_path, monkeypatch):
+        """``detect`` writes flags.json for 2^20 flags (their text is about
+        14 MB) a slice at a time: with the detection result and the intervals
+        made before tracing starts, the command peaks under 1 MiB of traced
+        memory, and the file holds the encoder's bytes."""
+        flags = np.arange(1 << 20) * 7 + 1_000_001
+        result = DetectionResult(np.zeros(64), flags, np.ones(len(flags), dtype=int))
+        intervals = [Interval(int(start), int(start) + 1, 1) for start in flags[:300]]
+        monkeypatch.setattr(cli_module, "detect", lambda values, config: result)
+        monkeypatch.setattr(cli_module, "flags_to_intervals", lambda result, gap: intervals)
+        inp, out = tmp_path / "x.txt", tmp_path / "flags.json"
+        inp.write_text("0.5\n" * 64)
+        tracemalloc.start()
+        try:
+            assert run(["detect", "--in", str(inp), "--hurst", "0.9", "--scales", "6",
+                        "--threshold-value", "3.0", "--out-flags", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"{peak / 2**20:.1f} MiB"
+        payload = json.loads(out.read_text())
+        assert payload["flagged_indices"] == flags.tolist()
+        assert out.read_text() == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
 
 # (name, file bytes, --column, whether np.loadtxt's result is used).
 READ_SERIES_FIXTURES = [
@@ -1253,6 +1277,22 @@ class TestThresholdCommand:
         else:
             assert (code, out) == (2, "")
             assert "threshold value must be positive and finite, got inf" in err
+
+    def test_improved_refuses_a_thin_tail(self, capsys):
+        """At alpha 1e-7 the default 10^6 replicates leave 0.1 beyond the
+        quantile: exit 2, nothing on stdout, and the replicates needed named.
+        At the floor the value parses as strict JSON."""
+
+        def refuse_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert run(["threshold", "--alpha", "1e-7"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "alpha 1e-07 with mc_reps 1000000" in err and "mc_reps >= 100000000" in err
+        assert run(["threshold", "--alpha", "1e-3", "--scales", "3", "--mc-reps", "10000"]) == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert payload["kind"] == "monte_carlo" and 0.0 < payload["value"] < np.inf
 
     def test_detect_names_the_kind_of_an_infinite_threshold(self, tmp_path, spiked_series, capsys):
         inp, _ = spiked_series

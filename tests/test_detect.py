@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-import lrdshift.pyramid as pyramid_module
 from lrdshift import (
     DetectionConfig,
     DetectionResult,
@@ -27,7 +26,9 @@ from lrdshift import (
     synthesize_fgn,
     ThresholdQuery,
 )
-from lrdshift.detect import _NOWA_BLOCK, _SWA_BLOCK, Interval, _max_over_scales, pvalue_rows
+from lrdshift.detect import (
+    _NOWA_BLOCK, _SWA_BLOCK, Interval, _argmax_scale, _max_over_scales, pvalue_rows,
+)
 from oracles import (
     FEEDS, HUGE, column_at, dense_detect, expand_levels, flags_to_intervals_per_flag,
     pvalue_map_per_cell, stream_feed,
@@ -255,7 +256,7 @@ class TestDetect:
 
 
 class TestBlockEdges:
-    """detect folds the statistic a block at a time and builds the pyramid on first read."""
+    """detect folds the statistic a block at a time and builds no pyramid."""
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["nowa", "swa"])
@@ -264,10 +265,9 @@ class TestBlockEdges:
         """The statistic's bits, the flags and the argmax scales equal the fold
         over the whole pyramid and the dense oracle, at lengths one top window
         (L_M), L_M + 1, around one block, and three blocks and a tail of
-        L_M - 1 samples, which has fewer scales.  Past one top window, huge
+        L_M - 1 samples, which fills no top window.  Past one top window, huge
         samples end just before each block edge and the tail, so windows
-        there and across the edge overflow to inf and NaN.  The result's
-        pyramid is the one the builder makes."""
+        there and across the edge overflow to inf and NaN."""
         config = make_config(num_scales=num_scales, hurst=0.8, method=method,
                              threshold_value=1.5, base=base)
         top = config.scale_config.max_window
@@ -287,25 +287,31 @@ class TestBlockEdges:
             assert result.statistic.tobytes() == whole.tobytes() == statistic.tobytes(), n
             assert np.array_equal(result.flags, flags), n
             assert np.array_equal(result.argmax_scale, argmax_scale), n
-            assert (result.pyramid.method, result.pyramid.config) == (method, config.scale_config)
-            assert [level.tobytes() for level in result.pyramid.levels] == [
-                level.tobytes() for level in pyramid.levels], n
         assert len(set(argmax_scale.tolist())) >= 3
 
-    def test_pyramid_is_built_once_on_first_read(self, monkeypatch):
-        built, build = [], pyramid_module._build
-
-        def counted_build(method, series, config):
-            built.append(method)
-            return build(method, series, config)
-
-        monkeypatch.setattr(pyramid_module, "_build", counted_build)
-        x = synthesize_fgn(LrdModel(0.8), 300, seed=11)
-        result = detect(x, make_config(num_scales=5, method="swa"))
-        assert built == []
-        assert result.pyramid is result.pyramid
-        assert built == ["swa"]
-        assert result.pyramid.levels[0] is x
+    @pytest.mark.parametrize("blocks", [2, 3])
+    def test_the_last_nowa_block_takes_the_tail(self, blocks):
+        """With one top window per block (base 2, 18 scales: L_M is the
+        block), at n = 2 L_M - 1 and 3 L_M - 1 the last block is one top
+        window and the L_M - 1 samples after it, almost two blocks.  The
+        statistic's bits, the flags and the argmax scales equal the fold over
+        the whole pyramid and the argmax read off it."""
+        config = make_config(num_scales=18, hurst=0.8, threshold_value=3.0)
+        top = config.scale_config.max_window
+        assert top == _NOWA_BLOCK
+        n = blocks * top - 1
+        x = synthesize_fgn(LrdModel(0.8), n, seed=n)
+        x[n - top // 2 : n - top // 4] += 0.5  # a shift inside the tail
+        x[n - top // 8] += 5.0
+        pyramid = build_nowa(x, config.scale_config)
+        whole = _max_over_scales(pyramid, [np.empty(n), np.empty(n)])
+        flagged = np.flatnonzero(whole > 3.0)
+        result = detect(x, config)
+        assert result.statistic.tobytes() == whole.tobytes()
+        assert np.array_equal(result.flags, flagged + 1)
+        assert np.array_equal(result.argmax_scale, _argmax_scale(pyramid, flagged))
+        assert result.flags[-1] > n - top // 2
+        assert len(set(result.argmax_scale.tolist())) >= 3
 
 
 class TestOverflowingWindows:
@@ -433,7 +439,6 @@ class TestFlagsToIntervals:
             statistic=np.zeros(1),
             flags=flags,
             argmax_scale=scales,
-            pyramid=None,
         )
 
     def test_consecutive_run(self):

@@ -39,6 +39,7 @@ from lrdshift.thresholds import (
     _CHUNK,
     _corr_factor,
     _max_abs_gaussian_samples,
+    _MIN_TAIL_REPLICATES,
     _P,
     _PAIR_ALPHA_MIN,
     _Q,
@@ -406,6 +407,21 @@ class TestImprovedThreshold:
         with pytest.raises(ValueError, match="mc_reps"):
             improved_threshold(ThresholdQuery(alpha=0.05, num_scales=2, mc_reps=100))
 
+    @pytest.mark.parametrize("alpha,reps,needed", [
+        (1e-7, 10**6, 100_000_000), (1e-4, 99_999, 100_000), (3e-5, 333_333, 333_334),
+    ])
+    def test_refuses_fewer_than_ten_replicates_beyond_the_quantile(self, alpha, reps, needed):
+        """Below ``_MIN_TAIL_REPLICATES`` the quantile is a top order
+        statistic; the message names alpha, mc_reps and the replicates needed,
+        which are taken."""
+        assert _MIN_TAIL_REPLICATES == 10
+        query = ThresholdQuery(alpha=alpha, num_scales=2, hurst=0.9, mc_reps=reps)
+        with pytest.raises(ValueError, match=rf"alpha {alpha!r} with mc_reps {reps} .* "
+                                             rf"mc_reps >= {needed}$"):
+            improved_threshold(query)
+        if needed <= 10**6:
+            assert improved_threshold(dataclasses.replace(query, mc_reps=needed)).value > 0.0
+
     def test_compute_threshold_dispatch(self):
         query = ThresholdQuery(alpha=0.05, num_scales=3, hurst=0.7, mc_reps=10**4, seed=1)
         assert compute_threshold(query, "single_scale") == single_scale_threshold(0.05)
@@ -573,6 +589,17 @@ class TestThresholdCache:
         compute_threshold(self.QUERY, "monte_carlo")
         assert not (tmp_path / "relative").exists()
         assert len(list((tmp_path / "home" / ".cache" / "lrdshift").iterdir())) == 1
+
+    def test_a_refused_query_is_refused_over_an_older_entry(self, monkeypatch, threshold_cache):
+        """An entry written before the tail floor (here: with the floor off)
+        does not answer a query the floor refuses."""
+        thin = dataclasses.replace(self.QUERY, alpha=1e-4)
+        with monkeypatch.context() as floor_off:
+            floor_off.setattr("lrdshift.thresholds._MIN_TAIL_REPLICATES", 0)
+            compute_threshold(thin, "monte_carlo")
+        assert len(list(threshold_cache.iterdir())) == 1
+        with pytest.raises(ValueError, match="needs mc_reps >= 100000$"):
+            compute_threshold(thin, "monte_carlo")
 
     def test_closed_forms_are_not_cached(self, threshold_cache):
         compute_threshold(self.QUERY, "asymptotic")

@@ -42,7 +42,7 @@ def test_ahead_yields_every_item_in_order(monkeypatch, forks, cpus):
             taken.append((os.getpid(), item))
             yield item
 
-    assert list(workers.ahead(items(), lambda item: bytes([item]) * item)) == [
+    assert list(workers.ahead(map(lambda item: bytes([item]) * item, items()))) == [
         bytes([item]) * item for item in range(6)]
     assert taken == ([(os.getpid(), item) for item in range(6)] if cpus == 1 else [])
     assert len(forks) == cpus - 1
@@ -59,7 +59,7 @@ def test_closing_ahead_kills_a_busy_worker(monkeypatch, forks):
         return b"x"
 
     start = time.monotonic()
-    items = workers.ahead(range(3), compute)
+    items = workers.ahead(map(compute, range(3)))
     assert next(items) == b"x"
     items.close()
     assert time.monotonic() - start < 10
@@ -77,7 +77,7 @@ def test_ahead_raises_when_its_worker_fails(monkeypatch, forks):
 
     received = []
     with pytest.raises(RuntimeError, match="the worker process exited with code 1"):
-        for data in workers.ahead(range(4), compute):
+        for data in workers.ahead(map(compute, range(4))):
             received.append(data)
     assert received == [b"x", b"x"]
     assert len(forks) == 1
