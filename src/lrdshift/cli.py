@@ -45,6 +45,11 @@ _KIND_BY_FLAG = {"improved": "monte_carlo", "asymptotic": "asymptotic", "single"
 
 _SLICE = 1 << 12  # values the writers format at a time
 _STREAM_READ = 1 << 14  # most bytes ``stream`` takes from stdin at a time
+# ``stream`` pushes a read of fewer samples than this one at a time: at 15
+# scales on 2 vCPUs ``StreamState.extend`` cost 1.24, 1.07, 0.98 and 0.85
+# times what pushing cost at 24, 26, 28 and 32 samples (medians of 9
+# interleaved rounds), ``push`` 2.8-5.5 us a sample as the host drifted.
+_SHORT_BLOCK = 28
 _COMPRESSED_SUFFIXES = frozenset({".bz2", ".gz", ".lzma", ".xz"})  # numpy decompresses these
 # One interval of flags.json as ``json.dumps(indent=2, sort_keys=True)`` writes it.
 _INTERVAL = ('{{\n      "end": {end},\n      "peak_scale": {peak_scale},\n'
@@ -391,13 +396,9 @@ def cmd_detect(args) -> int:
     return 0
 
 
-def _flags_json(payload: dict) -> str:
-    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the payload of ``detect``."""
-    return "".join(_flags_json_pieces(payload))
-
-
 def _flags_json_pieces(payload: dict):
-    """The text of :func:`_flags_json` in pieces, each of at most ``_SLICE`` list items.
+    """``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` for the payload of
+    ``detect``, in pieces, each of at most ``_SLICE`` list items.
 
     With ``indent``, ``json`` encodes in pure Python, one call per list
     item; here the scalars go through ``json.dumps`` and the two lists,
@@ -581,8 +582,10 @@ def cmd_stream(args) -> int:
     """Online detection on stdin, one read at a time.
 
     :func:`_stdin_reads` parses each read; its warnings are printed to
-    stderr, its samples pushed with one ``StreamState.extend`` call and its
-    flagged rows written to stdout with one write and one flush.  The reads
+    stderr, its samples taken by one ``StreamState.extend`` call (pushed one
+    at a time below ``_SHORT_BLOCK``), with numpy's warnings of overflowing
+    windows silenced, and its flagged rows written to stdout with one write
+    and one flush.  The reads
     are taken through :func:`~lrdshift.workers.ahead`: on a host with two or
     more usable CPUs a forked worker reads, decodes, splits and parses stdin
     while this process extends the windows over the reads it has already
@@ -599,14 +602,19 @@ def cmd_stream(args) -> int:
     state = StreamState(scale_config)
     index = 0
     reads = ahead(_stdin_reads(sys.stdin, args.mean, args.std))
-    with contextlib.closing(reads):
+    with contextlib.closing(reads), np.errstate(over="ignore", invalid="ignore"):
         for parsed in reads:
             if isinstance(parsed, OSError):
                 raise parsed
             samples, skipped = parsed
             if skipped:
                 sys.stderr.write(skipped)
-            statistics, argmax_scales = state.extend(samples)
+            if len(samples) < _SHORT_BLOCK:
+                pairs = [state.push(sample) for sample in samples]
+                statistics = np.array([top for top, _ in pairs])
+                argmax_scales = np.array([best for _, best in pairs], dtype=int)
+            else:
+                statistics, argmax_scales = state.extend(samples)
             flagged = np.flatnonzero(statistics > critical)
             if len(flagged):
                 rows = zip((index + 1 + flagged).tolist(), statistics[flagged].tolist(),

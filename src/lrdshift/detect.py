@@ -205,15 +205,17 @@ def _nowa_blocks(x: np.ndarray, config: ScaleConfig, threshold: float, statistic
     window less a sample.  Every window lies inside one block, so each level
     entry is the sum :func:`~lrdshift.pyramid.build_nowa` makes, with the
     same additions in the same order.  The level buffers and the fold's
-    second workspace are allocated once, for the longest block.  After each
-    block is folded this yields its 1-based flags, the positions whose
-    statistic exceeds ``threshold``, and their argmax scales.
+    second workspace are allocated once, for the longest block (a series
+    shorter than a run is one block).  After each block is folded this
+    yields its 1-based flags, the positions whose statistic exceeds
+    ``threshold``, and their argmax scales.
     """
     n, top = len(x), config.max_window
     size = max(_NOWA_BLOCK // top, 1) * top
     edges = [*range(0, n - top + 1, size), n]
-    buffers = [np.empty(m) for m in _level_lengths("nowa", size + top - 1, config)]
-    spare = np.empty((size + top - 1) // config.base)
+    longest = max(hi - lo for lo, hi in zip(edges, edges[1:]))
+    buffers = [np.empty(m) for m in _level_lengths("nowa", longest, config)]
+    spare = np.empty(longest // config.base)
     for lo, hi in zip(edges, edges[1:]):
         levels = [buffer[:m] for buffer, m in zip(buffers, _level_lengths("nowa", hi - lo, config))]
         _aggregate("nowa", x[lo:hi], config, levels)
@@ -226,16 +228,16 @@ def _nowa_blocks(x: np.ndarray, config: ScaleConfig, threshold: float, statistic
 def _swa_blocks(x: np.ndarray, config: ScaleConfig, threshold: float, statistic: np.ndarray):
     """Write the ``swa`` statistic of ``x`` into ``statistic``, ``_SWA_BLOCK`` samples at a time.
 
-    One :class:`~lrdshift.pyramid.StreamState` takes the blocks in turn in
-    its block form, which gives the batch statistic and argmax bit for bit,
-    under the caller's ``np.errstate``: a window that overflows warns as
+    One :class:`~lrdshift.pyramid.StreamState` takes the blocks in turn
+    through ``extend``, which gives the batch statistic and argmax bit for
+    bit, under the caller's ``np.errstate``: a window that overflows warns as
     :func:`~lrdshift.pyramid.build_swa` makes it warn.  After each block this
     yields its flags and their argmax scales as :func:`_nowa_blocks` does.
     """
     state = StreamState(config)
     for lo in range(0, len(x), _SWA_BLOCK):
         hi = lo + _SWA_BLOCK
-        statistic[lo:hi], scales = state._extend_numpy(x[lo:hi])
+        statistic[lo:hi], scales = state.extend(x[lo:hi])
         flagged = np.flatnonzero(statistic[lo:hi] > threshold)
         yield flagged + (lo + 1), scales.take(flagged)
 
@@ -275,9 +277,9 @@ def detect(series, config: DetectionConfig) -> DetectionResult:
     finer level that it covers (:func:`_max_over_scales`); the scale
     achieving the max (smallest on ties) is looked up at the block's
     flagged positions only.  ``swa`` runs
-    :meth:`~lrdshift.pyramid.StreamState.extend`'s block form over
-    ``_SWA_BLOCK`` samples at a time.  Both give the bits of the max over
-    the whole pyramid.
+    :meth:`~lrdshift.pyramid.StreamState.extend` over ``_SWA_BLOCK``
+    samples at a time, the block form ``stream`` also runs.  Both give the
+    bits of the max over the whole pyramid.
 
     Huge finite samples can overflow a window's sum to ``inf`` or, as
     ``inf - inf``, to NaN.  The folds skip a NaN window like an absent one,

@@ -213,13 +213,6 @@ def build_swa(series, config: ScaleConfig) -> Pyramid:
     return _build("swa", series, config)
 
 
-# ``StreamState.extend`` pushes a block shorter than this sample by sample:
-# at 15 scales on 2 vCPUs the numpy form cost 1.24, 1.07, 0.98 and 0.85
-# times what pushing cost at 24, 26, 28 and 32 samples (medians of 9
-# interleaved rounds), ``push`` 2.8-5.5 us a sample as the host drifted.
-_SHORT_BLOCK = 28
-
-
 class StreamState:
     """Online sliding aggregation over all scales, per sample or per block.
 
@@ -234,10 +227,11 @@ class StreamState:
     writes each scale's windows of the block into one row of a
     ``(num_scales, block)`` array, the rings seen through ``np.frombuffer``
     with no copy, and one fold over that array takes the max over scales of
-    every sample at once.  It pushes a block shorter than ``_SHORT_BLOCK``
-    samples, where ``push`` is the cheaper form.  Both return bit for bit
+    every sample at once, at any block length.  Both return bit for bit
     the batch ``swa`` statistic and argmax, and they may be mixed on one
-    state.
+    state.  A window sum that overflows makes ``extend`` warn, under the
+    caller's ``np.errstate``, as it makes :func:`build_swa` warn; ``push``'s
+    Python floats never warn.
     """
 
     def __init__(self, config: ScaleConfig):
@@ -295,10 +289,10 @@ class StreamState:
         return, bit for bit.  A non-finite sample raises the ``ValueError``
         that ``push`` raises for it, naming the first one, and a block that
         is not one-dimensional raises ``ValueError`` too; either leaves the
-        state as it was.  A block shorter than ``_SHORT_BLOCK`` is pushed
-        sample by sample, since the block form's fixed cost per call (about
-        six numpy calls per scale, then one fold over all scales) outweighs
-        ``push`` there.
+        state as it was.  This is the block form at every length, under the
+        caller's ``np.errstate``: a window sum that overflows warns as it
+        does in :func:`build_swa`.  Its fixed cost per call is about six
+        numpy calls per scale, then one fold over all scales.
         """
         x = np.asarray(samples, dtype=float)
         if x.ndim != 1:
@@ -306,17 +300,6 @@ class StreamState:
         finite = np.isfinite(x)
         if not finite.all():
             raise ValueError(f"sample must be finite, got {float(x[np.argmin(finite)])!r}")
-        if len(x) < _SHORT_BLOCK:
-            pairs = [self.push(sample) for sample in x.tolist()]
-            return (np.array([top for top, _ in pairs], dtype=float),
-                    np.array([best for _, best in pairs], dtype=int))
-        with np.errstate(over="ignore", invalid="ignore"):  # as quiet as push's floats
-            return self._extend_numpy(x)
-
-    def _extend_numpy(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`extend` of the finite float array ``x`` in numpy, at any length,
-        under the caller's ``np.errstate``: a window sum that overflows warns
-        as it does in :func:`build_swa`."""
         n, count = self.samples_seen, len(x)
         self.samples_seen = n + count
         base = self.config.base

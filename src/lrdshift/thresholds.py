@@ -678,15 +678,19 @@ def power_gap(alpha: float, delta: float) -> float:
     """Limit of ``2 * beta_pair - (beta_1 + beta_L)`` as the window grows.
 
     Positive values mean the two-scale max test beats the average of the two
-    single-scale tests.  Exactly zero at ``alpha = 0``.
+    single-scale tests.  Exactly zero at ``alpha = 0``.  It is summed as
+    ``(1 - r)^2 - a + 2 r b``, ``r = sqrt(1 - alpha)``, with ``a`` and ``b`` the
+    tails of ``|N(delta, 1)|`` beyond the single-scale threshold and
+    :func:`_pair_limit`: all small at small alpha, so no O(1) terms cancel.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta}")
     c_single = -_ndtri(alpha / 2.0)
-    root = np.sqrt(1.0 - alpha)
     c0 = _pair_limit(alpha)
+    one_less_root = -math.expm1(math.log1p(-alpha) / 2.0)  # 1 - r with no rounding of 1 - alpha
     single_hi, single_lo, pair_hi, pair_lo = _ndtr(
-        np.array([c_single - delta, -c_single - delta, c0 - delta, -c0 - delta])).tolist()
-    return float((single_hi - single_lo) + (1.0 - alpha) - 2.0 * root * (pair_hi - pair_lo))
+        np.array([delta - c_single, -c_single - delta, delta - c0, -c0 - delta])).tolist()
+    return float(one_less_root * one_less_root - (single_hi + single_lo)
+                 + 2.0 * (1.0 - one_less_root) * (pair_hi + pair_lo))

@@ -116,7 +116,7 @@ def dense_detect(pyramid: Pyramid, threshold: float) -> tuple[np.ndarray, np.nda
     return statistic, flagged + 1, np.asarray(argmax_scale, dtype=int)
 
 
-FEEDS = ("push", "extend", "mixed", "blocks")
+FEEDS = ("push", "extend", "mixed")
 
 
 def stream_feed(config: ScaleConfig, values, feed: str, seed: int = 0) -> list[tuple[float, int]]:
@@ -125,9 +125,7 @@ def stream_feed(config: ScaleConfig, values, feed: str, seed: int = 0) -> list[t
     ``push`` feeds one sample at a time.  ``extend`` feeds seeded random
     blocks of 1 to ``2 * max_window`` samples.  ``mixed`` draws the same
     kind of blocks and, block by block at random, extends or pushes each
-    of its samples.  ``blocks`` feeds the blocks of ``extend`` to the numpy
-    block form at every length, short blocks included, which ``extend``
-    pushes instead.
+    of its samples.
     """
     state = StreamState(config)
     values = [float(v) for v in values]
@@ -141,9 +139,8 @@ def stream_feed(config: ScaleConfig, values, feed: str, seed: int = 0) -> list[t
         if feed == "mixed" and rng.random() < 0.5:
             out += [state.push(v) for v in block]
         else:
-            extend = state._extend_numpy if feed == "blocks" else state.extend
             with np.errstate(over="ignore", invalid="ignore"):
-                statistics, argmax_scales = extend(np.array(block))
+                statistics, argmax_scales = state.extend(np.array(block))
             out += zip(statistics.tolist(), argmax_scales.tolist())
         lo += len(block)
     return out

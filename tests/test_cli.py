@@ -30,8 +30,8 @@ from lrdshift import cli as cli_module
 from lrdshift import workers
 from lrdshift.detect import DetectionResult, Interval, level_rows, two_sided_pvalues
 from lrdshift.cli import (
-    _SLICE, _STREAM_READ, _flags_json, _load_series, _parse_lines, main, read_pvalue_csv, read_series,
-    write_pvalue_csv, write_series,
+    _SHORT_BLOCK, _SLICE, _STREAM_READ, _flags_json_pieces, _load_series, _parse_lines, main,
+    read_pvalue_csv, read_series, write_pvalue_csv, write_series,
 )
 from oracles import expand_levels, pvalue_map_per_cell, stream_per_line, write_pvalue_csv_per_cell
 
@@ -652,7 +652,8 @@ class TestFlagsJson:
             "threshold": 2.6189898164699184, "threshold_kind": "monte_carlo",
             "threshold_se": threshold_se,
         }
-        assert _flags_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = "".join(_flags_json_pieces(payload))
+        assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
     def test_flags_json_is_written_in_bounded_memory(self, tmp_path, monkeypatch):
         """``detect`` writes flags.json for 2^20 flags (their text is about
@@ -1804,6 +1805,32 @@ class TestStreamCommand:
             assert (code, err, forks) == (0, b"", cpus - 1)
             assert flags, "the bound holds on a stream that writes flags"
             assert peak < 1 << 20, f"traced peak {peak} B with {cpus} CPU(s)"
+
+    def test_short_read_is_pushed(self, monkeypatch, capsys, forks):
+        """A read of ``_SHORT_BLOCK - 1`` lines is pushed sample by sample,
+        which calls no ``np.frombuffer``; a read of ``_SHORT_BLOCK`` lines goes
+        to ``StreamState.extend``, which does.  Either way stdout and stderr
+        equal the per-line loop's."""
+        calls, frombuffer = [], np.frombuffer
+
+        def counted_frombuffer(*args, **kwargs):
+            calls.append(None)
+            return frombuffer(*args, **kwargs)
+
+        monkeypatch.setattr(workers, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(np, "frombuffer", counted_frombuffer)
+        config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
+        for length, block_form in ((_SHORT_BLOCK - 1, False), (_SHORT_BLOCK, True)):
+            x = synthesize_fgn(LrdModel(0.8), length, seed=60)
+            x[length // 2] = 5.5
+            lines = "huh\n" + "".join(f"{v!r}\n" for v in x.tolist())
+            code, out, err = self.stream(monkeypatch, capsys, lines,
+                                         ["--hurst", "0.8", "--scales", "6", "--threshold-value", "2"])
+            assert code == 0
+            assert (out, err) == stream_per_line(io.StringIO(lines), config, 2.0)
+            assert out and err
+            assert bool(calls) == block_form, length
+        assert forks == []
 
     def test_closed_stdin_exits_2(self, monkeypatch, capsys):
         """Without stdin (``<&-``), ``sys.stdin`` is None."""

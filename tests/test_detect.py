@@ -205,6 +205,23 @@ class TestDetect:
             tracemalloc.stop()
         assert peak / n <= 40.0, f"{peak / n:.1f} B/sample"
 
+    @pytest.mark.parametrize("n", [1 << 14, 1 << 15])
+    def test_nowa_buffers_fit_a_series_shorter_than_a_block(self, n):
+        """A series shorter than one ``_NOWA_BLOCK`` run takes buffers for its
+        own length: at 15 scales the traced peak stays within four times the
+        series' 8n bytes (it was 15 and 8 times when the buffers were sized
+        for a whole run)."""
+        x = np.random.default_rng(1).standard_normal(n)
+        config = make_config(num_scales=15, hurst=0.9, method="nowa", threshold_value=2.6)
+        assert n < _NOWA_BLOCK
+        tracemalloc.start()
+        try:
+            detect(x, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * n, f"{peak / (8 * n):.1f} times the series"
+
     def test_raising_threshold_never_adds_flags(self):
         x = synthesize_fgn(LrdModel(0.85), 256, seed=4)
         previous = None

@@ -1,5 +1,7 @@
 """Aggregation pyramids: layouts, alignment, streaming equivalence."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,6 @@ from lrdshift import (
     subseed,
     synthesize_fgn,
 )
-from lrdshift.pyramid import _SHORT_BLOCK
 from oracles import FEEDS, HUGE, aggregate_per_entry, column_at, dense_detect, stream_feed
 
 
@@ -400,7 +401,7 @@ class TestStreaming:
                     reference.push(v)
                 block = x[start : start + 2 * top + 2]
                 with np.errstate(over="ignore", invalid="ignore"):
-                    statistics, scales = state._extend_numpy(block)
+                    statistics, scales = state.extend(block)
                 pushed = [reference.push(v) for v in block.tolist()]
                 assert statistics.tobytes() == np.array([s for s, _ in pushed]).tobytes(), start
                 assert scales.tolist() == [scale for _, scale in pushed], start
@@ -435,9 +436,9 @@ class TestStreaming:
 
     @pytest.mark.parametrize("rows", [2, 41])
     def test_rejects_a_block_that_is_not_one_dimensional_and_keeps_state(self, rows):
-        """A 2-D block of fewer rows than ``_SHORT_BLOCK`` or of more is refused
-        before the state changes: the next block's statistics and scales
-        equal, bit for bit, those of a state that never saw it."""
+        """A 2-D block, of few rows or of many, is refused before the state
+        changes: the next block's statistics and scales equal, bit for bit,
+        those of a state that never saw it."""
         config = ScaleConfig(base=3, num_scales=4, hurst=0.9)
         x = synthesize_fgn(LrdModel(0.9), 160, seed=61)
         state, clean = StreamState(config), StreamState(config)
@@ -452,25 +453,34 @@ class TestStreaming:
         assert statistics.tobytes() == expected_statistics.tobytes()
         assert np.array_equal(argmax_scales, expected_scales)
 
-    def test_short_block_is_pushed(self, monkeypatch):
-        """A block one sample shorter than ``_SHORT_BLOCK`` takes the
-        per-sample path, which calls no ``np.frombuffer``, and returns what
-        pushing it returns; a block of ``_SHORT_BLOCK`` samples takes the
-        block path."""
-        config = ScaleConfig(base=2, num_scales=6, hurst=0.8)
-        x = synthesize_fgn(LrdModel(0.8), 2 * _SHORT_BLOCK, seed=60)
-        state, clean = StreamState(config), StreamState(config)
+    @pytest.mark.parametrize("length", [1, 27, 28, 40])
+    def test_extend_warns_as_build_swa_does_and_push_is_silent(self, length):
+        """Where window sums overflow to ±inf and then to NaN, ``extend`` of a
+        block of any length, after the samples before it were pushed, raises
+        the ``RuntimeWarning`` messages ``build_swa`` raises on all the
+        samples, ``overflow`` and ``invalid value`` among them, and returns
+        the bits ``push`` returns; ``push`` raises none."""
+        config = ScaleConfig(base=2, num_scales=4, hurst=0.5)
+        x = np.zeros(max(length, 8) + 8)
+        x[-8:] = [1e308, 0.0, 0.0, 1e308, -1e308, 0.0, 0.0, -1e308]
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("the block form ran on a short block")
+        def messages(compute):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                result = compute()
+            return result, {str(w.message) for w in caught if w.category is RuntimeWarning}
 
-        monkeypatch.setattr(np, "frombuffer", refuse)
-        statistics, argmax_scales = state.extend(x[: _SHORT_BLOCK - 1])
-        assert (statistics.dtype, argmax_scales.dtype) == (np.dtype(float), np.dtype(int))
-        pushed = [clean.push(v) for v in x[: _SHORT_BLOCK - 1]]
-        assert list(zip(statistics.tolist(), argmax_scales.tolist())) == pushed
-        with pytest.raises(AssertionError, match="the block form ran"):
-            state.extend(x[_SHORT_BLOCK - 1 : 2 * _SHORT_BLOCK - 1])
+        _, batch = messages(lambda: build_swa(x, config))
+        assert any("overflow" in m for m in batch) and any("invalid value" in m for m in batch)
+        state, reference = StreamState(config), StreamState(config)
+        for v in x[:-length].tolist():
+            state.push(v)
+        (statistics, scales), extended = messages(lambda: state.extend(x[-length:]))
+        assert extended == batch
+        pushed, silent = messages(lambda: [reference.push(v) for v in x.tolist()])
+        assert silent == set()
+        assert statistics.tobytes() == np.array([s for s, _ in pushed[-length:]]).tobytes()
+        assert scales.tolist() == [k for _, k in pushed[-length:]]
 
     def test_empty_block_returns_two_empty_arrays(self):
         """Extending by nothing returns nothing and changes nothing."""

@@ -857,6 +857,16 @@ class TestPowerTwoScale:
             power_two_scale(alpha, 1.0, hurst, big, 1)
 
 
+def power_gap_oracle(alpha, delta):
+    """``power_gap`` in mpmath at the working precision, in its defining form."""
+    alpha, delta = mp.mpf(alpha), mp.mpf(delta)
+    c_a = mp.sqrt(2) * mp.erfinv(1 - alpha)
+    c_0 = mp.sqrt(2) * mp.erfinv(mp.sqrt(1 - alpha))
+    single = mp.ncdf(c_a - delta) - mp.ncdf(-c_a - delta)
+    pair = mp.ncdf(c_0 - delta) - mp.ncdf(-c_0 - delta)
+    return single + (1 - alpha) - 2 * mp.sqrt(1 - alpha) * pair
+
+
 class TestPowerGap:
     def test_exactly_zero_at_alpha_zero(self):
         for delta in (0.1, 0.5, 1.0, 2.0):
@@ -868,16 +878,20 @@ class TestPowerGap:
         assert power_gap(alpha, delta) > 0.0
 
     def test_matches_arbitrary_precision(self):
-        def oracle(alpha, delta):
-            alpha, delta = mp.mpf(alpha), mp.mpf(delta)
-            c_a = mp.sqrt(2) * mp.erfinv(1 - alpha)
-            c_0 = mp.sqrt(2) * mp.erfinv(mp.sqrt(1 - alpha))
-            single = mp.ncdf(c_a - delta) - mp.ncdf(-c_a - delta)
-            pair = mp.ncdf(c_0 - delta) - mp.ncdf(-c_0 - delta)
-            return float(single + (1 - alpha) - 2 * mp.sqrt(1 - alpha) * pair)
-
         for alpha, delta in ((0.005, 1.0), (0.01, 2.0), (0.001, 0.1)):
-            assert power_gap(alpha, delta) == pytest.approx(oracle(alpha, delta), abs=1e-12)
+            expected = float(power_gap_oracle(alpha, delta))
+            assert power_gap(alpha, delta) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e-6, 1e-9, 1e-12])
+    @pytest.mark.parametrize("delta", [0.5, 2.0])
+    def test_relative_error_at_small_alpha(self, alpha, delta):
+        """Within 1e-12 relative of 50-digit mpmath down to alpha = 1e-12,
+        where the gap is 8e-13 at delta = 0.5: no term of the sum cancels.
+        Summed as ``(1 - a) + (1 - alpha) - 2 r (1 - b)`` in doubles, it was
+        off by 3.8e-7 relative at alpha = 1e-9 and 2.0e-4 at 1e-12."""
+        with mp.workdps(50):
+            expected = float(power_gap_oracle(alpha, delta))
+        assert power_gap(alpha, delta) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
